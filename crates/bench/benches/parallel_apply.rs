@@ -9,6 +9,7 @@
 
 use bbdd::{Bbdd, BoolOp, Edge, ParBbdd, ParConfig};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use ddcore::api::RawManager;
 
 const VARS: usize = 22;
 const ACCS: usize = 6;
@@ -76,10 +77,14 @@ fn bench_parallel_apply(c: &mut Criterion) {
                             ..ParConfig::default()
                         },
                     );
-                    let vars: Vec<Edge> = (0..VARS).map(|v| mgr.var(v)).collect();
+                    let vars: Vec<Edge> = (0..VARS).map(|v| mgr.var_edge(v)).collect();
                     let fs: Vec<Edge> = (0..=ACCS as u64)
                         .map(|k| {
-                            random_function(&mut |o, x, y| mgr.apply(o, x, y), &vars, 0xF00D + k)
+                            random_function(
+                                &mut |o, x, y| mgr.apply_edge(o, x, y),
+                                &vars,
+                                0xF00D + k,
+                            )
                         })
                         .collect();
                     (mgr, fs)
@@ -87,7 +92,7 @@ fn bench_parallel_apply(c: &mut Criterion) {
                 |(mut mgr, fs)| {
                     let mut acc = fs[0];
                     for &g in &fs[1..] {
-                        acc = mgr.xor(acc, g);
+                        acc = mgr.apply_edge(BoolOp::XOR, acc, g);
                     }
                     acc
                 },

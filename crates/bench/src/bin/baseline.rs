@@ -11,7 +11,7 @@
 use bbdd::{Bbdd, BbddManager, BoolOp, Edge};
 use bbdd_bench::{fig2, table1, timed};
 use benchgen::mcnc;
-use ddcore::api::{BooleanFunction, FunctionManager};
+use ddcore::api::{BooleanFunction, FunctionManager, RawManager};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -138,21 +138,21 @@ fn big_apply_ms() -> (f64, usize) {
     for round in 0..2u64 {
         let t = Instant::now();
         let mut mgr = Bbdd::new(n);
-        let vs: Vec<Edge> = (0..n).map(|v| mgr.var(v)).collect();
+        let vs: Vec<Edge> = (0..n).map(|v| mgr.var_edge(v)).collect();
         let mut acc = random_function(
-            &mut |o, x, y| mgr.apply(o, x, y),
+            &mut |o, x, y| mgr.apply_edge(o, x, y),
             &vs,
             0xF00D + round,
             12 * n,
         );
         for k in 0..12u64 {
             let g = random_function(
-                &mut |o, x, y| mgr.apply(o, x, y),
+                &mut |o, x, y| mgr.apply_edge(o, x, y),
                 &vs,
                 0xBEEF * (k + 1) + round,
                 12 * n,
             );
-            acc = mgr.xor(acc, g);
+            acc = mgr.apply_edge(BoolOp::XOR, acc, g);
         }
         std::hint::black_box(acc);
         live = mgr.live_nodes();
@@ -176,21 +176,21 @@ fn big_apply_par_ms(threads: usize) -> (f64, usize) {
                 ..ParConfig::default()
             },
         );
-        let vs: Vec<Edge> = (0..n).map(|v| mgr.var(v)).collect();
+        let vs: Vec<Edge> = (0..n).map(|v| mgr.var_edge(v)).collect();
         let mut acc = random_function(
-            &mut |o, x, y| mgr.apply(o, x, y),
+            &mut |o, x, y| mgr.apply_edge(o, x, y),
             &vs,
             0xF00D + round,
             12 * n,
         );
         for k in 0..12u64 {
             let g = random_function(
-                &mut |o, x, y| mgr.apply(o, x, y),
+                &mut |o, x, y| mgr.apply_edge(o, x, y),
                 &vs,
                 0xBEEF * (k + 1) + round,
                 12 * n,
             );
-            acc = mgr.xor(acc, g);
+            acc = mgr.apply_edge(BoolOp::XOR, acc, g);
         }
         std::hint::black_box(&mut acc);
         live = mgr.live_nodes();

@@ -144,6 +144,9 @@ pub enum DimacsErrorKind {
     DuplicateHeader,
     /// A token that is not an integer literal.
     BadToken(String),
+    /// A header declaring more variables than a manager can index
+    /// ([`MAX_VARS`]).
+    TooManyVars(usize),
     /// A literal naming a variable outside `1..=num_vars`.
     LiteralOutOfRange(i64),
     /// EOF inside a clause — the final `0` terminator is missing.
@@ -157,6 +160,10 @@ pub enum DimacsErrorKind {
         found: usize,
     },
 }
+
+/// The most variables a header may declare: both managers index levels
+/// and variables with 16 bits and reserve `u16::MAX` for the sink.
+pub const MAX_VARS: usize = u16::MAX as usize - 1;
 
 /// A parse rejection: the kind plus the 1-based line it was detected on.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -174,6 +181,10 @@ impl fmt::Display for DimacsError {
             DimacsErrorKind::MissingHeader => write!(f, "missing 'p cnf <vars> <clauses>' header"),
             DimacsErrorKind::BadHeader(h) => write!(f, "malformed header '{h}'"),
             DimacsErrorKind::DuplicateHeader => write!(f, "duplicate 'p' header"),
+            DimacsErrorKind::TooManyVars(n) => write!(
+                f,
+                "header declares {n} variables, more than the {MAX_VARS} a manager supports"
+            ),
             DimacsErrorKind::BadToken(t) => write!(f, "expected integer literal, got '{t}'"),
             DimacsErrorKind::LiteralOutOfRange(l) => {
                 write!(f, "literal {l} out of declared variable range")
@@ -198,9 +209,10 @@ impl std::error::Error for DimacsError {}
 /// exactly one `p cnf <vars> <clauses>` header, then whitespace-separated
 /// integer literals with each clause closed by a `0`. Clauses may span
 /// lines and several may share one line. Everything else — clause data
-/// before the header, a second header, non-integer tokens, literals
-/// outside the declared range, a missing final terminator, or a clause
-/// count that contradicts the header — is an error with a line number.
+/// before the header, a second header, a variable count above
+/// [`MAX_VARS`], non-integer tokens, literals outside the declared range,
+/// a missing final terminator, or a clause count that contradicts the
+/// header — is an error with a line number.
 ///
 /// # Errors
 /// A [`DimacsError`] pinpointing the first rejected line.
@@ -229,6 +241,12 @@ pub fn parse_dimacs(text: &str) -> Result<Cnf, DimacsError> {
                 _ => None,
             };
             match parsed {
+                Some((v, _)) if v > MAX_VARS => {
+                    return Err(DimacsError {
+                        line: lineno,
+                        kind: DimacsErrorKind::TooManyVars(v),
+                    })
+                }
                 Some(vc) => header = Some(vc),
                 None => {
                     return Err(DimacsError {
@@ -355,6 +373,19 @@ mod tests {
             kind_of("p cnf 3 2 extra\n"),
             DimacsErrorKind::BadHeader(_)
         ));
+    }
+
+    #[test]
+    fn rejects_variable_counts_past_the_manager_ceiling() {
+        let err = parse_dimacs("p cnf 70000 1\n1 0\n").unwrap_err();
+        assert_eq!(err.kind, DimacsErrorKind::TooManyVars(70000));
+        assert_eq!(err.line, 1);
+        assert!(err.to_string().contains("65534"), "got: {err}");
+        assert_eq!(
+            kind_of(&format!("p cnf {} 0\n", MAX_VARS + 1)),
+            DimacsErrorKind::TooManyVars(MAX_VARS + 1)
+        );
+        assert!(parse_dimacs(&format!("p cnf {MAX_VARS} 0\n")).is_ok());
     }
 
     #[test]

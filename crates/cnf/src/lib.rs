@@ -50,7 +50,7 @@ pub mod schedule;
 pub mod slice;
 
 pub use build::{build_cnf, try_build_cnf, try_build_cnf_raw, BuildAborted, BuildStats};
-pub use dimacs::{parse_dimacs, Clause, Cnf, DimacsError, DimacsErrorKind};
+pub use dimacs::{parse_dimacs, Clause, Cnf, DimacsError, DimacsErrorKind, MAX_VARS};
 pub use order::CnfOrder;
 pub use schedule::{ClauseSchedule, Schedule, SchedulePlan};
 pub use slice::{

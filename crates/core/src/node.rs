@@ -111,6 +111,13 @@ impl Node {
         }
     }
 
+    /// The three packed words `(neq, eq, meta)` — the record layout the
+    /// parallel overlay shares.
+    #[inline]
+    pub(crate) fn words(&self) -> (u32, u32, u32) {
+        (self.neq_bits, self.eq_bits, self.meta)
+    }
+
     /// The unique-table key of this node (level is implied by the subtable).
     #[inline]
     pub(crate) fn key(&self) -> NodeKey {

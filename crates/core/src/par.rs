@@ -1,65 +1,51 @@
-//! [`ParBbdd`] — the multi-core front-end of the BBDD manager.
+//! [`ParBbdd`] — the multi-core front-end of the BBDD manager: the generic
+//! pipeline [`ddcore::par::Par`] over the biconditional node shape.
 //!
-//! Recursive BBDD operations parallelize naturally (HermesBDD's
-//! observation): split the recursion at the top k levels, run the
-//! subproblems on a pool, share subresults through a concurrent unique
-//! table and a lossy computed cache. The catch is determinism — node ids
-//! handed out by racing threads depend on the interleaving, and a decision
-//! diagram package's whole contract is that equal functions are equal
-//! edges. `ParBbdd` therefore runs every operation in three phases:
-//!
-//! 1. **Split** (sequential): cofactor the operands down the top k levels
-//!    of the recursion, recording the combine tree and a deduplicated list
-//!    of leaf subproblems.
-//! 2. **Parallel phase**: the base manager is *frozen* (workers only read
-//!    its arena and unique tables via lock-free `peek`s) and the leaf
-//!    subproblems run fork-join style. Result nodes are materialized in an
-//!    overlay: a [`ShardedTable`] keyed by `(level, node-key)` dedupes
-//!    across threads (consulting the frozen base tables first, so every
-//!    Boolean function has exactly **one** edge representation — base or
-//!    overlay), an [`OverlayArena`] stores the node words, and an
-//!    [`AtomicCache`] memoizes subresults lossily.
-//! 3. **Commit** (sequential): leaf results are imported into the base
-//!    manager — a depth-first walk over the overlay graph calling the
-//!    ordinary `make_node` — and the combine tree joins them.
-//!
-//! Because the overlay is canonical (one representation per function), the
-//! overlay graph reachable from the leaf results is the *same graph* for
-//! every interleaving; only the scratch ids differ. The commit walks that
-//! graph in a fixed order, so the base manager's state after the operation
-//! — including every node id — is **bit-identical for every thread
-//! count**. The parallel phase touches work scheduling only, never
-//! results.
-//!
-//! The sequential fallback below the node-count cutoff is part of the same
-//! contract: the parallel/sequential decision depends only on operand
-//! sizes, never on the thread count.
+//! This module only describes that shape ([`NodeShape`] for [`Bbdd`]):
+//! a node's top is its bottom-based level, its cofactors are the
+//! `(≠, =)` pair — Shannon (R4) nodes expand lazily through the chain
+//! literal of the level below — and overlay nodes follow the base's R2, R4
+//! and regular-=-edge rules. The one backend-specific quantification case
+//! is the chain's SV-quantified one. Apply and ite recurse into the
+//! =-branch first, as the sequential recursion does. The phases, the
+//! determinism argument and the budget handling live in
+//! [`ddcore::par::pipeline`].
 
 use crate::edge::Edge;
 use crate::manager::{Bbdd, BbddStats};
 use crate::node::NodeKey;
-use ddcore::boolop::{BoolOp, Unary};
 use ddcore::cantor::CantorHasher;
-use ddcore::fxhash::{FxHashMap, FxHashSet};
-use ddcore::govern::{OpAbort, OpBudget};
-use ddcore::optag;
-use ddcore::par::{
-    fork_join, threads_from_env, try_fork_join_governed, AtomicCache, OverlayArena, ShardedTable,
-};
+use ddcore::obs::MetricsSnapshot;
+use ddcore::par::{AtomicCacheStats, NodeShape, Overlay, PackedEdge, Par, QuantCube};
 pub use ddcore::par::{ParConfig, ParStats};
-use ddcore::session::OverlayFrame;
 use ddcore::table::TableKey;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Shannon-mode bit in an overlay node's meta word (mirrors the arena's
-/// node layout: level in bits 0..16).
+/// A multi-core BBDD manager: the same canonical diagrams and the same
+/// results as [`Bbdd`], with `apply`/`ite`/`exists`/`forall`/`and_exists`
+/// executed across a fork-join worker pool when the operands are large
+/// enough to pay for it. Results are bit-identical regardless of thread
+/// count, so a `ParBbdd` can replace a `Bbdd` anywhere. Operations are the
+/// [`RawManager`](ddcore::api::RawManager) methods (or the handle API via
+/// [`crate::ParBbddManager`]).
+///
+/// ```
+/// use bbdd::{BoolOp, ParBbdd};
+/// use ddcore::api::RawManager;
+/// let mut mgr = ParBbdd::new(8, 4); // 8 variables, up to 4 threads
+/// let (a, b) = (mgr.var_edge(0), mgr.var_edge(1));
+/// let f = mgr.apply_edge(BoolOp::XOR, a, b);
+/// assert!(mgr.eval_edge(f, &[true, false, false, false, false, false, false, false]));
+/// ```
+pub type ParBbdd = Par<Bbdd>;
+
+/// Shannon-mode bit in a node's meta word (level in bits 0..16).
 const SHANNON_BIT: u32 = 1 << 16;
 
 /// Unique-table key of the overlay: the per-level [`NodeKey`] plus the
 /// level itself (the base manager keeps one table per level; the sharded
 /// overlay is a single key space).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct LevelKey {
+pub struct LevelKey {
     level: u16,
     key: NodeKey,
 }
@@ -75,1032 +61,104 @@ impl TableKey for LevelKey {
     }
 }
 
-/// Structural view of a node in the frozen-base + overlay space.
-#[derive(Clone, Copy)]
-struct PNode {
-    neq: Edge,
-    eq: Edge,
-    level: u16,
-    shannon: bool,
-}
+impl PackedEdge for Edge {
+    const ONE: Edge = Edge::ONE;
+    const ZERO: Edge = Edge::ZERO;
 
-/// Cube-quantification context of one parallel `exists`/`forall`/
-/// `and_exists` (mirror of the sequential `QuantCtx`).
-#[derive(Debug, Clone)]
-struct PQuant {
-    /// Is the variable whose PV sits at bottom-based level `l` quantified?
-    in_cube: Vec<bool>,
-    min_level: u16,
-    cube_bits: u64,
-    combine: BoolOp,
-    tag: u32,
-}
-
-/// A deduplicated leaf subproblem of the split phase.
-#[derive(Debug, Clone, Copy)]
-enum Task {
-    Apply(BoolOp, Edge, Edge),
-    Ite(Edge, Edge, Edge),
-    Quant(Edge),
-    AndExists(Edge, Edge),
-}
-
-/// How an inner node of the combine tree joins its children.
-#[derive(Debug, Clone, Copy)]
-enum Combine {
-    /// `make_node(level, d, e)` — the structural join of `apply`/`ite`.
-    Node(u16),
-    /// `apply(op, d, e)` — quantification's case-1 join (∨ for ∃, ∧ for ∀).
-    Op(BoolOp),
-}
-
-/// The combine tree recorded by the split phase.
-#[derive(Debug)]
-enum Plan {
-    /// Resolved during the split (terminal case).
-    Done(Edge),
-    /// Index into the task list.
-    Leaf(usize),
-    /// Join of two subplans (`d` = ≠-branch, `e` = =-branch).
-    Join {
-        how: Combine,
-        d: Box<Plan>,
-        e: Box<Plan>,
-    },
-}
-
-fn unary(u: Unary, x: Edge) -> Edge {
-    match u {
-        Unary::Zero => Edge::ZERO,
-        Unary::One => Edge::ONE,
-        Unary::Identity => x,
-        Unary::Complement => !x,
-    }
-}
-
-/// The read-only context workers run in: the frozen base manager plus the
-/// overlay storage. Shared by reference across the fork-join scope.
-struct PCtx<'a> {
-    base: &'a Bbdd,
-    /// Arena length at freeze time; ids `>= base_len` live in the overlay.
-    base_len: u32,
-    table: &'a ShardedTable<LevelKey>,
-    arena: &'a OverlayArena,
-    cache: &'a AtomicCache,
-    quant: Option<&'a PQuant>,
-}
-
-impl PCtx<'_> {
     #[inline]
-    fn pnode(&self, id: u32) -> PNode {
-        if id < self.base_len {
-            let n = &self.base.nodes[id as usize];
-            PNode {
-                neq: n.neq(),
-                eq: n.eq(),
-                level: n.level(),
-                shannon: n.is_shannon(),
-            }
-        } else {
-            let (a, b, meta) = self.arena.get(id - self.base_len);
-            PNode {
-                neq: Edge::from_bits(a),
-                eq: Edge::from_bits(b),
-                level: meta as u16,
-                shannon: meta & SHANNON_BIT != 0,
-            }
-        }
+    fn bits(self) -> u32 {
+        Edge::bits(self)
     }
 
     #[inline]
-    fn level_of(&self, e: Edge) -> u16 {
-        self.pnode(e.node()).level
-    }
-
-    /// Find-or-create in the canonical frozen-base + overlay space: the
-    /// frozen base tables are consulted first (read-only `peek`), then the
-    /// sharded overlay table under exactly one shard lock. This is what
-    /// guarantees one edge representation per Boolean function — the
-    /// cornerstone of the determinism argument in the module docs.
-    fn find_or_insert(&self, level: u16, key: NodeKey) -> u32 {
-        if let Some(id) = self.base.subtables[level as usize].peek(&key) {
-            return id;
-        }
-        self.table.get_or_insert_with(LevelKey { level, key }, || {
-            let meta = u32::from(level) | if key.shannon() { SHANNON_BIT } else { 0 };
-            self.base_len + self.arena.alloc(key.neq().bits(), key.eq().bits(), meta)
-        })
-    }
-
-    fn shannon_node(&self, level: u16) -> Edge {
-        let key = NodeKey::new(true, Edge::ZERO, Edge::ONE);
-        Edge::new(self.find_or_insert(level, key), false)
-    }
-
-    fn lit_below(&self, level: u16) -> Edge {
-        if level == 0 {
-            Edge::ONE
-        } else {
-            self.shannon_node(level - 1)
-        }
-    }
-
-    fn is_lit_below(&self, e: Edge, level: u16) -> bool {
-        if e.is_complemented() {
-            return false;
-        }
-        if level == 0 {
-            return e == Edge::ONE;
-        }
-        if e.is_constant() {
-            return false;
-        }
-        let n = self.pnode(e.node());
-        n.shannon && n.level == level - 1
-    }
-
-    /// Mirror of [`Bbdd::make_node`] in the overlay space (R2, complement
-    /// normalization, R4).
-    fn make_node(&self, level: u16, mut neq: Edge, mut eq: Edge) -> Edge {
-        if neq == eq {
-            return eq;
-        }
-        let mut out_c = false;
-        if eq.is_complemented() {
-            neq = !neq;
-            eq = !eq;
-            out_c = true;
-        }
-        if neq == !eq && self.is_lit_below(eq, level) {
-            return self.shannon_node(level).complement_if(out_c);
-        }
-        let key = NodeKey::new(false, neq, eq);
-        Edge::new(self.find_or_insert(level, key), out_c)
-    }
-
-    /// Mirror of the manager's biconditional cofactors (Shannon operands
-    /// expand through the lazy chain literal).
-    fn cofactors(&self, e: Edge, level: u16) -> (Edge, Edge) {
-        if e.is_constant() {
-            return (e, e);
-        }
-        let n = self.pnode(e.node());
-        if n.level < level {
-            return (e, e);
-        }
-        debug_assert_eq!(n.level, level, "cofactor below the node's own level");
-        let c = e.is_complemented();
-        if n.shannon {
-            let lw = self.lit_below(level);
-            ((!lw).complement_if(c), lw.complement_if(c))
-        } else {
-            (n.neq.complement_if(c), n.eq.complement_if(c))
-        }
-    }
-
-    /// Algorithm 1 in the overlay space — the worker-side mirror of the
-    /// manager's `apply_rec`.
-    fn apply_rec(&self, mut op: BoolOp, mut f: Edge, mut g: Edge, calls: &mut u64) -> Edge {
-        *calls += 1;
-        if f == g {
-            return unary(op.on_equal_operands(), f);
-        }
-        if f == !g {
-            return unary(op.on_complement_operands(), f);
-        }
-        if f.is_constant() {
-            return unary(op.on_first_const(f == Edge::ONE), g);
-        }
-        if g.is_constant() {
-            return unary(op.on_second_const(g == Edge::ONE), f);
-        }
-        if f.is_complemented() {
-            f = !f;
-            op = op.complement_first();
-        }
-        if g.is_complemented() {
-            g = !g;
-            op = op.complement_second();
-        }
-        if f.node() > g.node() {
-            std::mem::swap(&mut f, &mut g);
-            op = op.swap_operands();
-        }
-        let mut out_c = false;
-        if op.eval(false, false) {
-            op = op.complement_output();
-            out_c = true;
-        }
-        if op == BoolOp::FALSE {
-            return Edge::ZERO.complement_if(out_c);
-        }
-        if op == BoolOp::FIRST {
-            return f.complement_if(out_c);
-        }
-        if op == BoolOp::SECOND {
-            return g.complement_if(out_c);
-        }
-        let (k1, k2, tag) = (
-            u64::from(f.bits()),
-            u64::from(g.bits()),
-            u32::from(op.table()),
-        );
-        if let Some(r) = self.cache.get(k1, k2, tag) {
-            return Edge::from_bits(r).complement_if(out_c);
-        }
-        let i = self.level_of(f).max(self.level_of(g));
-        let (fd, fe) = self.cofactors(f, i);
-        let (gd, ge) = self.cofactors(g, i);
-        let e = self.apply_rec(op, fe, ge, calls);
-        let d = self.apply_rec(op, fd, gd, calls);
-        let r = self.make_node(i, d, e);
-        self.cache.insert(k1, k2, tag, r.bits());
-        r.complement_if(out_c)
-    }
-
-    /// Worker-side mirror of the manager's `ite_rec`.
-    fn ite_rec(&self, mut f: Edge, mut g: Edge, mut h: Edge, calls: &mut u64) -> Edge {
-        *calls += 1;
-        if f == Edge::ONE {
-            return g;
-        }
-        if f == Edge::ZERO {
-            return h;
-        }
-        if g == h {
-            return g;
-        }
-        if g == Edge::ONE && h == Edge::ZERO {
-            return f;
-        }
-        if g == Edge::ZERO && h == Edge::ONE {
-            return !f;
-        }
-        if f == g || g == Edge::ONE {
-            return self.apply_rec(BoolOp::OR, f, h, calls);
-        }
-        if f == !g || g == Edge::ZERO {
-            return self.apply_rec(BoolOp::NOT_AND, f, h, calls);
-        }
-        if f == h || h == Edge::ZERO {
-            return self.apply_rec(BoolOp::AND, f, g, calls);
-        }
-        if f == !h || h == Edge::ONE {
-            return self.apply_rec(BoolOp::IMPLIES, f, g, calls);
-        }
-        if f.is_complemented() {
-            f = !f;
-            std::mem::swap(&mut g, &mut h);
-        }
-        let mut out_c = false;
-        if g.is_complemented() {
-            g = !g;
-            h = !h;
-            out_c = true;
-        }
-        let k1 = u64::from(f.bits());
-        let k2 = (u64::from(g.bits()) << 32) | u64::from(h.bits());
-        if let Some(r) = self.cache.get(k1, k2, optag::ITE) {
-            return Edge::from_bits(r).complement_if(out_c);
-        }
-        let mut i = self.level_of(f);
-        for e in [g, h] {
-            if !e.is_constant() {
-                i = i.max(self.level_of(e));
-            }
-        }
-        let (fd, fe) = self.cofactors(f, i);
-        let (gd, ge) = self.cofactors(g, i);
-        let (hd, he) = self.cofactors(h, i);
-        let e = self.ite_rec(fe, ge, he, calls);
-        let d = self.ite_rec(fd, gd, hd, calls);
-        let r = self.make_node(i, d, e);
-        self.cache.insert(k1, k2, optag::ITE, r.bits());
-        r.complement_if(out_c)
-    }
-
-    /// Worker-side mirror of the manager's cube quantification (the three
-    /// chain cases are documented in `quant.rs`).
-    fn quant_rec(&self, f: Edge, q: &PQuant, calls: &mut u64) -> Edge {
-        if f.is_constant() {
-            return f;
-        }
-        let i = self.level_of(f);
-        if i < q.min_level {
-            return f;
-        }
-        *calls += 1;
-        let (k1, k2) = (u64::from(f.bits()), q.cube_bits);
-        if let Some(r) = self.cache.get(k1, k2, q.tag) {
-            return Edge::from_bits(r);
-        }
-        let (fd, fe) = self.cofactors(f, i);
-        let r = if q.in_cube[i as usize] {
-            let a = self.quant_rec(fd, q, calls);
-            let absorbing = if q.tag == optag::EXISTS {
-                Edge::ONE
-            } else {
-                Edge::ZERO
-            };
-            if a == absorbing {
-                absorbing
-            } else {
-                let b = self.quant_rec(fe, q, calls);
-                self.apply_rec(q.combine, a, b, calls)
-            }
-        } else if i > 0 && q.in_cube[i as usize - 1] {
-            let w = self.shannon_node(i - 1);
-            let f1 = self.ite_rec(w, fe, fd, calls);
-            let f0 = self.ite_rec(w, fd, fe, calls);
-            let r1 = self.quant_rec(f1, q, calls);
-            let r0 = self.quant_rec(f0, q, calls);
-            let v = self.shannon_node(i);
-            self.ite_rec(v, r1, r0, calls)
-        } else {
-            let a = self.quant_rec(fd, q, calls);
-            let b = self.quant_rec(fe, q, calls);
-            self.make_node(i, a, b)
-        };
-        self.cache.insert(k1, k2, q.tag, r.bits());
-        r
-    }
-
-    /// Worker-side mirror of the manager's fused `and_exists`.
-    fn and_exists_rec(&self, f: Edge, g: Edge, q: &PQuant, calls: &mut u64) -> Edge {
-        if f == Edge::ZERO || g == Edge::ZERO || f == !g {
-            return Edge::ZERO;
-        }
-        if f == Edge::ONE {
-            return self.quant_rec(g, q, calls);
-        }
-        if g == Edge::ONE || f == g {
-            return self.quant_rec(f, q, calls);
-        }
-        let (f, g) = if f.bits() <= g.bits() { (f, g) } else { (g, f) };
-        let i = self.level_of(f).max(self.level_of(g));
-        if i < q.min_level {
-            return self.apply_rec(BoolOp::AND, f, g, calls);
-        }
-        *calls += 1;
-        let k1 = u64::from(f.bits());
-        let k2 = (u64::from(g.bits()) << 32) | q.cube_bits;
-        if let Some(r) = self.cache.get(k1, k2, optag::AND_EXISTS) {
-            return Edge::from_bits(r);
-        }
-        let (fd, fe) = self.cofactors(f, i);
-        let (gd, ge) = self.cofactors(g, i);
-        let r = if q.in_cube[i as usize] {
-            let a = self.and_exists_rec(fd, gd, q, calls);
-            if a == Edge::ONE {
-                Edge::ONE
-            } else {
-                let b = self.and_exists_rec(fe, ge, q, calls);
-                self.apply_rec(BoolOp::OR, a, b, calls)
-            }
-        } else if i > 0 && q.in_cube[i as usize - 1] {
-            let w = self.shannon_node(i - 1);
-            let f1 = self.ite_rec(w, fe, fd, calls);
-            let f0 = self.ite_rec(w, fd, fe, calls);
-            let g1 = self.ite_rec(w, ge, gd, calls);
-            let g0 = self.ite_rec(w, gd, ge, calls);
-            let r1 = self.and_exists_rec(f1, g1, q, calls);
-            let r0 = self.and_exists_rec(f0, g0, q, calls);
-            let v = self.shannon_node(i);
-            self.ite_rec(v, r1, r0, calls)
-        } else {
-            let a = self.and_exists_rec(fd, gd, q, calls);
-            let b = self.and_exists_rec(fe, ge, q, calls);
-            self.make_node(i, a, b)
-        };
-        self.cache.insert(k1, k2, optag::AND_EXISTS, r.bits());
-        r
-    }
-
-    fn run_task(&self, t: &Task) -> (Edge, u64) {
-        let mut calls = 0u64;
-        let r = match *t {
-            Task::Apply(op, f, g) => self.apply_rec(op, f, g, &mut calls),
-            Task::Ite(f, g, h) => self.ite_rec(f, g, h, &mut calls),
-            Task::Quant(f) => {
-                let q = self.quant.expect("quant task without quant context");
-                self.quant_rec(f, q, &mut calls)
-            }
-            Task::AndExists(f, g) => {
-                let q = self.quant.expect("and-exists task without quant context");
-                self.and_exists_rec(f, g, q, &mut calls)
-            }
-        };
-        (r, calls)
+    fn from_bits(bits: u32) -> Self {
+        Edge::from_bits(bits)
     }
 }
 
-/// A multi-core BBDD manager: the same canonical diagrams and the same
-/// results as [`Bbdd`], with `apply`/`ite`/`exists`/`forall`/`and_exists`
-/// executed across a fork-join worker pool when the operands are large
-/// enough to pay for it.
-///
-/// Results are **bit-identical regardless of thread count** — see the
-/// module docs for why — so a `ParBbdd` can replace a `Bbdd` anywhere
-/// without changing a single edge a caller observes.
-///
-/// ```
-/// use bbdd::{ParBbdd, BoolOp};
-/// let mut mgr = ParBbdd::new(8, 4); // 8 variables, up to 4 threads
-/// let (a, b) = (mgr.var(0), mgr.var(1));
-/// let f = mgr.apply(BoolOp::XOR, a, b);
-/// assert!(mgr.eval(f, &[true, false, false, false, false, false, false, false]));
-/// ```
-#[derive(Debug)]
-pub struct ParBbdd {
-    inner: Bbdd,
-    cfg: ParConfig,
-    /// The overlay scratch bundle (sharded table, append-only arena,
-    /// atomic cache, GC-generation sync) — see
-    /// [`ddcore::session::OverlayFrame`] for the shared lifecycle.
-    frame: OverlayFrame<LevelKey>,
-    stats: ParStats,
-    /// Reused size-probe scratch (the cutoff check).
-    probe: FxHashSet<u32>,
+/// Find-or-create `(level, key)` in the overlay space.
+#[inline]
+fn overlay_find(ov: &Overlay<'_, Bbdd>, level: u16, key: NodeKey) -> u32 {
+    let meta = u32::from(level) | if key.shannon() { SHANNON_BIT } else { 0 };
+    ov.find_or_insert(
+        LevelKey { level, key },
+        (key.neq().bits(), key.eq().bits(), meta),
+    )
 }
 
-impl ParBbdd {
-    /// Create a manager for `num_vars` variables running on up to
-    /// `threads` worker threads.
-    ///
-    /// # Panics
-    /// Panics if `num_vars` is 0 or exceeds the 16-bit level space.
-    #[must_use]
-    pub fn new(num_vars: usize, threads: usize) -> Self {
-        Self::with_config(
-            num_vars,
-            ParConfig {
-                threads: threads.max(1),
-                ..ParConfig::default()
-            },
-        )
+/// The Shannon (R4) node of `level` in the overlay space.
+fn overlay_shannon(ov: &Overlay<'_, Bbdd>, level: u16) -> Edge {
+    let key = NodeKey::new(true, Edge::ZERO, Edge::ONE);
+    Edge::new(overlay_find(ov, level, key), false)
+}
+
+/// Is `e` exactly the regular positive literal of the level below `level`?
+fn overlay_is_lit_below(ov: &Overlay<'_, Bbdd>, e: Edge, level: u16) -> bool {
+    if e.is_complemented() {
+        return false;
+    }
+    if level == 0 {
+        return e == Edge::ONE;
+    }
+    if e.is_constant() {
+        return false;
+    }
+    let (_, _, meta) = ov.words(e.node());
+    meta & SHANNON_BIT != 0 && meta as u16 == level - 1
+}
+
+impl NodeShape for Bbdd {
+    type Key = LevelKey;
+    type Stats = BbddStats;
+    const PAR_NAME: &'static str = "par-bbdd";
+    const APPLY_SECOND_FIRST: bool = true;
+
+    #[inline]
+    fn node_slots(&self) -> u32 {
+        u32::try_from(self.nodes.len()).expect("arena fits u32")
     }
 
-    /// Create a manager reading the thread count from the `BBDD_THREADS`
-    /// environment variable (falling back to `default_threads`).
-    ///
-    /// # Panics
-    /// Panics if `num_vars` is 0 or exceeds the 16-bit level space.
-    #[must_use]
-    pub fn from_env(num_vars: usize, default_threads: usize) -> Self {
-        Self::new(num_vars, threads_from_env(default_threads))
+    #[inline]
+    fn node_words(&self, id: u32) -> (u32, u32, u32) {
+        self.nodes[id as usize].words()
     }
 
-    /// Create a manager with explicit [`ParConfig`].
-    ///
-    /// # Panics
-    /// Panics if `num_vars` is 0 or exceeds the 16-bit level space.
-    #[must_use]
-    pub fn with_config(num_vars: usize, cfg: ParConfig) -> Self {
-        ParBbdd {
-            inner: Bbdd::new(num_vars),
-            frame: OverlayFrame::new(cfg.shards, 64, cfg.cache_ways),
-            stats: ParStats::default(),
-            probe: FxHashSet::default(),
-            cfg,
-        }
+    #[inline]
+    fn peek(&self, key: &LevelKey) -> Option<u32> {
+        self.subtables[key.level as usize].peek(&key.key)
     }
 
-    /// A private copy for the session layer: the sequential manager's node
-    /// store is forked, the overlay frame starts fresh (it is per-op
-    /// scratch, recycled at every parallel phase anyway).
-    pub(crate) fn fork_state(&self) -> Self {
-        ParBbdd {
-            inner: self.inner.fork_state(),
-            frame: OverlayFrame::new(self.cfg.shards, 64, self.cfg.cache_ways),
-            stats: ParStats::default(),
-            probe: FxHashSet::default(),
-            cfg: self.cfg,
-        }
+    #[inline]
+    fn height(&self, top: u16) -> u32 {
+        u32::from(top)
     }
 
-    /// Worker threads the manager may use.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.cfg.threads
+    fn base_cofactors(&mut self, e: Edge, top: u16) -> (Edge, Edge) {
+        self.cofactors(e, top)
     }
 
-    /// Change the worker thread count (results are unaffected by
-    /// construction).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.cfg.threads = threads.max(1);
+    fn base_node(&mut self, top: u16, neq: Edge, eq: Edge) -> Edge {
+        self.make_node(top, neq, eq)
     }
 
-    /// The wrapped sequential manager (read access).
-    #[must_use]
-    pub fn inner(&self) -> &Bbdd {
-        &self.inner
-    }
-
-    /// The wrapped sequential manager (mutable access — anything done here
-    /// is, of course, part of the deterministic history).
-    pub fn inner_mut(&mut self) -> &mut Bbdd {
-        &mut self.inner
-    }
-
-    /// Unwrap into the sequential manager.
-    #[must_use]
-    pub fn into_inner(self) -> Bbdd {
-        self.inner
-    }
-
-    /// Parallel-execution counters (shard occupancy/contention, lossy
-    /// cache behaviour, task distribution).
-    #[must_use]
-    pub fn par_stats(&self) -> ParStats {
-        let mut s = self.stats.clone();
-        s.cache = self.frame.cache.stats();
-        s.shard_contention = self
-            .frame
-            .table
-            .shard_stats()
-            .iter()
-            .map(|x| x.contended)
-            .sum();
-        s
-    }
-
-    /// Counters of the wrapped sequential manager.
-    #[must_use]
-    pub fn stats(&self) -> BbddStats {
-        self.inner.stats()
-    }
-
-    // ── thin delegates ────────────────────────────────────────────────
-
-    /// Number of variables managed.
-    #[must_use]
-    pub fn num_vars(&self) -> usize {
-        self.inner.num_vars()
-    }
-
-    /// Constant true.
-    #[must_use]
-    pub fn one(&self) -> Edge {
-        self.inner.one()
-    }
-
-    /// Constant false.
-    #[must_use]
-    pub fn zero(&self) -> Edge {
-        self.inner.zero()
-    }
-
-    /// The positive literal of `var`.
-    ///
-    /// # Panics
-    /// Panics if `var >= num_vars()`.
-    pub fn var(&mut self, var: usize) -> Edge {
-        self.inner.var(var)
-    }
-
-    /// The negative literal of `var`.
-    ///
-    /// # Panics
-    /// Panics if `var >= num_vars()`.
-    pub fn nvar(&mut self, var: usize) -> Edge {
-        self.inner.nvar(var)
-    }
-
-    /// Evaluate `f` under an assignment.
-    #[must_use]
-    pub fn eval(&self, f: Edge, assignment: &[bool]) -> bool {
-        self.inner.eval(f, assignment)
-    }
-
-    /// Nodes reachable from `f`.
-    #[must_use]
-    pub fn node_count(&self, f: Edge) -> usize {
-        self.inner.node_count(f)
-    }
-
-    /// Live (stored) nodes.
-    #[must_use]
-    pub fn live_nodes(&self) -> usize {
-        self.inner.live_nodes()
-    }
-
-    /// Exact satisfying-assignment count (see [`Bbdd::sat_count`]).
-    ///
-    /// # Panics
-    /// Panics if the manager has more than 127 variables.
-    #[must_use]
-    pub fn sat_count(&self, f: Edge) -> u128 {
-        self.inner.sat_count(f)
-    }
-
-    /// One satisfying assignment, or `None` for constant false.
-    #[must_use]
-    pub fn any_sat(&self, f: Edge) -> Option<Vec<bool>> {
-        self.inner.any_sat(f)
-    }
-
-    /// Garbage-collect, tracing the handle registry, and invalidate the
-    /// concurrent cache; returns nodes reclaimed. Everything a live
-    /// [`crate::ParBbddFn`] handle denotes survives.
-    pub fn collect(&mut self) -> usize {
-        let freed = self.inner.gc();
-        self.frame.invalidate(self.inner.gc_generation());
-        freed
-    }
-
-    /// Arm the automatic GC latch (see [`Bbdd::set_gc_threshold`]);
-    /// collections run at trait-level operation boundaries and bump the
-    /// concurrent cache epoch.
-    pub fn set_gc_threshold(&mut self, threshold: usize) {
-        self.inner.set_gc_threshold(threshold);
-    }
-
-    // The owned-handle front-end lives in `ddcore::api` (see `crate::api`):
-    // the parallel backend shares the inner manager's root registry, so a
-    // `ParBbddFn` is indistinguishable from a sequential handle. The one
-    // extra obligation is the *merge GC*: an automatic collection latched
-    // during the deterministic commit (the overlay import runs through
-    // `make_node`, a growth point) must not fire until the operation's
-    // result is registered — guaranteed by the generic layer, which
-    // registers first and only then runs `RawManager::after_op` (the
-    // latched GC plus the cache-epoch sync below).
-
-    /// Invalidate the concurrent cache if the inner manager collected
-    /// since we last looked (node ids may have been recycled). Checked
-    /// before every parallel phase and at every operation boundary, so
-    /// even collections triggered through `inner_mut()` cannot leave
-    /// stale id-keyed entries behind.
-    pub(crate) fn sync_cache_epoch(&mut self) {
-        let gen = self.inner.gc_generation();
-        self.frame.sync_generation(gen);
-    }
-
-    // ── parallel operations ───────────────────────────────────────────
-
-    /// `f ⊗ g` for an arbitrary binary operator, parallel above the
-    /// cutoff.
-    pub fn apply(&mut self, op: BoolOp, f: Edge, g: Edge) -> Edge {
-        if !self.worth_splitting(&[f, g]) {
-            self.stats.ops_sequential += 1;
-            return self.inner.apply(op, f, g);
-        }
-        let depth = self.split_depth();
-        let mut tasks = Vec::new();
-        let mut dedup = FxHashMap::default();
-        let plan = self.split_apply(op, f, g, depth, &mut tasks, &mut dedup);
-        self.execute(&plan, &tasks, None)
-    }
-
-    /// `f ∧ g`.
-    pub fn and(&mut self, f: Edge, g: Edge) -> Edge {
-        self.apply(BoolOp::AND, f, g)
-    }
-
-    /// `f ∨ g`.
-    pub fn or(&mut self, f: Edge, g: Edge) -> Edge {
-        self.apply(BoolOp::OR, f, g)
-    }
-
-    /// `f ⊕ g`.
-    pub fn xor(&mut self, f: Edge, g: Edge) -> Edge {
-        self.apply(BoolOp::XOR, f, g)
-    }
-
-    /// `f ⊙ g`.
-    pub fn xnor(&mut self, f: Edge, g: Edge) -> Edge {
-        self.apply(BoolOp::XNOR, f, g)
-    }
-
-    /// If-then-else, parallel above the cutoff.
-    pub fn ite(&mut self, f: Edge, g: Edge, h: Edge) -> Edge {
-        if !self.worth_splitting(&[f, g, h]) {
-            self.stats.ops_sequential += 1;
-            return self.inner.ite(f, g, h);
-        }
-        let depth = self.split_depth();
-        let mut tasks = Vec::new();
-        let mut dedup = FxHashMap::default();
-        let plan = self.split_ite(f, g, h, depth, &mut tasks, &mut dedup);
-        self.execute(&plan, &tasks, None)
-    }
-
-    /// Existential cube quantification `∃ vars . f`, parallel above the
-    /// cutoff.
-    ///
-    /// # Panics
-    /// Panics if any variable index is out of range.
-    pub fn exists(&mut self, f: Edge, vars: &[usize]) -> Edge {
-        self.quantify(f, vars, BoolOp::OR, optag::EXISTS)
-    }
-
-    /// Universal cube quantification `∀ vars . f`.
-    ///
-    /// # Panics
-    /// Panics if any variable index is out of range.
-    pub fn forall(&mut self, f: Edge, vars: &[usize]) -> Edge {
-        self.quantify(f, vars, BoolOp::AND, optag::FORALL)
-    }
-
-    /// Fused relational product `∃ vars . (f ∧ g)`.
-    ///
-    /// # Panics
-    /// Panics if any variable index is out of range.
-    pub fn and_exists(&mut self, f: Edge, g: Edge, vars: &[usize]) -> Edge {
-        if !self.worth_splitting(&[f, g]) {
-            self.stats.ops_sequential += 1;
-            return self.inner.and_exists(f, g, vars);
-        }
-        let Some(q) = self.build_quant(vars, BoolOp::OR, optag::EXISTS) else {
-            return self.apply(BoolOp::AND, f, g);
-        };
-        let depth = self.split_depth();
-        let mut tasks = Vec::new();
-        let mut dedup = FxHashMap::default();
-        let plan = self.split_and_exists(f, g, &q, depth, &mut tasks, &mut dedup);
-        self.execute(&plan, &tasks, Some(&q))
-    }
-
-    // ── governed operations ───────────────────────────────────────────
-    //
-    // The `try_*` forms run the same three-phase pipeline under an
-    // [`OpBudget`]. An *unlimited* budget short-circuits to the ordinary
-    // path, so the infallible operations pay nothing. A limited one routes
-    // the sequential fallback through the inner manager's governed
-    // recursion and the parallel phase through the cooperative stop
-    // predicate: workers consult the budget's [`StopView`] between tasks
-    // (abort latency = the in-flight tasks), and the deterministic commit
-    // charges every imported node. Abort safety is structural here — the
-    // parallel phase only writes the overlay, which the next operation
-    // recycles, and commit nodes orphaned by a mid-commit abort are
-    // unreferenced, so the next GC reclaims them.
-    //
-    // [`StopView`]: ddcore::govern::StopView
-
-    /// [`ParBbdd::apply`] under a resource budget.
-    ///
-    /// # Errors
-    /// The budget's abort reason; the manager stays fully usable.
-    pub fn try_apply(
-        &mut self,
-        op: BoolOp,
-        f: Edge,
-        g: Edge,
-        budget: &mut OpBudget,
-    ) -> Result<Edge, OpAbort> {
-        if !budget.stop_view().is_limited() {
-            return Ok(self.apply(op, f, g));
-        }
-        if !self.worth_splitting(&[f, g]) {
-            self.stats.ops_sequential += 1;
-            return self.inner.try_apply(op, f, g, budget);
-        }
-        let depth = self.split_depth();
-        let mut tasks = Vec::new();
-        let mut dedup = FxHashMap::default();
-        let plan = self.split_apply(op, f, g, depth, &mut tasks, &mut dedup);
-        self.try_execute(&plan, &tasks, None, budget)
-    }
-
-    /// [`ParBbdd::ite`] under a resource budget.
-    ///
-    /// # Errors
-    /// The budget's abort reason; the manager stays fully usable.
-    pub fn try_ite(
-        &mut self,
-        f: Edge,
-        g: Edge,
-        h: Edge,
-        budget: &mut OpBudget,
-    ) -> Result<Edge, OpAbort> {
-        if !budget.stop_view().is_limited() {
-            return Ok(self.ite(f, g, h));
-        }
-        if !self.worth_splitting(&[f, g, h]) {
-            self.stats.ops_sequential += 1;
-            return self.inner.try_ite(f, g, h, budget);
-        }
-        let depth = self.split_depth();
-        let mut tasks = Vec::new();
-        let mut dedup = FxHashMap::default();
-        let plan = self.split_ite(f, g, h, depth, &mut tasks, &mut dedup);
-        self.try_execute(&plan, &tasks, None, budget)
-    }
-
-    /// [`ParBbdd::exists`] under a resource budget.
-    ///
-    /// # Errors
-    /// The budget's abort reason; the manager stays fully usable.
-    ///
-    /// # Panics
-    /// Panics if any variable index is out of range.
-    pub fn try_exists(
-        &mut self,
-        f: Edge,
-        vars: &[usize],
-        budget: &mut OpBudget,
-    ) -> Result<Edge, OpAbort> {
-        self.try_quantify(f, vars, BoolOp::OR, optag::EXISTS, budget)
-    }
-
-    /// [`ParBbdd::forall`] under a resource budget.
-    ///
-    /// # Errors
-    /// The budget's abort reason; the manager stays fully usable.
-    ///
-    /// # Panics
-    /// Panics if any variable index is out of range.
-    pub fn try_forall(
-        &mut self,
-        f: Edge,
-        vars: &[usize],
-        budget: &mut OpBudget,
-    ) -> Result<Edge, OpAbort> {
-        self.try_quantify(f, vars, BoolOp::AND, optag::FORALL, budget)
-    }
-
-    /// [`ParBbdd::and_exists`] under a resource budget.
-    ///
-    /// # Errors
-    /// The budget's abort reason; the manager stays fully usable.
-    ///
-    /// # Panics
-    /// Panics if any variable index is out of range.
-    pub fn try_and_exists(
-        &mut self,
-        f: Edge,
-        g: Edge,
-        vars: &[usize],
-        budget: &mut OpBudget,
-    ) -> Result<Edge, OpAbort> {
-        if !budget.stop_view().is_limited() {
-            return Ok(self.and_exists(f, g, vars));
-        }
-        if !self.worth_splitting(&[f, g]) {
-            self.stats.ops_sequential += 1;
-            return self.inner.try_and_exists(f, g, vars, budget);
-        }
-        let Some(q) = self.build_quant(vars, BoolOp::OR, optag::EXISTS) else {
-            return self.try_apply(BoolOp::AND, f, g, budget);
-        };
-        let depth = self.split_depth();
-        let mut tasks = Vec::new();
-        let mut dedup = FxHashMap::default();
-        let plan = self.split_and_exists(f, g, &q, depth, &mut tasks, &mut dedup);
-        self.try_execute(&plan, &tasks, Some(&q), budget)
-    }
-
-    /// [`Bbdd::try_restrict`] on the wrapped sequential manager (no
-    /// parallel phase).
-    ///
-    /// # Errors
-    /// The budget's abort reason.
-    pub fn try_restrict(
-        &mut self,
-        f: Edge,
-        var: usize,
-        value: bool,
-        budget: &mut OpBudget,
-    ) -> Result<Edge, OpAbort> {
-        self.inner.try_restrict(f, var, value, budget)
-    }
-
-    /// [`Bbdd::try_compose`] on the wrapped sequential manager (no
-    /// parallel phase).
-    ///
-    /// # Errors
-    /// The budget's abort reason.
-    pub fn try_compose(
-        &mut self,
-        f: Edge,
-        var: usize,
-        g: Edge,
-        budget: &mut OpBudget,
-    ) -> Result<Edge, OpAbort> {
-        self.inner.try_compose(f, var, g, budget)
-    }
-
-    /// [`Bbdd::sat_count_checked`] on the wrapped sequential manager.
-    #[must_use]
-    pub fn sat_count_checked(&self, f: Edge) -> Option<u128> {
-        self.inner.sat_count_checked(f)
-    }
-
-    /// [`Bbdd::try_sat_count`] on the wrapped sequential manager.
-    ///
-    /// # Errors
-    /// The budget's abort reason.
-    ///
-    /// # Panics
-    /// Panics if the manager has more than 127 variables.
-    pub fn try_sat_count(&self, f: Edge, budget: &mut OpBudget) -> Result<u128, OpAbort> {
-        self.inner.try_sat_count(f, budget)
-    }
-
-    fn try_quantify(
-        &mut self,
-        f: Edge,
-        vars: &[usize],
-        combine: BoolOp,
-        tag: u32,
-        budget: &mut OpBudget,
-    ) -> Result<Edge, OpAbort> {
-        if !budget.stop_view().is_limited() {
-            return Ok(self.quantify(f, vars, combine, tag));
-        }
-        if !self.worth_splitting(&[f]) {
-            self.stats.ops_sequential += 1;
-            return if tag == optag::EXISTS {
-                self.inner.try_exists(f, vars, budget)
-            } else {
-                self.inner.try_forall(f, vars, budget)
-            };
-        }
-        let Some(q) = self.build_quant(vars, combine, tag) else {
-            return Ok(f);
-        };
-        let depth = self.split_depth();
-        let mut tasks = Vec::new();
-        let mut dedup = FxHashMap::default();
-        let plan = self.split_quant(f, &q, depth, &mut tasks, &mut dedup);
-        self.try_execute(&plan, &tasks, Some(&q), budget)
-    }
-
-    fn quantify(&mut self, f: Edge, vars: &[usize], combine: BoolOp, tag: u32) -> Edge {
-        if !self.worth_splitting(&[f]) {
-            self.stats.ops_sequential += 1;
-            return if tag == optag::EXISTS {
-                self.inner.exists(f, vars)
-            } else {
-                self.inner.forall(f, vars)
-            };
-        }
-        let Some(q) = self.build_quant(vars, combine, tag) else {
-            return f;
-        };
-        let depth = self.split_depth();
-        let mut tasks = Vec::new();
-        let mut dedup = FxHashMap::default();
-        let plan = self.split_quant(f, &q, depth, &mut tasks, &mut dedup);
-        self.execute(&plan, &tasks, Some(&q))
-    }
-
-    // ── pipeline internals ────────────────────────────────────────────
-
-    /// The deterministic go/no-go: combined operand size against the
-    /// cutoff. Walks at most `cutoff` nodes (early exit), so the probe
-    /// costs a bounded fraction of the operation it gates; crucially it
-    /// depends only on the operands, never on the thread count.
-    fn worth_splitting(&mut self, roots: &[Edge]) -> bool {
-        if self.cfg.cutoff == 0 {
-            return true;
-        }
-        if self.inner.live_nodes() < self.cfg.cutoff {
-            return false;
-        }
-        let probe = &mut self.probe;
-        probe.clear();
-        let mut stack: Vec<u32> = roots
-            .iter()
-            .filter(|e| !e.is_constant())
-            .map(|e| e.node())
-            .collect();
-        while let Some(id) = stack.pop() {
-            if !probe.insert(id) {
-                continue;
-            }
-            if probe.len() >= self.cfg.cutoff {
-                return true;
-            }
-            let n = self.inner.node(id);
-            for child in [n.neq(), n.eq()] {
-                if !child.is_constant() {
-                    stack.push(child.node());
-                }
-            }
-        }
-        false
-    }
-
-    fn split_depth(&self) -> u16 {
-        match self.cfg.split_depth {
-            Some(d) => d.max(1),
-            None => {
-                let t = self.cfg.threads.max(1).next_power_of_two();
-                (t.trailing_zeros() as u16 + 3).min(12)
-            }
+    fn import_node(&mut self, meta: u32, neq: Edge, eq: Edge) -> Edge {
+        let level = meta as u16;
+        if meta & SHANNON_BIT != 0 {
+            self.shannon_node(level)
+        } else {
+            self.make_node(level, neq, eq)
         }
     }
 
     /// Mirror of the sequential `quant_ctx`: the level cube mask plus the
-    /// canonical cube handle, built in the inner manager *before* the
-    /// freeze (a deterministic prologue).
-    fn build_quant(&mut self, vars: &[usize], combine: BoolOp, tag: u32) -> Option<PQuant> {
-        let n = self.inner.num_vars();
+    /// canonical cube handle.
+    fn quant_cube(&mut self, vars: &[usize]) -> Option<QuantCube<Edge>> {
+        let n = self.num_vars();
         let mut in_cube = vec![false; n];
         let mut min_level = u16::MAX;
         for &v in vars {
             assert!(v < n, "quantified variable {v} out of range");
-            let l = self.inner.level_of_var[v] as u16;
+            let l = self.level_of_var[v] as u16;
             in_cube[l as usize] = true;
             min_level = min_level.min(l);
         }
@@ -1110,711 +168,84 @@ impl ParBbdd {
         let mut cube = Edge::ONE;
         for l in (0..n).rev() {
             if in_cube[l] {
-                let lit = self.inner.shannon_node(l as u16);
-                cube = self.inner.and(cube, lit);
+                let lit = self.shannon_node(l as u16);
+                cube = self.and(cube, lit);
             }
         }
-        Some(PQuant {
+        Some(QuantCube {
             in_cube,
-            min_level,
-            cube_bits: u64::from(cube.bits()),
-            combine,
-            tag,
+            floor: u32::from(min_level),
+            cube,
         })
     }
 
-    fn intern_task(
-        tasks: &mut Vec<Task>,
-        dedup: &mut FxHashMap<(u32, u64, u64), usize>,
-        key: (u32, u64, u64),
-        task: Task,
-    ) -> Plan {
-        let idx = *dedup.entry(key).or_insert_with(|| {
-            tasks.push(task);
-            tasks.len() - 1
-        });
-        Plan::Leaf(idx)
-    }
-
-    fn split_apply(
-        &mut self,
-        op: BoolOp,
-        f: Edge,
-        g: Edge,
-        depth: u16,
-        tasks: &mut Vec<Task>,
-        dedup: &mut FxHashMap<(u32, u64, u64), usize>,
-    ) -> Plan {
-        if f == g {
-            return Plan::Done(unary(op.on_equal_operands(), f));
+    /// The biconditional cofactors; Shannon operands expand through the
+    /// lazy chain literal.
+    #[inline]
+    fn overlay_cofactors(ov: &Overlay<'_, Self>, e: Edge, level: u16) -> (Edge, Edge) {
+        if e.is_constant() {
+            return (e, e);
         }
-        if f == !g {
-            return Plan::Done(unary(op.on_complement_operands(), f));
+        let (neq, eq, meta) = ov.words(e.node());
+        if (meta as u16) < level {
+            return (e, e);
         }
-        if f.is_constant() {
-            return Plan::Done(unary(op.on_first_const(f == Edge::ONE), g));
-        }
-        if g.is_constant() {
-            return Plan::Done(unary(op.on_second_const(g == Edge::ONE), f));
-        }
-        if depth == 0 {
-            let key = (
-                u32::from(op.table()),
-                u64::from(f.bits()),
-                u64::from(g.bits()),
-            );
-            return Self::intern_task(tasks, dedup, key, Task::Apply(op, f, g));
-        }
-        let lf = self.inner.node(f.node()).level();
-        let lg = self.inner.node(g.node()).level();
-        let i = lf.max(lg);
-        let (fd, fe) = self.inner.cofactors(f, i);
-        let (gd, ge) = self.inner.cofactors(g, i);
-        let e = self.split_apply(op, fe, ge, depth - 1, tasks, dedup);
-        let d = self.split_apply(op, fd, gd, depth - 1, tasks, dedup);
-        Plan::Join {
-            how: Combine::Node(i),
-            d: Box::new(d),
-            e: Box::new(e),
-        }
-    }
-
-    fn split_ite(
-        &mut self,
-        f: Edge,
-        g: Edge,
-        h: Edge,
-        depth: u16,
-        tasks: &mut Vec<Task>,
-        dedup: &mut FxHashMap<(u32, u64, u64), usize>,
-    ) -> Plan {
-        if f == Edge::ONE {
-            return Plan::Done(g);
-        }
-        if f == Edge::ZERO {
-            return Plan::Done(h);
-        }
-        if g == h {
-            return Plan::Done(g);
-        }
-        if g == Edge::ONE && h == Edge::ZERO {
-            return Plan::Done(f);
-        }
-        if g == Edge::ZERO && h == Edge::ONE {
-            return Plan::Done(!f);
-        }
-        if f == g || g == Edge::ONE {
-            return self.split_apply(BoolOp::OR, f, h, depth, tasks, dedup);
-        }
-        if f == !g || g == Edge::ZERO {
-            return self.split_apply(BoolOp::NOT_AND, f, h, depth, tasks, dedup);
-        }
-        if f == h || h == Edge::ZERO {
-            return self.split_apply(BoolOp::AND, f, g, depth, tasks, dedup);
-        }
-        if f == !h || h == Edge::ONE {
-            return self.split_apply(BoolOp::IMPLIES, f, g, depth, tasks, dedup);
-        }
-        if depth == 0 {
-            let key = (
-                optag::ITE,
-                u64::from(f.bits()),
-                (u64::from(g.bits()) << 32) | u64::from(h.bits()),
-            );
-            return Self::intern_task(tasks, dedup, key, Task::Ite(f, g, h));
-        }
-        let mut i = self.inner.node(f.node()).level();
-        for e in [g, h] {
-            if let Some(l) = self.inner.edge_level(e) {
-                i = i.max(l);
-            }
-        }
-        let (fd, fe) = self.inner.cofactors(f, i);
-        let (gd, ge) = self.inner.cofactors(g, i);
-        let (hd, he) = self.inner.cofactors(h, i);
-        let e = self.split_ite(fe, ge, he, depth - 1, tasks, dedup);
-        let d = self.split_ite(fd, gd, hd, depth - 1, tasks, dedup);
-        Plan::Join {
-            how: Combine::Node(i),
-            d: Box::new(d),
-            e: Box::new(e),
-        }
-    }
-
-    fn split_quant(
-        &mut self,
-        f: Edge,
-        q: &PQuant,
-        depth: u16,
-        tasks: &mut Vec<Task>,
-        dedup: &mut FxHashMap<(u32, u64, u64), usize>,
-    ) -> Plan {
-        if f.is_constant() {
-            return Plan::Done(f);
-        }
-        let i = self.inner.node(f.node()).level();
-        if i < q.min_level {
-            return Plan::Done(f);
-        }
-        let leaf = |tasks: &mut Vec<Task>, dedup: &mut _| {
-            let key = (q.tag, u64::from(f.bits()), q.cube_bits);
-            Self::intern_task(tasks, dedup, key, Task::Quant(f))
-        };
-        if depth == 0 {
-            return leaf(tasks, dedup);
-        }
-        if q.in_cube[i as usize] {
-            // Case 1: the PV is quantified away; children join with the
-            // combine operator (a full parallel apply at resolve time).
-            let (fd, fe) = self.inner.cofactors(f, i);
-            let d = self.split_quant(fd, q, depth - 1, tasks, dedup);
-            let e = self.split_quant(fe, q, depth - 1, tasks, dedup);
-            Plan::Join {
-                how: Combine::Op(q.combine),
-                d: Box::new(d),
-                e: Box::new(e),
-            }
-        } else if i > 0 && q.in_cube[i as usize - 1] {
-            // Case 2 (SV quantified, PV not) re-expands through `ite`;
-            // splitting through it would need inner mutations mid-split,
-            // so the whole subproblem becomes a leaf.
-            leaf(tasks, dedup)
-        } else {
-            let (fd, fe) = self.inner.cofactors(f, i);
-            let d = self.split_quant(fd, q, depth - 1, tasks, dedup);
-            let e = self.split_quant(fe, q, depth - 1, tasks, dedup);
-            Plan::Join {
-                how: Combine::Node(i),
-                d: Box::new(d),
-                e: Box::new(e),
-            }
-        }
-    }
-
-    fn split_and_exists(
-        &mut self,
-        f: Edge,
-        g: Edge,
-        q: &PQuant,
-        depth: u16,
-        tasks: &mut Vec<Task>,
-        dedup: &mut FxHashMap<(u32, u64, u64), usize>,
-    ) -> Plan {
-        if f == Edge::ZERO || g == Edge::ZERO || f == !g {
-            return Plan::Done(Edge::ZERO);
-        }
-        if f == Edge::ONE {
-            return self.split_quant(g, q, depth, tasks, dedup);
-        }
-        if g == Edge::ONE || f == g {
-            return self.split_quant(f, q, depth, tasks, dedup);
-        }
-        let (f, g) = if f.bits() <= g.bits() { (f, g) } else { (g, f) };
-        let lf = self.inner.node(f.node()).level();
-        let lg = self.inner.node(g.node()).level();
-        let i = lf.max(lg);
-        if i < q.min_level {
-            return self.split_apply(BoolOp::AND, f, g, depth, tasks, dedup);
-        }
-        let leaf = |tasks: &mut Vec<Task>, dedup: &mut _| {
-            let key = (
-                optag::AND_EXISTS,
-                u64::from(f.bits()),
-                (u64::from(g.bits()) << 32) ^ q.cube_bits,
-            );
-            Self::intern_task(tasks, dedup, key, Task::AndExists(f, g))
-        };
-        if depth == 0 {
-            return leaf(tasks, dedup);
-        }
-        if q.in_cube[i as usize] {
-            let (fd, fe) = self.inner.cofactors(f, i);
-            let (gd, ge) = self.inner.cofactors(g, i);
-            let d = self.split_and_exists(fd, gd, q, depth - 1, tasks, dedup);
-            let e = self.split_and_exists(fe, ge, q, depth - 1, tasks, dedup);
-            Plan::Join {
-                how: Combine::Op(BoolOp::OR),
-                d: Box::new(d),
-                e: Box::new(e),
-            }
-        } else if i > 0 && q.in_cube[i as usize - 1] {
-            leaf(tasks, dedup)
-        } else {
-            let (fd, fe) = self.inner.cofactors(f, i);
-            let (gd, ge) = self.inner.cofactors(g, i);
-            let d = self.split_and_exists(fd, gd, q, depth - 1, tasks, dedup);
-            let e = self.split_and_exists(fe, ge, q, depth - 1, tasks, dedup);
-            Plan::Join {
-                how: Combine::Node(i),
-                d: Box::new(d),
-                e: Box::new(e),
-            }
-        }
-    }
-
-    /// Phases 2 + 3: run the leaf tasks fork-join style over the frozen
-    /// base, then commit deterministically (import + combine).
-    fn execute(&mut self, plan: &Plan, tasks: &[Task], quant: Option<&PQuant>) -> Edge {
-        // Catch any inner-manager collection this wrapper did not perform
-        // itself before trusting id-keyed cache entries.
-        self.sync_cache_epoch();
-        if tasks.is_empty() {
-            // Everything resolved during the split; the combine tree may
-            // still join Done edges.
-            return self.resolve(plan, &[]);
-        }
-        self.stats.ops_parallel += 1;
-        // Freeze the base: workers read `inner` only. Recycle the overlay
-        // workspace from the previous operation (cached overlay ids die
-        // with the arena reset, so the cache epoch must move too).
-        self.frame.recycle();
-        self.frame.cache.bump_epoch();
-        let base_len = u32::try_from(self.inner.nodes.len()).expect("arena fits u32");
-        let results: Vec<AtomicU64> = tasks.iter().map(|_| AtomicU64::new(0)).collect();
-        let recursions = AtomicU64::new(0);
-        let fj = {
-            let mut phase = ddcore::obs::span(ddcore::obs::Op::ParPhase);
-            phase.set_arg("tasks", tasks.len() as u64);
-            let ctx = PCtx {
-                base: &self.inner,
-                base_len,
-                table: &self.frame.table,
-                arena: &self.frame.arena,
-                cache: &self.frame.cache,
-                quant,
+        debug_assert_eq!(meta as u16, level, "cofactor below the node's own level");
+        let c = e.is_complemented();
+        if meta & SHANNON_BIT != 0 {
+            let lw = if level == 0 {
+                Edge::ONE
+            } else {
+                overlay_shannon(ov, level - 1)
             };
-            fork_join(self.cfg.threads, tasks.len(), |i| {
-                let (r, calls) = ctx.run_task(&tasks[i]);
-                results[i].store(u64::from(r.bits()), Ordering::Release);
-                recursions.fetch_add(calls, Ordering::Relaxed);
-            })
-        };
-        self.stats.tasks_executed += tasks.len() as u64;
-        self.stats.tasks_stolen += fj.stolen;
-        if self.stats.tasks_by_worker.len() < fj.executed.len() {
-            self.stats.tasks_by_worker.resize(fj.executed.len(), 0);
-        }
-        for (slot, n) in self.stats.tasks_by_worker.iter_mut().zip(&fj.executed) {
-            *slot += n;
-        }
-        self.stats.par_recursions += recursions.load(Ordering::Relaxed);
-        self.stats.overlay_nodes += u64::from(self.frame.arena.len());
-        self.stats.last_shard_occupancy = self
-            .frame
-            .table
-            .shard_stats()
-            .iter()
-            .map(|s| s.len)
-            .collect();
-        // Deterministic commit: import each leaf result (depth-first over
-        // the canonical overlay graph, fixed task order), then resolve the
-        // combine tree.
-        let mut commit = ddcore::obs::span(ddcore::obs::Op::ParCommit);
-        let mut memo: FxHashMap<u32, Edge> = FxHashMap::default();
-        let leaf_edges: Vec<Edge> = results
-            .iter()
-            .map(|slot| {
-                let e = Edge::from_bits(slot.load(Ordering::Acquire) as u32);
-                Self::import(&mut self.inner, &self.frame.arena, base_len, &mut memo, e)
-            })
-            .collect();
-        self.stats.nodes_imported += memo.len() as u64;
-        commit.set_arg("imported", memo.len() as u64);
-        self.resolve(plan, &leaf_edges)
-    }
-
-    /// Commit one overlay edge into the base manager (memoized depth-first
-    /// rebuild through the ordinary canonicalizing `make_node`).
-    fn import(
-        inner: &mut Bbdd,
-        arena: &OverlayArena,
-        base_len: u32,
-        memo: &mut FxHashMap<u32, Edge>,
-        e: Edge,
-    ) -> Edge {
-        if e.is_constant() || e.node() < base_len {
-            return e;
-        }
-        let id = e.node();
-        if let Some(&r) = memo.get(&id) {
-            return r.complement_if(e.is_complemented());
-        }
-        let (a, b, meta) = arena.get(id - base_len);
-        let level = meta as u16;
-        let r = if meta & SHANNON_BIT != 0 {
-            inner.shannon_node(level)
+            ((!lw).complement_if(c), lw.complement_if(c))
         } else {
-            let neq = Self::import(inner, arena, base_len, memo, Edge::from_bits(a));
-            let eq = Self::import(inner, arena, base_len, memo, Edge::from_bits(b));
-            inner.make_node(level, neq, eq)
-        };
-        debug_assert!(
-            !r.is_complemented(),
-            "regular overlay nodes import to regular edges"
-        );
-        memo.insert(id, r);
-        r.complement_if(e.is_complemented())
-    }
-
-    /// Resolve the combine tree bottom-up (=-branch first, mirroring the
-    /// sequential recursion's evaluation order).
-    fn resolve(&mut self, plan: &Plan, leaf_edges: &[Edge]) -> Edge {
-        match plan {
-            Plan::Done(e) => *e,
-            Plan::Leaf(i) => leaf_edges[*i],
-            Plan::Join { how, d, e } => {
-                let ee = self.resolve(e, leaf_edges);
-                let dd = self.resolve(d, leaf_edges);
-                match how {
-                    Combine::Node(level) => self.inner.make_node(*level, dd, ee),
-                    Combine::Op(op) => self.apply(*op, dd, ee),
-                }
-            }
+            (
+                Edge::from_bits(neq).complement_if(c),
+                Edge::from_bits(eq).complement_if(c),
+            )
         }
     }
 
-    /// Governed phases 2 + 3 — [`ParBbdd::execute`] under an [`OpBudget`].
-    ///
-    /// The fork-join phase stops cooperatively: workers consult the
-    /// budget's stop view *between tasks* (overlay growth counts against
-    /// the node headroom), so the abort latency of the parallel phase is
-    /// bounded by the tasks in flight when the condition turns true. On a
-    /// stop the base manager has not been touched — workers only write the
-    /// overlay, which the next operation recycles — so `Err` here is
-    /// trivially abort-safe. The deterministic commit charges every
-    /// imported node against the budget (per-leaf, in bulk); a mid-commit
-    /// abort leaves only unreferenced base nodes behind, reclaimed by the
-    /// next GC.
-    fn try_execute(
-        &mut self,
-        plan: &Plan,
-        tasks: &[Task],
-        quant: Option<&PQuant>,
-        budget: &mut OpBudget,
-    ) -> Result<Edge, OpAbort> {
-        self.sync_cache_epoch();
-        let view = budget.stop_view();
-        if let Some(reason) = view.should_stop(0) {
-            return Err(reason);
+    /// `Bbdd::make_node`'s rules in the overlay space (R2, complement
+    /// normalization, R4).
+    #[inline]
+    fn overlay_node(ov: &Overlay<'_, Self>, level: u16, mut neq: Edge, mut eq: Edge) -> Edge {
+        if neq == eq {
+            return eq;
         }
-        if tasks.is_empty() {
-            return self.try_resolve(plan, &[], budget);
+        let mut out_c = false;
+        if eq.is_complemented() {
+            neq = !neq;
+            eq = !eq;
+            out_c = true;
         }
-        self.stats.ops_parallel += 1;
-        self.frame.recycle();
-        self.frame.cache.bump_epoch();
-        let base_len = u32::try_from(self.inner.nodes.len()).expect("arena fits u32");
-        let results: Vec<AtomicU64> = tasks.iter().map(|_| AtomicU64::new(0)).collect();
-        let recursions = AtomicU64::new(0);
-        let (fj, stopped) = {
-            let mut phase = ddcore::obs::span(ddcore::obs::Op::ParPhase);
-            phase.set_arg("tasks", tasks.len() as u64);
-            let ctx = PCtx {
-                base: &self.inner,
-                base_len,
-                table: &self.frame.table,
-                arena: &self.frame.arena,
-                cache: &self.frame.cache,
-                quant,
-            };
-            let arena = &self.frame.arena;
-            match try_fork_join_governed(
-                self.cfg.threads,
-                tasks.len(),
-                || view.should_stop(u64::from(arena.len())).is_some(),
-                |i| {
-                    let (r, calls) = ctx.run_task(&tasks[i]);
-                    results[i].store(u64::from(r.bits()), Ordering::Release);
-                    recursions.fetch_add(calls, Ordering::Relaxed);
-                },
-            ) {
-                Ok(x) => x,
-                Err(p) => panic!("{p}"),
-            }
-        };
-        self.stats.tasks_executed += fj.executed.iter().sum::<u64>();
-        self.stats.tasks_stolen += fj.stolen;
-        if self.stats.tasks_by_worker.len() < fj.executed.len() {
-            self.stats.tasks_by_worker.resize(fj.executed.len(), 0);
+        if neq == !eq && overlay_is_lit_below(ov, eq, level) {
+            return overlay_shannon(ov, level).complement_if(out_c);
         }
-        for (slot, n) in self.stats.tasks_by_worker.iter_mut().zip(&fj.executed) {
-            *slot += n;
-        }
-        self.stats.par_recursions += recursions.load(Ordering::Relaxed);
-        self.stats.overlay_nodes += u64::from(self.frame.arena.len());
-        self.stats.last_shard_occupancy = self
-            .frame
-            .table
-            .shard_stats()
-            .iter()
-            .map(|s| s.len)
-            .collect();
-        if stopped {
-            // Unclaimed result slots hold garbage; nothing reads them.
-            return Err(view
-                .should_stop(u64::from(self.frame.arena.len()))
-                .unwrap_or(OpAbort::Cancelled));
-        }
-        let mut commit = ddcore::obs::span(ddcore::obs::Op::ParCommit);
-        let mut memo: FxHashMap<u32, Edge> = FxHashMap::default();
-        let mut leaf_edges: Vec<Edge> = Vec::with_capacity(results.len());
-        let mut abort: Option<OpAbort> = None;
-        for slot in &results {
-            let e = Edge::from_bits(slot.load(Ordering::Acquire) as u32);
-            let before = memo.len();
-            leaf_edges.push(Self::import(
-                &mut self.inner,
-                &self.frame.arena,
-                base_len,
-                &mut memo,
-                e,
-            ));
-            if let Err(reason) = budget.charge((memo.len() - before) as u64) {
-                abort = Some(reason);
-                break;
-            }
-        }
-        self.stats.nodes_imported += memo.len() as u64;
-        if let Some(reason) = abort {
-            return Err(reason);
-        }
-        commit.set_arg("imported", memo.len() as u64);
-        self.try_resolve(plan, &leaf_edges, budget)
+        let key = NodeKey::new(false, neq, eq);
+        Edge::new(overlay_find(ov, level, key), out_c)
     }
 
-    /// Governed combine-tree resolution: structural joins poll the budget
-    /// before each `make_node`, operator joins recurse through the
-    /// governed apply.
-    fn try_resolve(
-        &mut self,
-        plan: &Plan,
-        leaf_edges: &[Edge],
-        budget: &mut OpBudget,
-    ) -> Result<Edge, OpAbort> {
-        match plan {
-            Plan::Done(e) => Ok(*e),
-            Plan::Leaf(i) => Ok(leaf_edges[*i]),
-            Plan::Join { how, d, e } => {
-                let ee = self.try_resolve(e, leaf_edges, budget)?;
-                let dd = self.try_resolve(d, leaf_edges, budget)?;
-                match how {
-                    Combine::Node(level) => {
-                        budget.checkpoint()?;
-                        Ok(self.inner.make_node(*level, dd, ee))
-                    }
-                    Combine::Op(op) => self.try_apply(*op, dd, ee, budget),
-                }
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn forced() -> ParConfig {
-        ParConfig {
-            threads: 4,
-            cutoff: 0, // force the parallel pipeline on every operand size
-            split_depth: Some(3),
-            cache_ways: 1 << 10,
-            shards: 8,
-        }
+    fn overlay_literal(ov: &Overlay<'_, Self>, level: u16) -> Edge {
+        overlay_shannon(ov, level)
     }
 
-    fn build_mixed(
-        n: usize,
-        seed: u64,
-        apply: &mut impl FnMut(BoolOp, Edge, Edge) -> Edge,
-        vars: &[Edge],
-    ) -> Edge {
-        let ops = [
-            BoolOp::XOR,
-            BoolOp::AND,
-            BoolOp::OR,
-            BoolOp::XNOR,
-            BoolOp::NAND,
-        ];
-        let mut state = seed | 1;
-        let mut f = vars[0];
-        for _ in 0..3 * n {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let op = ops[(state >> 33) as usize % ops.len()];
-            let v = vars[(state >> 18) as usize % n];
-            f = apply(op, f, v);
-        }
-        f
+    /// The chain's SV-quantified case (documented in `quant.rs`): the SV
+    /// of `level` is the PV of the level below.
+    fn chain_partner(level: u16, in_cube: &[bool]) -> Option<u16> {
+        (level > 0 && in_cube[level as usize - 1]).then(|| level - 1)
     }
 
-    /// The core determinism + correctness check on one random function
-    /// family: parallel results must be bit-identical across thread counts
-    /// and semantically equal to the sequential manager's.
-    #[test]
-    fn parallel_ops_match_sequential_and_are_thread_count_invariant() {
-        let n = 10;
-        for seed in 0..4u64 {
-            let mut reference: Option<(Edge, Edge, Edge, Edge, Edge)> = None;
-            // Sequential baseline.
-            let mut seq = Bbdd::new(n);
-            let vs: Vec<Edge> = (0..n).map(|v| seq.var(v)).collect();
-            let fs = build_mixed(n, seed, &mut |op, a, b| seq.apply(op, a, b), &vs);
-            let gs = build_mixed(n, seed + 77, &mut |op, a, b| seq.apply(op, a, b), &vs);
-            let seq_apply = seq.apply(BoolOp::AND, fs, gs);
-            let seq_ite = seq.ite(fs, gs, seq_apply);
-            let seq_ex = seq.exists(fs, &[1, 3, 4]);
-            let seq_fa = seq.forall(fs, &[0, 2]);
-            let seq_ae = seq.and_exists(fs, gs, &[2, 5, 6]);
-
-            for threads in [1usize, 2, 4, 8] {
-                let mut par = ParBbdd::with_config(
-                    n,
-                    ParConfig {
-                        threads,
-                        ..forced()
-                    },
-                );
-                let vp: Vec<Edge> = (0..n).map(|v| par.var(v)).collect();
-                let fp = build_mixed(n, seed, &mut |op, a, b| par.apply(op, a, b), &vp);
-                let gp = build_mixed(n, seed + 77, &mut |op, a, b| par.apply(op, a, b), &vp);
-                let p_apply = par.apply(BoolOp::AND, fp, gp);
-                let p_ite = par.ite(fp, gp, p_apply);
-                let p_ex = par.exists(fp, &[1, 3, 4]);
-                let p_fa = par.forall(fp, &[0, 2]);
-                let p_ae = par.and_exists(fp, gp, &[2, 5, 6]);
-                let got = (p_apply, p_ite, p_ex, p_fa, p_ae);
-                match reference {
-                    None => reference = Some(got),
-                    Some(expect) => assert_eq!(
-                        got, expect,
-                        "seed {seed}: thread count {threads} changed a root"
-                    ),
-                }
-                par.inner().validate().unwrap();
-                // Semantic equality against the sequential manager (and
-                // canonical-size equality — same reduced diagram).
-                for (p, s, name) in [
-                    (p_apply, seq_apply, "apply"),
-                    (p_ite, seq_ite, "ite"),
-                    (p_ex, seq_ex, "exists"),
-                    (p_fa, seq_fa, "forall"),
-                    (p_ae, seq_ae, "and_exists"),
-                ] {
-                    assert_eq!(
-                        par.node_count(p),
-                        seq.node_count(s),
-                        "seed {seed} {name}: canonical sizes differ"
-                    );
-                    for m in 0..(1u32 << n) {
-                        let a: Vec<bool> = (0..n).map(|i| (m >> i) & 1 == 1).collect();
-                        assert_eq!(
-                            par.eval(p, &a),
-                            seq.eval(s, &a),
-                            "seed {seed} {name} assignment {a:?}"
-                        );
-                    }
-                }
-                assert!(
-                    par.par_stats().ops_parallel > 0,
-                    "cutoff 0 must exercise the pipeline"
-                );
-            }
-        }
+    fn gc_generation(&self) -> u64 {
+        Bbdd::gc_generation(self)
     }
 
-    #[test]
-    fn sequential_fallback_below_cutoff() {
-        let mut par = ParBbdd::new(6, 4); // default cutoff 2048
-        let (a, b) = (par.var(0), par.var(1));
-        let f = par.apply(BoolOp::AND, a, b);
-        assert!(!f.is_constant());
-        let st = par.par_stats();
-        assert_eq!(st.ops_parallel, 0);
-        assert!(st.ops_sequential > 0);
+    fn stats(&self) -> BbddStats {
+        Bbdd::stats(self)
     }
 
-    #[test]
-    fn collect_keeps_roots_and_recycles() {
-        let mut par = ParBbdd::with_config(8, forced());
-        let vs: Vec<Edge> = (0..8).map(|v| par.var(v)).collect();
-        let f = build_mixed(8, 5, &mut |op, a, b| par.apply(op, a, b), &vs);
-        let tf: Vec<bool> = (0..256u32)
-            .map(|m| {
-                let a: Vec<bool> = (0..8).map(|i| (m >> i) & 1 == 1).collect();
-                par.eval(f, &a)
-            })
-            .collect();
-        let _pins: Vec<_> = vs.iter().chain([&f]).map(|&e| par.pin(e)).collect();
-        par.collect();
-        par.inner().validate().unwrap();
-        for (m, want) in tf.iter().enumerate() {
-            let a: Vec<bool> = (0..8).map(|i| (m >> i) & 1 == 1).collect();
-            assert_eq!(par.eval(f, &a), *want);
-        }
-        // Post-GC operations still work (and still deterministic).
-        let g = par.apply(BoolOp::XOR, f, vs[0]);
-        let g2 = par.apply(BoolOp::XOR, f, vs[0]);
-        assert_eq!(g, g2);
-    }
-
-    #[test]
-    fn inner_mut_collections_invalidate_the_concurrent_cache() {
-        // Regression (post-review): an automatic GC triggered through
-        // inner_mut() handle ops runs behind the wrapper's back; unless
-        // the wrapper notices (gc_generation sync), the lossy concurrent
-        // cache keeps entries keyed on freed — and then recycled — node
-        // ids, and a later parallel op can return a wrong edge.
-        let mut par = ParBbdd::with_config(8, forced());
-        let vs: Vec<Edge> = (0..8).map(|v| par.var(v)).collect();
-        let f = build_mixed(8, 5, &mut |op, a, b| par.apply(op, a, b), &vs);
-        let g = build_mixed(8, 6, &mut |op, a, b| par.apply(op, a, b), &vs);
-        let (_fh, _gh) = (par.pin(f), par.pin(g));
-        let truth: Vec<bool> = (0..256u32)
-            .map(|m| {
-                let a: Vec<bool> = (0..8).map(|i| (m >> i) & 1 == 1).collect();
-                par.eval(f, &a) && par.eval(g, &a)
-            })
-            .collect();
-        // Arm the latch, churn garbage-producing ops through inner_mut(),
-        // and run the latched collections at the sequential manager's own
-        // boundary: entirely behind the wrapper's back.
-        par.set_gc_threshold(1);
-        let runs0 = par.stats().gc_runs;
-        for v in 0..8 {
-            let a = par.inner_mut().var(v);
-            let b = par.inner_mut().var((v + 1) % 8);
-            let _ = par.inner_mut().xnor(a, b);
-            par.inner_mut().maybe_auto_gc();
-        }
-        assert!(par.stats().gc_runs > runs0, "inner auto-GC must have run");
-        // The parallel pipeline must re-derive, not replay stale entries.
-        let h = par.apply(BoolOp::AND, f, g);
-        for (m, want) in truth.iter().enumerate() {
-            let a: Vec<bool> = (0..8).map(|i| (m >> i) & 1 == 1).collect();
-            assert_eq!(par.eval(h, &a), *want, "assignment {m}");
-        }
-        par.inner().validate().unwrap();
-    }
-
-    #[test]
-    fn par_stats_surface_the_machinery() {
-        let mut par = ParBbdd::with_config(10, forced());
-        let vs: Vec<Edge> = (0..10).map(|v| par.var(v)).collect();
-        let f = build_mixed(10, 9, &mut |op, a, b| par.apply(op, a, b), &vs);
-        let g = build_mixed(10, 10, &mut |op, a, b| par.apply(op, a, b), &vs);
-        let _ = par.apply(BoolOp::AND, f, g);
-        let st = par.par_stats();
-        assert!(st.ops_parallel > 0);
-        assert!(st.tasks_executed > 0);
-        assert!(st.par_recursions > 0);
-        assert!(st.cache.lookups > 0);
-        assert_eq!(st.last_shard_occupancy.len(), 8);
-        assert_eq!(
-            st.tasks_executed,
-            st.tasks_by_worker.iter().sum::<u64>(),
-            "per-worker tallies must add up"
-        );
+    fn fill_par_metrics(&self, m: &mut MetricsSnapshot, cache: AtomicCacheStats) {
+        self.fill_metrics(m, Some(cache));
     }
 }

@@ -31,11 +31,12 @@
 //! `roots: &[Edge]` lists, making the forgotten-root bug class
 //! unrepresentable.
 //!
-//! The [`par`] module adds the multi-core primitives the parallel managers
-//! (`bbdd::ParBbdd`, `robdd::ParRobdd`) are built from: a sharded
-//! concurrent unique table, a lossy lock-free computed cache, an
-//! append-only overlay arena and a std-only fork-join helper — all safe
-//! Rust (this crate forbids `unsafe`).
+//! The [`par`] module holds the one generic parallel pipeline, [`Par`]
+//! (`bbdd::ParBbdd` and `robdd::ParRobdd` are its instances over the two
+//! managers' [`NodeShape`] impls), and the multi-core primitives it is
+//! built from: a sharded concurrent unique table, a lossy lock-free
+//! computed cache, an append-only overlay arena and a std-only fork-join
+//! helper — all safe Rust (this crate forbids `unsafe`).
 //!
 //! The [`dvo`] module is the dynamic-variable-ordering engine: pluggable
 //! reorder strategies (full/window/pair-aware sifting) over a small
@@ -88,13 +89,12 @@ pub use govern::{Admission, CancelToken, OpAbort, OpBudget};
 pub use nary::NaryOp;
 pub use obs::{GovernCounters, Metric, MetricKind, MetricsSnapshot, ProfileSnapshot, TraceEvent};
 pub use par::{
-    AtomicCache, AtomicCacheStats, OverlayArena, ParConfig, ParStats, ShardStats, ShardedTable,
-    TaskPanic,
+    AtomicCache, AtomicCacheStats, NodeShape, OverlayArena, Par, ParConfig, ParStats, ShardStats,
+    ShardedTable, TaskPanic,
 };
 pub use roots::RootSet;
 pub use session::{
-    CecOutcome, EpochTracker, Library, OverlayFrame, Session, SessionBackend, SessionError,
-    SharedBase,
+    CecOutcome, EpochTracker, Library, Session, SessionBackend, SessionError, SharedBase,
 };
 pub use stats::TableStats;
 pub use table::{BucketTable, OpenTable, UniqueTable, NIL};

@@ -1,15 +1,19 @@
-//! Multi-core execution primitives: the sharded concurrent unique table,
-//! the lossy lock-free computed cache, the append-only overlay arena and a
-//! std-only fork-join helper.
+//! Multi-core execution: the generic parallel pipeline [`Par`] and its
+//! building blocks — the sharded concurrent unique table, the lossy
+//! lock-free computed cache, the append-only overlay arena and a std-only
+//! fork-join helper.
 //!
-//! These are the building blocks of the parallel managers (`bbdd::ParBbdd`,
-//! `robdd::ParRobdd`). The design follows HermesBDD's recipe — recursive
-//! `apply` parallelizes naturally once node *uniqueness* is protected by a
-//! concurrent table and the computed table is allowed to be *lossy* — with
-//! one twist that keeps results bit-identical regardless of thread count:
-//! the parallel phase works in a frozen-base + overlay space, and the final
-//! diagram is committed to the owning sequential manager in a deterministic
-//! order (see the managers' `par` modules for the commit protocol).
+//! [`Par`] (module [`pipeline`]) is the one split → frozen-base parallel
+//! phase → deterministic commit pipeline; `bbdd::ParBbdd` and
+//! `robdd::ParRobdd` are its instances over the two sequential managers,
+//! which describe their node shape through [`NodeShape`]. The design
+//! follows HermesBDD's recipe — recursive `apply` parallelizes naturally
+//! once node *uniqueness* is protected by a concurrent table and the
+//! computed table is allowed to be *lossy* — with one twist that keeps
+//! results bit-identical regardless of thread count: the parallel phase
+//! works in a frozen-base + overlay space, and the final diagram is
+//! committed to the owning sequential manager in a deterministic order
+//! (see [`pipeline`] for the commit protocol).
 //!
 //! Everything here is safe Rust on `std` only (`Mutex`, `OnceLock` and
 //! atomics); the crate-level `#![forbid(unsafe_code)]` applies.
@@ -37,9 +41,13 @@ use crate::table::{OpenTable, TableKey};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
+pub mod pipeline;
+
+pub use pipeline::{NodeShape, Overlay, PackedEdge, Par, QuantCube};
+
 // ─────────────────────── shared manager-facing types ─────────────────────
 
-/// Tuning knobs of a parallel manager (`bbdd::ParBbdd` / `robdd::ParRobdd`
+/// Tuning knobs of a parallel manager ([`Par`]; `bbdd` and `robdd`
 /// re-export this; the defaults are sound for every workload, only
 /// `threads` usually needs setting).
 #[derive(Debug, Clone, Copy)]

@@ -28,11 +28,6 @@
 //!   stored functions into the library) and mints the next-epoch snapshot.
 //!   A retired snapshot is freed exactly when its epoch drains — the last
 //!   `Arc` (held by its remaining sessions) drops — and never earlier.
-//! * [`OverlayFrame`] — the overlay scratch bundle (sharded unique table,
-//!   append-only arena, lossy atomic cache, GC-generation epoch) the
-//!   parallel managers previously each hand-assembled from [`crate::par`]
-//!   parts; extracted here so the per-op overlay machinery and the
-//!   session layer evolve together.
 //!
 //! ```
 //! use ddcore::session::{Library, SessionBackend, SharedBase};
@@ -47,83 +42,10 @@ use crate::api::RawManager;
 use crate::boolop::BoolOp;
 use crate::govern::{Admission, OpAbort, OpBudget};
 use crate::obs::{span, MetricsSnapshot, Op};
-use crate::par::{AtomicCache, OverlayArena, ShardedTable};
 use crate::roots::RootGuard;
-use crate::table::TableKey;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-// ───────────────────────── overlay frame ─────────────────────────────────
-
-/// The overlay scratch bundle of one frozen-base parallel manager: the
-/// sharded unique table, the append-only node arena and the lossy atomic
-/// computed cache, plus the inner-manager GC generation the cache epoch
-/// was last synchronized to.
-///
-/// Both parallel managers (`bbdd::ParBbdd`, `robdd::ParRobdd`) used to
-/// carry these as four loose fields with duplicated reset/invalidate
-/// logic; the frame owns that lifecycle in one place.
-#[derive(Debug)]
-pub struct OverlayFrame<K> {
-    /// Overlay unique table (consulted after the frozen base's subtables).
-    pub table: ShardedTable<K>,
-    /// Append-only overlay node records.
-    pub arena: OverlayArena,
-    /// Lossy concurrent computed cache, invalidated by epoch bump.
-    pub cache: AtomicCache,
-    /// Inner-manager GC generation at the last cache-epoch sync. A
-    /// collection through *any* path is caught by comparing generations
-    /// before trusting cached node ids.
-    seen_generation: u64,
-}
-
-impl<K: TableKey> OverlayFrame<K> {
-    /// A fresh frame: `shards` table shards of `per_shard_capacity`, and a
-    /// `cache_ways`-way atomic cache.
-    #[must_use]
-    pub fn new(shards: usize, per_shard_capacity: usize, cache_ways: usize) -> Self {
-        OverlayFrame {
-            table: ShardedTable::new(shards, per_shard_capacity),
-            arena: OverlayArena::new(),
-            cache: AtomicCache::new(cache_ways),
-            seen_generation: 0,
-        }
-    }
-
-    /// Recycle the per-operation scratch (table entries and arena records)
-    /// without invalidating the cross-operation computed cache. Runs at
-    /// the start of every parallel phase.
-    pub fn recycle(&self) {
-        self.table.clear();
-        self.arena.reset();
-    }
-
-    /// Synchronize the cache epoch with the owning manager's GC
-    /// generation: if a collection happened since the last sync, bump the
-    /// cache epoch (O(1) invalidation of every id-keyed entry). Returns
-    /// `true` when an invalidation fired.
-    pub fn sync_generation(&mut self, generation: u64) -> bool {
-        if self.seen_generation == generation {
-            return false;
-        }
-        self.invalidate(generation);
-        true
-    }
-
-    /// Unconditionally invalidate the computed cache and record
-    /// `generation` as synchronized (a collection is known to have run).
-    pub fn invalidate(&mut self, generation: u64) {
-        self.cache.bump_epoch();
-        self.seen_generation = generation;
-    }
-
-    /// Overlay nodes materialized by the current operation.
-    #[must_use]
-    pub fn overlay_nodes(&self) -> u32 {
-        self.arena.len()
-    }
-}
 
 // ───────────────────────── function library ──────────────────────────────
 
@@ -889,28 +811,6 @@ impl<M: SessionBackend> Drop for Session<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn overlay_frame_lifecycle() {
-        #[derive(Clone, Copy, PartialEq, Eq, Default)]
-        struct K(u64);
-        impl TableKey for K {
-            fn table_hash(&self, _h: &crate::cantor::CantorHasher) -> u64 {
-                self.0
-            }
-        }
-        let mut f: OverlayFrame<K> = OverlayFrame::new(4, 8, 1 << 10);
-        assert_eq!(f.overlay_nodes(), 0);
-        let i = f.arena.alloc(1, 2, 3);
-        f.table.get_or_insert_with(K(7), || i);
-        assert_eq!(f.overlay_nodes(), 1);
-        f.recycle();
-        assert_eq!(f.overlay_nodes(), 0);
-        assert_eq!(f.table.len(), 0);
-        assert!(!f.sync_generation(0), "generation unchanged → no bump");
-        assert!(f.sync_generation(3), "a collection happened → bump");
-        assert!(!f.sync_generation(3));
-    }
 
     #[test]
     fn library_insert_shadow_lookup() {

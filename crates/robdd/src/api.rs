@@ -318,315 +318,6 @@ impl ddcore::session::SessionBackend for Robdd {
     }
 }
 
-impl RawManager for ParRobdd {
-    type Edge = Edge;
-
-    /// Default-configured parallel backend; the thread count comes from
-    /// `BBDD_THREADS` (falling back to 4).
-    fn with_vars(num_vars: usize) -> Self {
-        ParRobdd::from_env(num_vars, 4)
-    }
-
-    fn num_vars(&self) -> usize {
-        ParRobdd::num_vars(self)
-    }
-
-    fn root_registry(&self) -> &RootSet {
-        self.inner().root_set()
-    }
-
-    fn edge_bits(e: Edge) -> u64 {
-        u64::from(e.bits())
-    }
-
-    fn constant_edge(&self, value: bool) -> Edge {
-        if value {
-            self.one()
-        } else {
-            self.zero()
-        }
-    }
-
-    fn var_edge(&mut self, var: usize) -> Edge {
-        self.var(var)
-    }
-
-    fn apply_edge(&mut self, op: BoolOp, f: Edge, g: Edge) -> Edge {
-        self.apply(op, f, g)
-    }
-
-    fn ite_edge(&mut self, f: Edge, g: Edge, h: Edge) -> Edge {
-        self.ite(f, g, h)
-    }
-
-    fn exists_edge(&mut self, f: Edge, vars: &[usize]) -> Edge {
-        self.exists(f, vars)
-    }
-
-    fn forall_edge(&mut self, f: Edge, vars: &[usize]) -> Edge {
-        self.forall(f, vars)
-    }
-
-    fn and_exists_edge(&mut self, f: Edge, g: Edge, vars: &[usize]) -> Edge {
-        self.and_exists(f, g, vars)
-    }
-
-    fn try_apply_edge(
-        &mut self,
-        op: BoolOp,
-        f: Edge,
-        g: Edge,
-        budget: &mut OpBudget,
-    ) -> Result<Edge, OpAbort> {
-        self.try_apply(op, f, g, budget)
-    }
-
-    fn try_ite_edge(
-        &mut self,
-        f: Edge,
-        g: Edge,
-        h: Edge,
-        budget: &mut OpBudget,
-    ) -> Result<Edge, OpAbort> {
-        self.try_ite(f, g, h, budget)
-    }
-
-    fn try_exists_edge(
-        &mut self,
-        f: Edge,
-        vars: &[usize],
-        budget: &mut OpBudget,
-    ) -> Result<Edge, OpAbort> {
-        self.try_exists(f, vars, budget)
-    }
-
-    fn try_forall_edge(
-        &mut self,
-        f: Edge,
-        vars: &[usize],
-        budget: &mut OpBudget,
-    ) -> Result<Edge, OpAbort> {
-        self.try_forall(f, vars, budget)
-    }
-
-    fn try_and_exists_edge(
-        &mut self,
-        f: Edge,
-        g: Edge,
-        vars: &[usize],
-        budget: &mut OpBudget,
-    ) -> Result<Edge, OpAbort> {
-        self.try_and_exists(f, g, vars, budget)
-    }
-
-    fn try_compose_edge(
-        &mut self,
-        f: Edge,
-        var: usize,
-        g: Edge,
-        budget: &mut OpBudget,
-    ) -> Result<Edge, OpAbort> {
-        self.try_compose(f, var, g, budget)
-    }
-
-    // Non-parallelized ops run on the wrapped sequential manager as part
-    // of the same deterministic history.
-
-    fn restrict_edge(&mut self, f: Edge, var: usize, value: bool) -> Edge {
-        self.inner_mut().restrict(f, var, value)
-    }
-
-    fn compose_edge(&mut self, f: Edge, var: usize, g: Edge) -> Edge {
-        self.inner_mut().compose(f, var, g)
-    }
-
-    fn vector_compose_edge(&mut self, f: Edge, subs: &[Option<Edge>]) -> Edge {
-        self.inner_mut().vector_compose(f, subs)
-    }
-
-    fn eval_edge(&self, f: Edge, assignment: &[bool]) -> bool {
-        self.eval(f, assignment)
-    }
-
-    fn sat_count_edge(&self, f: Edge) -> u128 {
-        self.sat_count(f)
-    }
-
-    fn sat_count_checked_edge(&self, f: Edge) -> Option<u128> {
-        self.sat_count_checked(f)
-    }
-
-    fn try_sat_count_edge(&self, f: Edge, budget: &mut OpBudget) -> Result<u128, OpAbort> {
-        self.try_sat_count(f, budget)
-    }
-
-    fn any_sat_edge(&self, f: Edge) -> Option<Vec<bool>> {
-        self.any_sat(f)
-    }
-
-    fn all_sat_edge(&self, f: Edge, limit: usize) -> Vec<Vec<bool>> {
-        self.inner().all_sat(f, limit)
-    }
-
-    fn node_count_edge(&self, f: Edge) -> usize {
-        self.node_count(f)
-    }
-
-    fn shared_node_count_edges(&self, roots: &[Edge]) -> usize {
-        self.inner().shared_node_count(roots)
-    }
-
-    fn support_edge(&mut self, f: Edge) -> Vec<usize> {
-        self.inner().support(f)
-    }
-
-    fn to_dot_edges(&self, roots: &[Edge], names: &[&str]) -> String {
-        self.inner().to_dot(roots, names)
-    }
-
-    fn level_profile_edges(&self, roots: &[Edge]) -> Option<Vec<usize>> {
-        Some(self.inner().level_profile(roots))
-    }
-
-    /// Latched merge GC after the result was registered, then the
-    /// concurrent-cache epoch sync (see `bbdd::ParBbdd`'s twin).
-    fn after_op(&mut self) {
-        self.inner_mut().maybe_auto_gc();
-        self.sync_cache_epoch();
-    }
-
-    fn gc(&mut self) -> usize {
-        self.collect()
-    }
-
-    fn set_gc_threshold(&mut self, threshold: usize) {
-        ParRobdd::set_gc_threshold(self, threshold);
-    }
-
-    fn gc_threshold(&self) -> usize {
-        self.inner().gc_threshold()
-    }
-
-    fn live_nodes(&self) -> usize {
-        ParRobdd::live_nodes(self)
-    }
-
-    /// Reordering on the parallel front-end delegates to the inner
-    /// sequential manager. `&mut self` guarantees a quiescent point, and
-    /// the sift's own collections advance the GC generation, so the epoch
-    /// sync below invalidates the id-keyed concurrent cache exactly as a
-    /// collection through any other path would.
-    fn try_sift(&mut self) -> Option<usize> {
-        let n = self.inner_mut().try_sift();
-        self.sync_cache_epoch();
-        n
-    }
-
-    fn sift_bounded(&mut self, budget: &mut OpBudget) -> Option<Result<usize, OpAbort>> {
-        let r = <Robdd as RawManager>::sift_bounded(self.inner_mut(), budget);
-        self.sync_cache_epoch();
-        r
-    }
-
-    fn reorder_with(
-        &mut self,
-        strategy: ddcore::dvo::DvoStrategy,
-        budget: &mut OpBudget,
-    ) -> Option<Result<usize, OpAbort>> {
-        let r = self.inner_mut().reorder_with(strategy, budget);
-        self.sync_cache_epoch();
-        r
-    }
-
-    fn set_reorder_policy(&mut self, policy: Option<ddcore::dvo::DvoPolicy>) {
-        self.inner_mut().set_reorder_policy(policy);
-    }
-
-    fn reorder_policy(&self) -> Option<ddcore::dvo::DvoPolicy> {
-        self.inner().reorder_policy()
-    }
-
-    fn set_auto_reorder(&mut self, threshold: usize) {
-        self.inner_mut().set_auto_reorder(threshold);
-    }
-
-    fn reorder_if_needed(&mut self) -> bool {
-        let ran = self.inner_mut().reorder_if_needed();
-        self.sync_cache_epoch();
-        ran
-    }
-
-    fn reorder_if_needed_bounded(&mut self, budget: &mut OpBudget) -> Result<bool, OpAbort> {
-        let r = self.inner_mut().reorder_if_needed_bounded(budget);
-        self.sync_cache_epoch();
-        r
-    }
-
-    fn set_order(&mut self, order: &[usize]) -> bool {
-        let ok = self.inner_mut().set_order(order);
-        // `reorder_to` swaps without collecting, so the GC generation may
-        // not have moved — collect explicitly to force the epoch bump
-        // (installing an order is a cold pre-build path).
-        self.collect();
-        ok
-    }
-
-    fn variable_order(&self) -> Vec<usize> {
-        self.inner().order()
-    }
-
-    fn stats_line(&self) -> String {
-        let s = self.stats();
-        let p = self.par_stats();
-        format!(
-            "par-robdd: {} apply calls, {} nodes created, {} GCs, {} parallel ops \
-             ({} sequential fallback), {} leaf tasks",
-            s.apply_calls,
-            s.nodes_created,
-            s.gc_runs,
-            p.ops_parallel,
-            p.ops_sequential,
-            p.tasks_executed
-        )
-    }
-
-    fn observe(&self) -> ddcore::MetricsSnapshot {
-        let mut m = ddcore::MetricsSnapshot::new("par-robdd");
-        let p = self.par_stats();
-        // One unified cache.* section: the lock-free concurrent cache's
-        // counters are folded into the inner sequential cache's.
-        self.inner().fill_metrics(&mut m, Some(p.cache));
-        m.counter("par.ops_parallel", p.ops_parallel);
-        m.counter("par.ops_sequential", p.ops_sequential);
-        m.counter("par.tasks_executed", p.tasks_executed);
-        m.counter("par.tasks_stolen", p.tasks_stolen);
-        m.counter("par.recursions", p.par_recursions);
-        m.counter("par.nodes_imported", p.nodes_imported);
-        m.counter("par.overlay_nodes", p.overlay_nodes);
-        m.counter("par.shard_contention", p.shard_contention);
-        m
-    }
-
-    fn note_governed(&mut self, checkpoints: u64, abort: Option<OpAbort>) {
-        self.inner_mut().govern.note(checkpoints, abort);
-    }
-}
-
-impl ParRobdd {
-    /// Pin a raw edge as a GC root until the returned guard drops (see
-    /// [`Robdd::pin`]).
-    #[must_use]
-    pub fn pin(&self, e: Edge) -> RootGuard {
-        self.inner().pin(e)
-    }
-}
-
-impl ddcore::session::SessionBackend for ParRobdd {
-    fn fork(&self) -> Self {
-        self.fork_state()
-    }
-}
-
 /// Everything needed to drive the ROBDD baseline through the unified API.
 pub mod prelude {
     pub use super::{ParRobddFn, ParRobddManager, RobddFn, RobddManager};

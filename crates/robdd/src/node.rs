@@ -89,6 +89,13 @@ impl Node {
         }
     }
 
+    /// The three packed words `(then, else, meta)` — the record layout
+    /// the parallel overlay shares.
+    #[inline]
+    pub(crate) fn words(&self) -> (u32, u32, u32) {
+        (self.then_bits, self.else_bits, self.meta)
+    }
+
     #[inline]
     pub(crate) fn key(&self) -> BddKey {
         BddKey::new(self.then_(), self.else_())
