@@ -94,6 +94,9 @@ pub struct Bbdd {
     free: Vec<u32>,
     /// One unique subtable per bottom-based level.
     pub(crate) subtables: Vec<UniqueTable<NodeKey>>,
+    /// Stored nodes over all subtables, kept current by creation, GC,
+    /// sift-time reclamation and the swap commit.
+    pub(crate) live: usize,
     /// `var_at_level[l]` = variable whose PV sits at level `l`.
     pub(crate) var_at_level: Vec<u32>,
     /// Inverse map: `level_of_var[v]` = bottom-based level of variable `v`.
@@ -103,14 +106,17 @@ pub struct Bbdd {
     /// Reusable staging buffers for the CVO swap (allocation-churn
     /// avoidance; see `swap.rs`).
     pub(crate) swap_scratch: Option<crate::swap::SwapCtx>,
+    /// Reference counts kept while a reorder runs (`None` outside one);
+    /// swaps then reclaim their dead nodes locally.
+    pub(crate) sift_refs: Option<ddcore::dvo::SiftRefs>,
     /// Dynamic-reordering policy and schedule baselines (see
     /// [`ddcore::dvo`]); `None` policy = no scheduled reordering.
     dvo: ddcore::dvo::DvoState,
     /// External-root registry behind the [`crate::BbddFn`] handles; GC and
     /// sifting trace from here instead of caller-supplied root lists.
     roots: RootSet,
-    /// Reusable snapshot buffer for the registry trace (GC runs once per
-    /// sift swap — allocation churn matters).
+    /// Reusable snapshot buffer for the registry trace; after a
+    /// collection it holds the snapshot that collection marked from.
     root_scratch: Vec<u64>,
     /// The automatic-GC latch + collection generation (shared shape with
     /// the ROBDD manager; see [`ddcore::roots::GcLatch`]).
@@ -144,11 +150,13 @@ impl Bbdd {
             nodes: vec![Node::terminal()],
             free: Vec::new(),
             subtables: (0..n).map(|_| UniqueTable::new(64)).collect(),
+            live: 0,
             var_at_level,
             level_of_var,
             cache: ComputedCache::default(),
             stats: BbddStats::default(),
             swap_scratch: None,
+            sift_refs: None,
             dvo: ddcore::dvo::DvoState::default(),
             roots: RootSet::new(),
             root_scratch: Vec::new(),
@@ -170,11 +178,13 @@ impl Bbdd {
             nodes: self.nodes.clone(),
             free: self.free.clone(),
             subtables: self.subtables.clone(),
+            live: self.live,
             var_at_level: self.var_at_level.clone(),
             level_of_var: self.level_of_var.clone(),
             cache: self.cache.clone(),
             stats: BbddStats::default(),
             swap_scratch: None,
+            sift_refs: None,
             dvo: ddcore::dvo::DvoState::default(),
             roots: RootSet::new(),
             root_scratch: Vec::new(),
@@ -241,7 +251,7 @@ impl Bbdd {
     /// Current number of live (stored) nodes, excluding the sink.
     #[must_use]
     pub fn live_nodes(&self) -> usize {
-        self.subtables.iter().map(UniqueTable::len).sum()
+        self.live
     }
 
     /// Nodes stored at each level, bottom level first (used by sifting).
@@ -562,7 +572,8 @@ impl Bbdd {
         });
         if created {
             self.stats.nodes_created += 1;
-            let live = self.live_nodes();
+            self.live += 1;
+            let live = self.live;
             if live > self.stats.peak_live_nodes {
                 self.stats.peak_live_nodes = live;
             }
@@ -669,6 +680,10 @@ impl Bbdd {
     /// shims). The registry lock is *not* held across the trace — see the
     /// reentrancy rule in [`ddcore::roots`].
     pub(crate) fn gc_keeping(&mut self, extra: &[Edge]) -> usize {
+        debug_assert!(
+            self.sift_refs.is_none(),
+            "a full collection inside a reorder scope would strand the sift refcounts"
+        );
         let mut span = ddcore::obs::span(ddcore::obs::Op::Gc);
         self.stats.gc_runs += 1;
         self.gc_latch.note_collection();
@@ -718,9 +733,68 @@ impl Bbdd {
             });
         }
         self.cache.invalidate();
+        self.live -= freed;
         self.stats.nodes_freed += freed as u64;
         span.set_arg("freed", freed as u64);
         freed
+    }
+
+    /// Open a reorder scope: one full collection, then sift-scoped
+    /// reference counts over what survived — every stored node's parents
+    /// plus the registry snapshot that collection marked from.
+    pub(crate) fn begin_sift_refs(&mut self) {
+        self.gc_keeping(&[]);
+        let mut refs = ddcore::dvo::SiftRefs::new(self.nodes.len());
+        for table in &self.subtables {
+            table.for_each(|_, id| {
+                let n = &self.nodes[id as usize];
+                refs.inc(n.neq());
+                refs.inc(n.eq());
+            });
+        }
+        for &bits in &self.root_scratch {
+            refs.inc(Edge::from_bits(bits as u32));
+        }
+        self.sift_refs = Some(refs);
+    }
+
+    /// Close the reorder scope: drop the counts and run the closing full
+    /// collection (it also reclaims what handles dropped mid-sift held).
+    pub(crate) fn end_sift_refs(&mut self) -> usize {
+        self.sift_refs = None;
+        self.gc_keeping(&[]);
+        self.live
+    }
+
+    /// Free every node whose sift-scoped count has dropped to zero,
+    /// cascading through their children. Called at the end of each swap
+    /// inside a reorder scope; a no-op outside one.
+    pub(crate) fn reclaim_dead(&mut self) {
+        let Some(refs) = self.sift_refs.as_mut() else {
+            return;
+        };
+        let mut freed = 0usize;
+        while let Some(id) = refs.pop_dead() {
+            let n = self.nodes[id as usize];
+            if n.is_free() {
+                continue;
+            }
+            let removed = self.subtables[n.level() as usize].remove(&n.key());
+            debug_assert_eq!(removed, Some(id), "dead node missing from its subtable");
+            self.nodes[id as usize].set_free(true);
+            self.free.push(id);
+            freed += 1;
+            refs.dec(n.neq());
+            refs.dec(n.eq());
+        }
+        if freed > 0 {
+            // Freed ids get reused: cached results and the Par front-end's
+            // id-keyed cache must not outlive them.
+            self.cache.invalidate();
+            self.gc_latch.note_collection();
+            self.live -= freed;
+            self.stats.nodes_freed += freed as u64;
+        }
     }
 
     /// Validate every canonical-form invariant of the stored forest.
@@ -732,6 +806,13 @@ impl Bbdd {
     /// Returns a description of the first violated invariant.
     pub fn validate(&self) -> Result<(), String> {
         use std::collections::HashSet;
+        let stored: usize = self.subtables.iter().map(UniqueTable::len).sum();
+        if stored != self.live {
+            return Err(format!(
+                "live-node counter {} disagrees with the {stored} stored nodes",
+                self.live
+            ));
+        }
         let mut present: HashSet<u32> = HashSet::new();
         for (lvl, table) in self.subtables.iter().enumerate() {
             let mut err: Option<String> = None;

@@ -53,7 +53,7 @@ impl Bbdd {
     /// the size of a shared multi-output BBDD (Table I's metric).
     #[must_use]
     pub fn shared_node_count(&self, roots: &[Edge]) -> usize {
-        let mut seen: std::collections::HashSet<u32> = std::collections::HashSet::new();
+        let mut seen = ddcore::fxhash::FxHashSet::<u32>::default();
         let mut stack: Vec<u32> = roots
             .iter()
             .filter(|e| !e.is_constant())

@@ -4,10 +4,10 @@
 //! The sifting algorithms themselves — classic Rudell, window-bounded and
 //! the pair-aware group variant — live in [`ddcore::dvo`], generic over
 //! [`ReorderBackend`]. This module implements that backend contract for
-//! [`Bbdd`] (adjacent CVO swaps, registry-tracing sweeps, per-level widths
-//! and the *biconditional chain affinity* that drives pair-aware sifting)
-//! and keeps the manager's historical `sift*` entry points as thin
-//! wrappers.
+//! [`Bbdd`] (adjacent CVO swaps, sift-scoped reference counts with
+//! window-local reclamation, per-level widths and the *biconditional chain
+//! affinity* that drives pair-aware sifting) and keeps the manager's
+//! historical `sift*` entry points as thin wrappers.
 //!
 //! The affinity signal is what makes pair sifting meaningful here: a
 //! biconditional node at chain level `l` branches on `PV ⊕ SV`, coupling
@@ -44,8 +44,15 @@ impl ReorderBackend for Bbdd {
     }
 
     fn sweep(&mut self) -> usize {
-        self.gc_keeping(&[]);
         self.live_nodes()
+    }
+
+    fn begin_reorder(&mut self) {
+        self.begin_sift_refs();
+    }
+
+    fn end_reorder(&mut self) -> usize {
+        self.end_sift_refs()
     }
 
     fn var_width(&self, var: usize) -> usize {
@@ -190,6 +197,7 @@ impl Bbdd {
 mod tests {
     use super::*;
     use crate::edge::Edge;
+    use std::collections::HashSet;
 
     fn truth_of(mgr: &Bbdd, f: Edge, n: usize) -> Vec<bool> {
         (0..1u32 << n)
@@ -345,6 +353,284 @@ mod tests {
             assert_eq!(&truth_of(&mgr, *e, n), t);
         }
         mgr.validate().unwrap();
+    }
+
+    /// A random function of `n` variables.
+    fn random_fn(mgr: &mut Bbdd, n: usize, seed: u64) -> Edge {
+        use ddcore::boolop::BoolOp;
+        let ops = [
+            BoolOp::XOR,
+            BoolOp::AND,
+            BoolOp::OR,
+            BoolOp::XNOR,
+            BoolOp::NAND,
+        ];
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut f = mgr.var((seed as usize) % n);
+        for _ in 0..3 * n {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let op = ops[(state >> 33) as usize % ops.len()];
+            let v = mgr.var((state >> 18) as usize % n);
+            f = mgr.apply(op, f, v);
+        }
+        f
+    }
+
+    /// Four pinned random functions plus unpinned garbage for the opening
+    /// collection to reclaim.
+    fn random_forest(n: usize, seed: u64) -> (Bbdd, Vec<(Edge, ddcore::roots::RootGuard)>) {
+        let mut mgr = Bbdd::new(n);
+        let roots = (0..4)
+            .map(|i| {
+                let f = random_fn(&mut mgr, n, seed * 8 + i);
+                let _garbage = random_fn(&mut mgr, n, seed * 8 + i + 4);
+                (f, mgr.pin(f))
+            })
+            .collect();
+        (mgr, roots)
+    }
+
+    /// Nodes reachable from a fresh snapshot of the root registry.
+    fn full_mark(mgr: &Bbdd) -> HashSet<u32> {
+        let mut seen = HashSet::new();
+        let mut stack: Vec<Edge> = mgr
+            .root_set()
+            .snapshot()
+            .into_iter()
+            .map(|bits| Edge::from_bits(bits as u32))
+            .collect();
+        while let Some(e) = stack.pop() {
+            if !e.is_constant() && seen.insert(e.node()) {
+                let n = mgr.node(e.node());
+                stack.extend([n.neq(), n.eq()]);
+            }
+        }
+        seen
+    }
+
+    fn stored(mgr: &Bbdd) -> HashSet<u32> {
+        mgr.subtables.iter().flat_map(|t| t.values()).collect()
+    }
+
+    /// Runs a strategy on the wrapped manager and, after every swap,
+    /// checks the sift-scoped reclamation against a fresh full mark.
+    struct Checked<'a> {
+        mgr: &'a mut Bbdd,
+        swaps: usize,
+    }
+
+    impl ReorderBackend for Checked<'_> {
+        fn num_vars(&self) -> usize {
+            self.mgr.num_vars()
+        }
+        fn position_of(&self, var: usize) -> usize {
+            self.mgr.position_of(var)
+        }
+        fn var_at_position(&self, pos: usize) -> usize {
+            ReorderBackend::var_at_position(&*self.mgr, pos)
+        }
+        fn swap_positions(&mut self, pos: usize) {
+            self.mgr.swap_adjacent(pos);
+            self.swaps += 1;
+            assert!(self.mgr.sift_refs.is_some(), "swap outside the scope");
+            let live = full_mark(self.mgr);
+            assert_eq!(
+                stored(self.mgr),
+                live,
+                "swap {}: stored != marked",
+                self.swaps
+            );
+            assert_eq!(self.mgr.live_nodes(), live.len(), "swap {}", self.swaps);
+            self.mgr.validate().unwrap();
+        }
+        fn sweep(&mut self) -> usize {
+            self.mgr.sweep()
+        }
+        fn var_width(&self, var: usize) -> usize {
+            self.mgr.var_width(var)
+        }
+        fn pair_affinity(&self, pos: usize) -> f64 {
+            self.mgr.pair_affinity(pos)
+        }
+        fn begin_reorder(&mut self) {
+            self.mgr.begin_reorder();
+        }
+        fn end_reorder(&mut self) -> usize {
+            self.mgr.end_reorder()
+        }
+    }
+
+    const STRATEGIES: [DvoStrategy; 3] =
+        [DvoStrategy::Full, DvoStrategy::Window(2), DvoStrategy::Pair];
+
+    #[test]
+    fn every_swap_reclaims_exactly_the_dead_nodes() {
+        let n = 7;
+        for seed in 0..4u64 {
+            for strategy in STRATEGIES {
+                let (mut mgr, roots) = random_forest(n, seed);
+                let truth: Vec<_> = roots.iter().map(|(f, _)| truth_of(&mgr, *f, n)).collect();
+                let mut checked = Checked {
+                    mgr: &mut mgr,
+                    swaps: 0,
+                };
+                let live = strategy
+                    .run(&mut checked, &mut OpBudget::unlimited())
+                    .expect("unlimited budget");
+                assert!(checked.swaps > 0, "{strategy}: the sift must move");
+                assert!(mgr.sift_refs.is_none(), "{strategy}: counts dropped");
+                assert_eq!(live, full_mark(&mgr).len(), "{strategy} seed {seed}");
+                for ((f, _), t) in roots.iter().zip(&truth) {
+                    assert_eq!(&truth_of(&mgr, *f, n), t, "{strategy} seed {seed}");
+                }
+                mgr.validate().unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn aborting_at_every_checkpoint_drops_the_counts() {
+        let n = 6;
+        for strategy in STRATEGIES {
+            for k in 0.. {
+                let (mut mgr, roots) = random_forest(n, 11);
+                let truth: Vec<_> = roots.iter().map(|(f, _)| truth_of(&mgr, *f, n)).collect();
+                let mut budget = OpBudget::unlimited().inject_cancel_at(k);
+                let res = mgr.sift_strategy(strategy, &mut budget);
+                assert!(mgr.sift_refs.is_none(), "{strategy} k={k}: counts dropped");
+                mgr.validate().unwrap();
+                assert_eq!(stored(&mgr), full_mark(&mgr), "{strategy} k={k}");
+                for ((f, _), t) in roots.iter().zip(&truth) {
+                    assert_eq!(&truth_of(&mgr, *f, n), t, "{strategy} k={k}");
+                }
+                match res {
+                    Ok(_) => break,
+                    Err(reason) => assert_eq!(reason, OpAbort::Cancelled),
+                }
+            }
+        }
+    }
+
+    /// A handle dropped mid-sift keeps its nodes counted until the scope
+    /// closes; the closing collection reclaims them.
+    #[test]
+    fn closing_collection_reclaims_handles_dropped_mid_sift() {
+        struct DropAt<'a> {
+            mgr: &'a mut Bbdd,
+            doomed: Option<ddcore::roots::RootGuard>,
+        }
+        impl ReorderBackend for DropAt<'_> {
+            fn num_vars(&self) -> usize {
+                self.mgr.num_vars()
+            }
+            fn position_of(&self, var: usize) -> usize {
+                self.mgr.position_of(var)
+            }
+            fn var_at_position(&self, pos: usize) -> usize {
+                ReorderBackend::var_at_position(&*self.mgr, pos)
+            }
+            fn swap_positions(&mut self, pos: usize) {
+                self.mgr.swap_adjacent(pos);
+                self.doomed = None;
+            }
+            fn sweep(&mut self) -> usize {
+                self.mgr.sweep()
+            }
+            fn var_width(&self, var: usize) -> usize {
+                self.mgr.var_width(var)
+            }
+            fn begin_reorder(&mut self) {
+                self.mgr.begin_reorder();
+            }
+            fn end_reorder(&mut self) -> usize {
+                self.mgr.end_reorder()
+            }
+        }
+        let n = 7;
+        let (mut mgr, mut roots) = random_forest(n, 3);
+        let (_, doomed) = roots.pop().unwrap();
+        let mut b = DropAt {
+            mgr: &mut mgr,
+            doomed: Some(doomed),
+        };
+        let live = FullSift::default()
+            .reorder(&mut b, &mut OpBudget::unlimited())
+            .unwrap();
+        assert_eq!(live, full_mark(&mgr).len());
+        assert_eq!(stored(&mgr), full_mark(&mgr));
+        mgr.validate().unwrap();
+    }
+
+    /// Sift-time reclamation recycles node ids; the concurrent cache of
+    /// the parallel front-end must not serve entries keyed on them.
+    #[test]
+    fn par_reorder_then_parallel_apply_reads_no_stale_cache_entry() {
+        use crate::par::{ParBbdd, ParConfig};
+        use ddcore::api::RawManager;
+        use ddcore::boolop::BoolOp;
+        let n = 8;
+        let cfg = ParConfig {
+            threads: 2,
+            cutoff: 0,
+            split_depth: Some(3),
+            cache_ways: 1 << 10,
+            shards: 8,
+        };
+        let mut par = ParBbdd::with_config(n, cfg);
+        let mut seq = Bbdd::new(n);
+        let ops = [BoolOp::XOR, BoolOp::AND, BoolOp::OR, BoolOp::XNOR];
+        // One apply stream on both managers, every step checked against
+        // the sequential manager; returns every fourth result.
+        let stream = |par: &mut ParBbdd, seq: &mut Bbdd, seed: u64| {
+            let mut state = seed;
+            let (mut pf, mut sf) = (par.var_edge(0), seq.var(0));
+            let mut kept = Vec::new();
+            for i in 0..24 {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let op = ops[(state >> 33) as usize % ops.len()];
+                let v = (state >> 18) as usize % n;
+                let (pv, sv) = (par.var_edge(v), seq.var(v));
+                pf = par.apply_edge(op, pf, pv);
+                sf = seq.apply(op, sf, sv);
+                for m in 0..1u32 << n {
+                    let a: Vec<bool> = (0..n).map(|b| (m >> b) & 1 == 1).collect();
+                    assert_eq!(
+                        par.eval_edge(pf, &a),
+                        seq.eval(sf, &a),
+                        "seed {seed} step {i}"
+                    );
+                }
+                if i % 4 == 3 {
+                    kept.push(pf);
+                }
+            }
+            kept
+        };
+        // Fill the concurrent cache; pin a few results, the rest (and
+        // every cache entry keyed on it) becomes garbage.
+        let mut pins = Vec::new();
+        for seed in 1..=4 {
+            pins.extend(
+                stream(&mut par, &mut seq, seed)
+                    .into_iter()
+                    .map(|f| par.pin(f)),
+            );
+        }
+        let generation = par.inner().gc_generation();
+        par.reorder_with(DvoStrategy::Full, &mut OpBudget::unlimited())
+            .expect("the BBDD backend reorders")
+            .expect("unlimited budget");
+        assert!(par.inner().gc_generation() > generation);
+        // Replaying the streams re-creates nodes in recycled slots; a
+        // stale entry keyed on one would surface as a wrong step result.
+        for seed in 1..=4 {
+            stream(&mut par, &mut seq, seed);
+        }
+        par.inner().validate().unwrap();
     }
 
     #[test]

@@ -201,6 +201,15 @@ impl Bbdd {
         let ids0 = self.subtables[l0 as usize].values();
         let ids1 = self.subtables[l1 as usize].values();
         let ids2 = l2.map(|l| self.subtables[l as usize].values());
+        // Inside a reorder, drop the window's outgoing references now; the
+        // commit adds back those of the rebuilt nodes.
+        if let Some(refs) = self.sift_refs.as_mut() {
+            for &id in ids0.iter().chain(&ids1).chain(ids2.iter().flatten()) {
+                let n = &self.nodes[id as usize];
+                refs.dec(n.neq());
+                refs.dec(n.eq());
+            }
+        }
 
         let mut ctx = self.take_swap_scratch(l0);
         for &id in &ids0 {
@@ -223,6 +232,17 @@ impl Bbdd {
 
         self.commit(&mut ctx, l0, l1, l2);
         self.put_swap_scratch(ctx);
+        if let Some(refs) = self.sift_refs.as_mut() {
+            // Cofactoring through the window may have materialised the
+            // literal of the level below it with no rebuilt node using it.
+            if l0 > 0 {
+                let lit = NodeKey::new(true, Edge::ZERO, Edge::ONE);
+                if let Some(id) = self.subtables[l0 as usize - 1].peek(&lit) {
+                    refs.queue_if_dead(id);
+                }
+            }
+            self.reclaim_dead();
+        }
         self.var_at_level.swap(l0 as usize, l1 as usize);
         self.level_of_var[self.var_at_level[l0 as usize] as usize] = l0 as u32;
         self.level_of_var[self.var_at_level[l1 as usize] as usize] = l1 as u32;
@@ -561,9 +581,11 @@ impl Bbdd {
             }
         }
 
+        self.live -= self.subtables[l0 as usize].len() + self.subtables[l1 as usize].len();
         self.subtables[l0 as usize].clear();
         self.subtables[l1 as usize].clear();
         if let Some(l2) = l2 {
+            self.live -= self.subtables[l2 as usize].len();
             self.subtables[l2 as usize].clear();
         }
 
@@ -610,7 +632,12 @@ impl Bbdd {
                 "BBDD swap: duplicate canonical tuple after commit"
             );
             self.subtables[s.level as usize].insert(key, id);
+            self.live += 1;
             self.stats.nodes_created += u64::from(s.owner.is_none());
+            if let Some(refs) = self.sift_refs.as_mut() {
+                refs.inc(neq);
+                refs.inc(eq);
+            }
         }
     }
 

@@ -7,9 +7,11 @@
 //! BBDDs: the chained variable pairs) is the lever for compactness, so
 //! ordering deserves the same first-class treatment the storage layer got:
 //!
-//! * [`ReorderBackend`] — the five primitives a manager exposes so the
-//!   generic engine can sift it: positions, adjacent swaps, a GC sweep and
-//!   level widths (plus an optional *chain-affinity* signal, see below).
+//! * [`ReorderBackend`] — the primitives a manager exposes so the
+//!   generic engine can sift it: positions, adjacent swaps, an exact live
+//!   count and level widths (plus an optional *chain-affinity* signal, see
+//!   below), bracketed by a reorder scope in which the backend keeps
+//!   [`SiftRefs`] and reclaims each swap's dead nodes locally.
 //!   Both `bbdd::Bbdd` and `robdd::Robdd` implement this; their crates'
 //!   public sift entry points are thin wrappers over the engine here.
 //! * [`ReorderStrategy`] — the pluggable algorithm: [`FullSift`] (classic
@@ -52,6 +54,7 @@
 //! hooks in `try_build_network`.
 
 use crate::govern::{OpAbort, OpBudget};
+use crate::par::PackedEdge;
 
 /// The reordering primitives a manager exposes to the generic engine.
 ///
@@ -72,12 +75,24 @@ pub trait ReorderBackend {
     /// existing edge keeps denoting the same function.
     fn swap_positions(&mut self, pos: usize);
 
-    /// Collect garbage (tracing the backend's handle registry) and return
-    /// the exact live node count. Swaps strand dead nodes, and dead nodes
-    /// *compound* — each subsequent swap rebuilds them along with the live
-    /// ones — so the engine sweeps after every group move and uses the
-    /// returned exact count for its position decisions.
+    /// The exact live node count, which the engine reads after every group
+    /// move for its position decisions. Swaps strand dead nodes, and dead
+    /// nodes *compound* — each later swap rebuilds them along with the
+    /// live ones — so no dead node may survive a move. The engine calls
+    /// this only inside a reorder scope, where a backend keeping
+    /// [`SiftRefs`] has already reclaimed each swap's dead nodes, so it is
+    /// an O(1) read.
     fn sweep(&mut self) -> usize;
+
+    /// Open a reorder scope; every strategy calls this once before its
+    /// first move. A backend keeping [`SiftRefs`] runs one full
+    /// collection here and starts counting.
+    fn begin_reorder(&mut self);
+
+    /// Close the reorder scope, on every exit path including an abort:
+    /// drop any sift-scoped state, collect what handles dropped mid-sift
+    /// left behind and return the exact live count.
+    fn end_reorder(&mut self) -> usize;
 
     /// Nodes currently stored whose branching variable is `var`.
     fn var_width(&self, var: usize) -> usize;
@@ -109,6 +124,94 @@ impl Default for SiftParams {
             max_growth: 1.2,
             passes: 1,
         }
+    }
+}
+
+/// Sift-scoped reference counts (CUDD's `cuddSwapInPlace` discipline).
+///
+/// A backend builds them once per reorder, right after a full collection:
+/// each stored node counts its parents among stored nodes plus its entries
+/// in one snapshot of the root registry. A swap then only touches the
+/// window: it [`SiftRefs::dec`]s the old children of every node it
+/// rewrites and [`SiftRefs::inc`]s the new ones, and afterwards frees each
+/// node [`SiftRefs::pop_dead`] hands out, decrementing that node's children
+/// in turn so the reclamation cascades below the window. The stored set
+/// after every swap is therefore exactly what a full mark would keep, and
+/// the per-move collection the engine used to need is gone.
+///
+/// Counts are indexed by node slot, the target of an edge; constant edges
+/// are never counted. A slot the backend frees has count 0, and slots past
+/// the end read as 0, so freshly allocated nodes start at 0.
+#[derive(Debug, Clone, Default)]
+pub struct SiftRefs {
+    counts: Vec<u32>,
+    /// Slots whose count reached 0 since the last drain; an entry may have
+    /// been revived (count > 0 again) or listed twice.
+    dead: Vec<u32>,
+}
+
+impl SiftRefs {
+    /// Zero counts for `slots` node slots.
+    #[must_use]
+    pub fn new(slots: usize) -> Self {
+        SiftRefs {
+            counts: vec![0; slots],
+            dead: Vec::new(),
+        }
+    }
+
+    fn count(&self, id: u32) -> u32 {
+        self.counts.get(id as usize).copied().unwrap_or(0)
+    }
+
+    /// Add one reference to the node `e` points to (constants are not
+    /// counted).
+    pub fn inc<E: PackedEdge>(&mut self, e: E) {
+        if e.is_constant() {
+            return;
+        }
+        let i = e.node() as usize;
+        if i >= self.counts.len() {
+            self.counts.resize(i + 1, 0);
+        }
+        self.counts[i] += 1;
+    }
+
+    /// Drop one reference to the node `e` points to; a node reaching 0 is
+    /// queued for [`SiftRefs::pop_dead`].
+    ///
+    /// # Panics
+    /// Panics if the node holds no reference (a count underflow is a
+    /// backend bookkeeping bug).
+    pub fn dec<E: PackedEdge>(&mut self, e: E) {
+        if e.is_constant() {
+            return;
+        }
+        let id = e.node();
+        let c = &mut self.counts[id as usize];
+        *c = c.checked_sub(1).expect("sift refcount underflow");
+        if *c == 0 {
+            self.dead.push(id);
+        }
+    }
+
+    /// Queue slot `id` if nothing references it — for a node created
+    /// during a swap that no rebuilt node ended up using.
+    pub fn queue_if_dead(&mut self, id: u32) {
+        if self.count(id) == 0 {
+            self.dead.push(id);
+        }
+    }
+
+    /// Next queued slot whose count is still 0. The caller frees it (and
+    /// decrements its children) or skips it if it is already free.
+    pub fn pop_dead(&mut self) -> Option<u32> {
+        while let Some(id) = self.dead.pop() {
+            if self.count(id) == 0 {
+                return Some(id);
+            }
+        }
+        None
     }
 }
 
@@ -204,7 +307,6 @@ fn sift_group<B: ReorderBackend>(
             std::cmp::Ordering::Equal => break,
         }
     }
-    b.sweep();
     match abort {
         Some(reason) => Err(reason),
         None => Ok(()),
@@ -226,6 +328,35 @@ fn sift_pass<B: ReorderBackend>(
     Ok(())
 }
 
+/// Run `passes` (at least one) strategy passes inside the backend's
+/// reorder scope. The scope is closed on every exit path, so an abort
+/// never leaves sift-scoped state behind.
+fn scoped_passes<B: ReorderBackend>(
+    b: &mut B,
+    passes: usize,
+    budget: &mut OpBudget,
+    mut pass: impl FnMut(&mut B, &mut OpBudget) -> Result<(), OpAbort>,
+) -> Result<usize, OpAbort> {
+    // Span covers the whole strategy run; an abort drops it without the
+    // live-count arg, which is how a cut-short reorder reads in a trace.
+    let mut span = crate::obs::span(crate::obs::Op::Reorder);
+    b.begin_reorder();
+    let mut res = Ok(());
+    for _ in 0..passes.max(1) {
+        if b.num_vars() < 2 {
+            break;
+        }
+        res = pass(b, budget);
+        if res.is_err() {
+            break;
+        }
+    }
+    let live = b.end_reorder();
+    res?;
+    span.set_arg("live_nodes", live as u64);
+    Ok(live)
+}
+
 /// Singleton groups for all variables, processed by decreasing level
 /// population (the classic heuristic: the widest level has the most to
 /// gain), position as the deterministic tie-break.
@@ -244,7 +375,7 @@ pub trait ReorderStrategy {
     fn name(&self) -> &'static str;
 
     /// Run the strategy to completion under `budget`, returning the live
-    /// node count after the final sweep.
+    /// node count when the reorder scope closes.
     ///
     /// # Errors
     /// The budget's abort reason; the backend's order is consistent (the
@@ -274,20 +405,10 @@ impl ReorderStrategy for FullSift {
         b: &mut B,
         budget: &mut OpBudget,
     ) -> Result<usize, OpAbort> {
-        // Span covers the whole strategy run; an abort (`?`) drops it
-        // without the live-count arg, which is how a cut-short reorder
-        // reads in a trace.
-        let mut span = crate::obs::span(crate::obs::Op::Reorder);
-        for _ in 0..self.params.passes.max(1) {
-            if b.num_vars() < 2 {
-                break;
-            }
+        scoped_passes(b, self.params.passes, budget, |b, budget| {
             let groups = singleton_groups(b);
-            sift_pass(b, &groups, None, &self.params, budget)?;
-        }
-        let live = b.sweep();
-        span.set_arg("live_nodes", live as u64);
-        Ok(live)
+            sift_pass(b, &groups, None, &self.params, budget)
+        })
     }
 }
 
@@ -322,17 +443,10 @@ impl ReorderStrategy for WindowSift {
         b: &mut B,
         budget: &mut OpBudget,
     ) -> Result<usize, OpAbort> {
-        let mut span = crate::obs::span(crate::obs::Op::Reorder);
-        for _ in 0..self.params.passes.max(1) {
-            if b.num_vars() < 2 {
-                break;
-            }
+        scoped_passes(b, self.params.passes, budget, |b, budget| {
             let groups = singleton_groups(b);
-            sift_pass(b, &groups, Some(self.radius.max(1)), &self.params, budget)?;
-        }
-        let live = b.sweep();
-        span.set_arg("live_nodes", live as u64);
-        Ok(live)
+            sift_pass(b, &groups, Some(self.radius.max(1)), &self.params, budget)
+        })
     }
 }
 
@@ -404,20 +518,13 @@ impl ReorderStrategy for PairSift {
         b: &mut B,
         budget: &mut OpBudget,
     ) -> Result<usize, OpAbort> {
-        let mut span = crate::obs::span(crate::obs::Op::Reorder);
-        for _ in 0..self.params.passes.max(1) {
-            if b.num_vars() < 2 {
-                break;
-            }
+        scoped_passes(b, self.params.passes, budget, |b, budget| {
             // Pairing is recomputed per pass from the *current* order and
             // node population — an earlier pass (or a previous scheduled
             // reorder) changes both.
             let groups = self.groups(b);
-            sift_pass(b, &groups, None, &self.params, budget)?;
-        }
-        let live = b.sweep();
-        span.set_arg("live_nodes", live as u64);
-        Ok(live)
+            sift_pass(b, &groups, None, &self.params, budget)
+        })
     }
 }
 
@@ -678,6 +785,8 @@ mod tests {
         swaps: usize,
         widths: Vec<usize>,
         affinity: Vec<f64>,
+        /// Reorder scopes opened / closed.
+        scopes: (usize, usize),
     }
 
     impl PermBackend {
@@ -688,6 +797,7 @@ mod tests {
                 swaps: 0,
                 widths: vec![1; n],
                 affinity: vec![0.0; n.saturating_sub(1)],
+                scopes: (0, 0),
             }
         }
     }
@@ -710,6 +820,15 @@ mod tests {
         }
         fn sweep(&mut self) -> usize {
             self.widths.iter().sum()
+        }
+        fn begin_reorder(&mut self) {
+            assert_eq!(self.scopes.0, self.scopes.1, "scopes do not nest");
+            self.scopes.0 += 1;
+        }
+        fn end_reorder(&mut self) -> usize {
+            self.scopes.1 += 1;
+            assert_eq!(self.scopes.0, self.scopes.1, "closed an unopened scope");
+            self.sweep()
         }
         fn var_width(&self, var: usize) -> usize {
             self.widths[var]
@@ -764,6 +883,33 @@ mod tests {
         assert_eq!(res, Err(OpAbort::Cancelled));
         assert!(is_permutation(&b));
         assert_eq!(b.var_at_pos, (0..8).collect::<Vec<_>>(), "parked back");
+        assert_eq!(b.scopes, (1, 1), "an abort still closes the scope");
+    }
+
+    #[test]
+    fn every_strategy_runs_in_one_scope() {
+        for strategy in [DvoStrategy::Full, DvoStrategy::Window(2), DvoStrategy::Pair] {
+            let mut b = PermBackend::new(5);
+            let params = SiftParams {
+                passes: 3,
+                ..SiftParams::default()
+            };
+            let live = match strategy {
+                DvoStrategy::Full => {
+                    FullSift { params }.reorder(&mut b, &mut OpBudget::unlimited())
+                }
+                DvoStrategy::Window(radius) => {
+                    WindowSift { radius, params }.reorder(&mut b, &mut OpBudget::unlimited())
+                }
+                DvoStrategy::Pair => PairSift {
+                    params,
+                    ..PairSift::default()
+                }
+                .reorder(&mut b, &mut OpBudget::unlimited()),
+            };
+            assert_eq!(live, Ok(5), "{strategy}");
+            assert_eq!(b.scopes, (1, 1), "{strategy}: one scope for all passes");
+        }
     }
 
     #[test]

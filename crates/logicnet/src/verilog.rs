@@ -298,9 +298,16 @@ impl Expr {
     }
 }
 
+/// Deepest expression nesting (parentheses, `~` and `?:` branches) the
+/// Verilog reader accepts; deeper input is an error instead of a stack
+/// overflow in the recursive-descent parser.
+pub const MAX_EXPR_DEPTH: usize = 256;
+
 struct Parser {
     toks: Vec<(usize, Tok)>,
     pos: usize,
+    /// Current expression nesting (see [`MAX_EXPR_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -341,14 +348,31 @@ impl Parser {
         }
     }
 
+    /// Run `f` one expression level deeper, failing past
+    /// [`MAX_EXPR_DEPTH`].
+    fn nested(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<Expr, VerilogError>,
+    ) -> Result<Expr, VerilogError> {
+        if self.depth >= MAX_EXPR_DEPTH {
+            return Err(self.err(&format!(
+                "expression nested deeper than {MAX_EXPR_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        let e = f(self);
+        self.depth -= 1;
+        e
+    }
+
     // expr := ternary ; ternary := or ('?' expr ':' expr)?
     fn expr(&mut self) -> Result<Expr, VerilogError> {
         let cond = self.or_expr()?;
         if matches!(self.peek(), Some(Tok::Sym('?'))) {
             self.bump();
-            let a = self.expr()?;
+            let a = self.nested(Self::expr)?;
             self.expect_sym(':')?;
-            let b = self.expr()?;
+            let b = self.nested(Self::expr)?;
             return Ok(Expr::Mux(Box::new(cond), Box::new(a), Box::new(b)));
         }
         Ok(cond)
@@ -398,11 +422,11 @@ impl Parser {
         match self.peek() {
             Some(Tok::Sym('~')) => {
                 self.bump();
-                Ok(Expr::Not(Box::new(self.unary()?)))
+                Ok(Expr::Not(Box::new(self.nested(Self::unary)?)))
             }
             Some(Tok::Sym('(')) => {
                 self.bump();
-                let e = self.expr()?;
+                let e = self.nested(Self::expr)?;
                 self.expect_sym(')')?;
                 Ok(e)
             }
@@ -436,7 +460,11 @@ struct Def {
 /// undriven signals or combinational cycles.
 pub fn parse_verilog(text: &str) -> Result<Network, VerilogError> {
     let toks = lex(text)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
 
     // module name ( ports ) ;
     match p.bump() {
@@ -666,6 +694,44 @@ fn emit_expr(net: &mut Network, e: &Expr, line: usize) -> Result<Signal, Verilog
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn assign_module(expr: &str) -> String {
+        format!("module m (a, y);\n  input a;\n  output y;\n  assign y = {expr};\nendmodule\n")
+    }
+
+    #[test]
+    fn nesting_up_to_the_cap_parses() {
+        let d = MAX_EXPR_DEPTH;
+        let parens = format!("{}a{}", "(".repeat(d), ")".repeat(d));
+        let net = parse_verilog(&assign_module(&parens)).unwrap();
+        assert_eq!(net.simulate(&[true]), vec![true]);
+        let nots = format!("{}a", "~".repeat(d));
+        let net = parse_verilog(&assign_module(&nots)).unwrap();
+        assert_eq!(
+            net.simulate(&[true]),
+            vec![d.is_multiple_of(2)],
+            "an even count of ~ cancels"
+        );
+    }
+
+    /// Expressions nested 100 k deep used to overflow the parser's stack
+    /// and abort the process; now they are a parse error naming the cap.
+    #[test]
+    fn deep_nesting_is_an_error_not_a_crash() {
+        let n = 100_000;
+        for expr in [
+            format!("{}a{}", "(".repeat(n), ")".repeat(n)),
+            format!("{}a", "~".repeat(n)),
+            format!("{}a", "a ? ".repeat(n)) + &" : a".repeat(n),
+        ] {
+            let err = parse_verilog(&assign_module(&expr)).unwrap_err();
+            assert!(
+                err.message.contains(&MAX_EXPR_DEPTH.to_string()),
+                "{}",
+                err.message
+            );
+        }
+    }
 
     #[test]
     fn parse_gate_primitives() {

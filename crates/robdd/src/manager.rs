@@ -75,16 +75,23 @@ pub struct Robdd {
     free: Vec<u32>,
     /// One subtable per *variable* (indices never move during reordering).
     pub(crate) subtables: Vec<UniqueTable<BddKey>>,
+    /// Stored nodes over all subtables, kept current by creation, GC and
+    /// sift-time reclamation.
+    live: usize,
     /// `var_at_pos[p]` = variable at top-based order position `p`.
     pub(crate) var_at_pos: Vec<u32>,
     /// Inverse permutation.
     pub(crate) pos_of_var: Vec<u32>,
     pub(crate) cache: ComputedCache,
     pub(crate) stats: RobddStats,
+    /// Reference counts kept while a reorder runs (`None` outside one);
+    /// swaps then reclaim their dead nodes locally.
+    pub(crate) sift_refs: Option<ddcore::dvo::SiftRefs>,
     /// External-root registry behind the [`crate::RobddFn`] handles; GC
     /// and sifting trace from here instead of caller-supplied root lists.
     roots: RootSet,
-    /// Reusable snapshot buffer for the registry trace.
+    /// Reusable snapshot buffer for the registry trace; after a
+    /// collection it holds the snapshot that collection marked from.
     root_scratch: Vec<u64>,
     /// The automatic-GC latch + collection generation (shared shape with
     /// the BBDD manager; see [`ddcore::roots::GcLatch`]).
@@ -113,10 +120,12 @@ impl Robdd {
             nodes: vec![Node::terminal()],
             free: Vec::new(),
             subtables: (0..num_vars).map(|_| UniqueTable::new(64)).collect(),
+            live: 0,
             var_at_pos: (0..num_vars as u32).collect(),
             pos_of_var: (0..num_vars as u32).collect(),
             cache: ComputedCache::default(),
             stats: RobddStats::default(),
+            sift_refs: None,
             roots: RootSet::new(),
             root_scratch: Vec::new(),
             gc_latch: ddcore::roots::GcLatch::default(),
@@ -136,10 +145,12 @@ impl Robdd {
             nodes: self.nodes.clone(),
             free: self.free.clone(),
             subtables: self.subtables.clone(),
+            live: self.live,
             var_at_pos: self.var_at_pos.clone(),
             pos_of_var: self.pos_of_var.clone(),
             cache: self.cache.clone(),
             stats: RobddStats::default(),
+            sift_refs: None,
             roots: RootSet::new(),
             root_scratch: Vec::new(),
             gc_latch: ddcore::roots::GcLatch::default(),
@@ -200,7 +211,7 @@ impl Robdd {
     /// Total stored nodes (excluding the sink).
     #[must_use]
     pub fn live_nodes(&self) -> usize {
-        self.subtables.iter().map(UniqueTable::len).sum()
+        self.live
     }
 
     /// Aggregate unique-table statistics summed over all variable
@@ -390,7 +401,8 @@ impl Robdd {
         });
         if created {
             self.stats.nodes_created += 1;
-            let live = self.live_nodes();
+            self.live += 1;
+            let live = self.live;
             if live > self.stats.peak_live_nodes {
                 self.stats.peak_live_nodes = live;
             }
@@ -553,6 +565,10 @@ impl Robdd {
     /// handle-registry snapshot plus `extra` (internal callers such as the
     /// sift shims). The registry lock is *not* held across the trace.
     pub(crate) fn gc_keeping(&mut self, extra: &[Edge]) -> usize {
+        debug_assert!(
+            self.sift_refs.is_none(),
+            "a full collection inside a reorder scope would strand the sift refcounts"
+        );
         let mut span = ddcore::obs::span(ddcore::obs::Op::Gc);
         self.stats.gc_runs += 1;
         self.gc_latch.note_collection();
@@ -601,9 +617,68 @@ impl Robdd {
             });
         }
         self.cache.invalidate();
+        self.live -= freed;
         self.stats.nodes_freed += freed as u64;
         span.set_arg("freed", freed as u64);
         freed
+    }
+
+    /// Open a reorder scope: one full collection, then sift-scoped
+    /// reference counts over what survived — every stored node's parents
+    /// plus the registry snapshot that collection marked from.
+    pub(crate) fn begin_sift_refs(&mut self) {
+        self.gc_keeping(&[]);
+        let mut refs = ddcore::dvo::SiftRefs::new(self.nodes.len());
+        for table in &self.subtables {
+            table.for_each(|_, id| {
+                let n = &self.nodes[id as usize];
+                refs.inc(n.then_());
+                refs.inc(n.else_());
+            });
+        }
+        for &bits in &self.root_scratch {
+            refs.inc(Edge::from_bits(bits as u32));
+        }
+        self.sift_refs = Some(refs);
+    }
+
+    /// Close the reorder scope: drop the counts and run the closing full
+    /// collection (it also reclaims what handles dropped mid-sift held).
+    pub(crate) fn end_sift_refs(&mut self) -> usize {
+        self.sift_refs = None;
+        self.gc_keeping(&[]);
+        self.live
+    }
+
+    /// Free every node whose sift-scoped count has dropped to zero,
+    /// cascading through their children. Called at the end of each swap
+    /// inside a reorder scope; a no-op outside one.
+    pub(crate) fn reclaim_dead(&mut self) {
+        let Some(refs) = self.sift_refs.as_mut() else {
+            return;
+        };
+        let mut freed = 0usize;
+        while let Some(id) = refs.pop_dead() {
+            let n = self.nodes[id as usize];
+            if n.is_free() {
+                continue;
+            }
+            let removed = self.subtables[n.var() as usize].remove(&n.key());
+            debug_assert_eq!(removed, Some(id), "dead node missing from its subtable");
+            self.nodes[id as usize].set_free(true);
+            self.free.push(id);
+            freed += 1;
+            refs.dec(n.then_());
+            refs.dec(n.else_());
+        }
+        if freed > 0 {
+            // Freed ids get reused: cached results and the Par front-end's
+            // id-keyed cache must not outlive them.
+            self.cache.invalidate();
+            self.gc_latch.note_collection();
+            self.live -= freed;
+            self.stats.nodes_freed += freed as u64;
+        }
     }
 
     /// Validate the canonical-form invariants (tests/debugging).
@@ -612,6 +687,13 @@ impl Robdd {
     /// Returns a description of the first violated invariant.
     pub fn validate(&self) -> Result<(), String> {
         use std::collections::HashSet;
+        let stored: usize = self.subtables.iter().map(UniqueTable::len).sum();
+        if stored != self.live {
+            return Err(format!(
+                "live-node counter {} disagrees with the {stored} stored nodes",
+                self.live
+            ));
+        }
         let mut present: HashSet<u32> = HashSet::new();
         for (var, table) in self.subtables.iter().enumerate() {
             let mut err: Option<String> = None;

@@ -43,7 +43,7 @@ impl Robdd {
     /// Distinct internal nodes reachable from any root (shared size).
     #[must_use]
     pub fn shared_node_count(&self, roots: &[Edge]) -> usize {
-        let mut seen: HashSet<u32> = HashSet::new();
+        let mut seen = ddcore::fxhash::FxHashSet::<u32>::default();
         let mut stack: Vec<u32> = roots
             .iter()
             .filter(|e| !e.is_constant())

@@ -4,10 +4,11 @@
 //!
 //! The sifting algorithms live in [`ddcore::dvo`], generic over
 //! [`ReorderBackend`]; this module supplies the backend contract (adjacent
-//! swaps, registry-tracing sweeps, per-variable widths and a structural
-//! pair-affinity analogue) and keeps the historical `sift*` entry points
-//! as thin wrappers.
+//! swaps, sift-scoped reference counts with window-local reclamation,
+//! per-variable widths and a structural pair-affinity analogue) and keeps
+//! the historical `sift*` entry points as thin wrappers.
 
+use crate::edge::Edge;
 use crate::manager::Robdd;
 use crate::node::Node;
 use ddcore::dvo::{DvoStrategy, FullSift, ReorderBackend, ReorderStrategy};
@@ -35,8 +36,15 @@ impl ReorderBackend for Robdd {
     }
 
     fn sweep(&mut self) -> usize {
-        self.gc_keeping(&[]);
         self.live_nodes()
+    }
+
+    fn begin_reorder(&mut self) {
+        self.begin_sift_refs();
+    }
+
+    fn end_reorder(&mut self) -> usize {
+        self.end_sift_refs()
     }
 
     fn var_width(&self, var: usize) -> usize {
@@ -113,8 +121,8 @@ impl Robdd {
             } else {
                 (e, e)
             };
-            let new_t = self.make_node(x, t1, e1); // f_{y=1}
-            let new_e = self.make_node(x, t0, e0); // f_{y=0}
+            let new_t = self.make_swap_node(x, t1, e1); // f_{y=1}
+            let new_e = self.make_swap_node(x, t0, e0); // f_{y=0}
             debug_assert_ne!(new_t, new_e, "swap produced a redundant node");
             debug_assert!(!new_t.is_complemented(), "polarity flip in swap");
             let old_key = nd.key();
@@ -124,12 +132,35 @@ impl Robdd {
             let new_key = self.node(id).key();
             debug_assert!(self.subtables[y as usize].get(&new_key).is_none());
             self.subtables[y as usize].insert(new_key, id);
+            // Inside a reorder, the rewritten node trades its references
+            // to the old children for the new ones.
+            if let Some(refs) = self.sift_refs.as_mut() {
+                refs.inc(new_t);
+                refs.inc(new_e);
+                refs.dec(t);
+                refs.dec(e);
+            }
         }
+        self.reclaim_dead();
         self.var_at_pos.swap(pos, pos + 1);
         self.pos_of_var[self.var_at_pos[pos] as usize] = pos as u32;
         self.pos_of_var[self.var_at_pos[pos + 1] as usize] = (pos + 1) as u32;
         self.stats.swaps += 1;
         ddcore::obs::prof_record(ddcore::obs::Op::Swap, timer);
+    }
+
+    /// `make_node` for the swap: inside a reorder, a node it creates
+    /// references its children.
+    fn make_swap_node(&mut self, var: u16, then_: Edge, else_: Edge) -> Edge {
+        let created = self.stats.nodes_created;
+        let r = self.make_node(var, then_, else_);
+        if self.stats.nodes_created != created {
+            if let Some(refs) = self.sift_refs.as_mut() {
+                refs.inc(then_);
+                refs.inc(else_);
+            }
+        }
+        r
     }
 
     /// Sift all variables once with default settings; returns the live
@@ -209,7 +240,7 @@ impl Robdd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::edge::Edge;
+    use std::collections::HashSet;
 
     fn truth_of(mgr: &Robdd, f: Edge, n: usize) -> Vec<bool> {
         (0..1u32 << n)
@@ -296,6 +327,183 @@ mod tests {
         assert!(after <= 3 * k + 1, "near-linear size expected, got {after}");
         assert_eq!(truth_of(&mgr, f, 2 * k), tf);
         mgr.validate().unwrap();
+    }
+
+    /// A random function of `n` variables.
+    fn random_fn(mgr: &mut Robdd, n: usize, seed: u64) -> Edge {
+        use ddcore::boolop::BoolOp;
+        let ops = [
+            BoolOp::XOR,
+            BoolOp::AND,
+            BoolOp::OR,
+            BoolOp::XNOR,
+            BoolOp::NAND,
+        ];
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut f = mgr.var((seed as usize) % n);
+        for _ in 0..3 * n {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let op = ops[(state >> 33) as usize % ops.len()];
+            let v = mgr.var((state >> 18) as usize % n);
+            f = mgr.apply(op, f, v);
+        }
+        f
+    }
+
+    /// Four pinned random functions plus unpinned garbage for the opening
+    /// collection to reclaim.
+    fn random_forest(n: usize, seed: u64) -> (Robdd, Vec<(Edge, ddcore::roots::RootGuard)>) {
+        let mut mgr = Robdd::new(n);
+        let roots = (0..4)
+            .map(|i| {
+                let f = random_fn(&mut mgr, n, seed * 8 + i);
+                let _garbage = random_fn(&mut mgr, n, seed * 8 + i + 4);
+                (f, mgr.pin(f))
+            })
+            .collect();
+        (mgr, roots)
+    }
+
+    /// Nodes reachable from a fresh snapshot of the root registry.
+    fn full_mark(mgr: &Robdd) -> HashSet<u32> {
+        let mut seen = HashSet::new();
+        let mut stack: Vec<Edge> = mgr
+            .root_set()
+            .snapshot()
+            .into_iter()
+            .map(|bits| Edge::from_bits(bits as u32))
+            .collect();
+        while let Some(e) = stack.pop() {
+            if !e.is_constant() && seen.insert(e.node()) {
+                let n = mgr.node(e.node());
+                stack.extend([n.then_(), n.else_()]);
+            }
+        }
+        seen
+    }
+
+    fn stored(mgr: &Robdd) -> HashSet<u32> {
+        mgr.subtables.iter().flat_map(|t| t.values()).collect()
+    }
+
+    /// Runs a strategy on the wrapped manager and, after every swap,
+    /// checks the sift-scoped reclamation against a fresh full mark.
+    struct Checked<'a> {
+        mgr: &'a mut Robdd,
+        swaps: usize,
+    }
+
+    impl ReorderBackend for Checked<'_> {
+        fn num_vars(&self) -> usize {
+            self.mgr.num_vars()
+        }
+        fn position_of(&self, var: usize) -> usize {
+            self.mgr.position_of(var)
+        }
+        fn var_at_position(&self, pos: usize) -> usize {
+            ReorderBackend::var_at_position(&*self.mgr, pos)
+        }
+        fn swap_positions(&mut self, pos: usize) {
+            self.mgr.swap_adjacent(pos);
+            self.swaps += 1;
+            assert!(self.mgr.sift_refs.is_some(), "swap outside the scope");
+            let live = full_mark(self.mgr);
+            assert_eq!(
+                stored(self.mgr),
+                live,
+                "swap {}: stored != marked",
+                self.swaps
+            );
+            assert_eq!(self.mgr.live_nodes(), live.len(), "swap {}", self.swaps);
+            self.mgr.validate().unwrap();
+        }
+        fn sweep(&mut self) -> usize {
+            self.mgr.sweep()
+        }
+        fn var_width(&self, var: usize) -> usize {
+            self.mgr.var_width(var)
+        }
+        fn pair_affinity(&self, pos: usize) -> f64 {
+            self.mgr.pair_affinity(pos)
+        }
+        fn begin_reorder(&mut self) {
+            self.mgr.begin_reorder();
+        }
+        fn end_reorder(&mut self) -> usize {
+            self.mgr.end_reorder()
+        }
+    }
+
+    const STRATEGIES: [DvoStrategy; 3] =
+        [DvoStrategy::Full, DvoStrategy::Window(2), DvoStrategy::Pair];
+
+    #[test]
+    fn every_swap_reclaims_exactly_the_dead_nodes() {
+        let n = 7;
+        for seed in 0..4u64 {
+            for strategy in STRATEGIES {
+                let (mut mgr, roots) = random_forest(n, seed);
+                let truth: Vec<_> = roots.iter().map(|(f, _)| truth_of(&mgr, *f, n)).collect();
+                let mut checked = Checked {
+                    mgr: &mut mgr,
+                    swaps: 0,
+                };
+                let live = strategy
+                    .run(&mut checked, &mut OpBudget::unlimited())
+                    .expect("unlimited budget");
+                assert!(checked.swaps > 0, "{strategy}: the sift must move");
+                assert!(mgr.sift_refs.is_none(), "{strategy}: counts dropped");
+                assert_eq!(live, full_mark(&mgr).len(), "{strategy} seed {seed}");
+                for ((f, _), t) in roots.iter().zip(&truth) {
+                    assert_eq!(&truth_of(&mgr, *f, n), t, "{strategy} seed {seed}");
+                }
+                mgr.validate().unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn aborting_at_every_checkpoint_drops_the_counts() {
+        let n = 6;
+        for strategy in STRATEGIES {
+            for k in 0.. {
+                let (mut mgr, roots) = random_forest(n, 11);
+                let truth: Vec<_> = roots.iter().map(|(f, _)| truth_of(&mgr, *f, n)).collect();
+                let mut budget = OpBudget::unlimited().inject_cancel_at(k);
+                let res = mgr.sift_strategy(strategy, &mut budget);
+                assert!(mgr.sift_refs.is_none(), "{strategy} k={k}: counts dropped");
+                mgr.validate().unwrap();
+                assert_eq!(stored(&mgr), full_mark(&mgr), "{strategy} k={k}");
+                for ((f, _), t) in roots.iter().zip(&truth) {
+                    assert_eq!(&truth_of(&mgr, *f, n), t, "{strategy} k={k}");
+                }
+                match res {
+                    Ok(_) => break,
+                    Err(reason) => assert_eq!(reason, OpAbort::Cancelled),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn swaps_outside_a_reorder_leave_dead_nodes_for_the_next_gc() {
+        let n = 6;
+        let (mut mgr, _roots) = random_forest(n, 5);
+        mgr.gc();
+        let freed = mgr.stats().nodes_freed;
+        for pos in 0..n - 1 {
+            mgr.swap_adjacent(pos);
+        }
+        assert_eq!(
+            mgr.stats().nodes_freed,
+            freed,
+            "no reclamation outside a reorder"
+        );
+        mgr.validate().unwrap();
+        assert!(mgr.gc() > 0, "the swaps stranded dead nodes");
+        assert_eq!(stored(&mgr), full_mark(&mgr));
     }
 
     #[test]

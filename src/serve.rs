@@ -170,15 +170,21 @@ pub fn json_string(s: &str) -> String {
     out
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. Requests nest a
+/// few levels; the cap keeps one hostile line from overflowing the stack
+/// of the thread serving every session.
+pub const MAX_JSON_DEPTH: usize = 128;
+
 /// Parse one JSON value from `text` (must consume the whole input up to
 /// trailing whitespace).
 ///
 /// # Errors
-/// Returns a position-tagged message on malformed input.
+/// Returns a position-tagged message on malformed input, and on nesting
+/// deeper than [`MAX_JSON_DEPTH`].
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -201,8 +207,15 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse the value at `pos`, which sits inside `depth` arrays/objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'[' | b'{')) && depth >= MAX_JSON_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_JSON_DEPTH} levels at byte {pos}",
+            pos = *pos
+        ));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => expect(b, pos, "null").map(|()| Json::Null),
@@ -218,7 +231,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -243,7 +256,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, ":")?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -1012,6 +1025,44 @@ mod tests {
         assert!(parse_json("{\"a\":}").is_err());
         assert!(parse_json("[1,2,]").is_err());
         assert!(parse_json("true false").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_the_documented_depth() {
+        let nested = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse_json(&nested(MAX_JSON_DEPTH)).is_ok());
+        let err = parse_json(&nested(MAX_JSON_DEPTH + 1)).unwrap_err();
+        assert!(err.contains(&MAX_JSON_DEPTH.to_string()), "{err}");
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_JSON_DEPTH + 1),
+            "}".repeat(MAX_JSON_DEPTH + 1)
+        );
+        assert!(parse_json(&objects).is_err());
+    }
+
+    /// A line nested 200 k deep used to overflow the stack and abort the
+    /// whole server; now it is one error response and the batch goes on.
+    #[test]
+    fn deeply_nested_line_is_rejected_and_the_batch_continues() {
+        let base = base();
+        let deep = format!(
+            r#"{{"op":"eval","id":1,"x":{}1{}}}"#,
+            "[".repeat(200_000),
+            "]".repeat(200_000)
+        );
+        let lines: Vec<String> = vec![
+            deep,
+            r#"{"op":"eval","id":2,"f":"cout","assignment":[true,true,false]}"#.into(),
+        ];
+        let out = run_batch(&base, &ServeConfig::default(), &lines);
+        assert_eq!(out.requests, 2);
+        assert_eq!(out.rejected, 1);
+        assert!(out.responses[0].contains("\"status\":\"error\""));
+        assert!(out.responses[0].contains("nesting deeper than 128 levels"));
+        assert!(
+            out.responses[1].contains("\"id\":2") && out.responses[1].contains("\"value\":true")
+        );
     }
 
     #[test]
