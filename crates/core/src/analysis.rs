@@ -98,33 +98,6 @@ impl Bbdd {
         }
         acc
     }
-
-    /// Number of internal nodes at each bottom-based level for the
-    /// diagrams rooted at `roots` — the level profile used by reordering
-    /// heuristics and reported by the original package's log output.
-    #[must_use]
-    pub fn level_profile(&self, roots: &[Edge]) -> Vec<usize> {
-        let mut profile = vec![0usize; self.num_vars()];
-        let mut seen = std::collections::HashSet::new();
-        let mut stack: Vec<u32> = roots
-            .iter()
-            .filter(|e| !e.is_constant())
-            .map(|e| e.node())
-            .collect();
-        while let Some(id) = stack.pop() {
-            if !seen.insert(id) {
-                continue;
-            }
-            let n = self.node(id);
-            profile[n.level() as usize] += 1;
-            for child in [n.neq(), n.eq()] {
-                if !child.is_constant() {
-                    stack.push(child.node());
-                }
-            }
-        }
-        profile
-    }
 }
 
 #[cfg(test)]
@@ -197,7 +170,7 @@ mod tests {
         let a = mgr.var(0);
         let b = mgr.var(1);
         let f = mgr.xor(a, b);
-        let profile = mgr.level_profile(&[f]);
+        let profile = ddcore::api::RawManager::level_profile_edges(&mgr, &[f]).unwrap();
         assert_eq!(profile.iter().sum::<usize>(), mgr.node_count(f));
         // The XNOR node sits at the top level (bottom-based index n-1).
         assert_eq!(profile[3], 1);

@@ -27,6 +27,7 @@ use ddcore::api::{ManagerRef, RawManager};
 use ddcore::boolop::BoolOp;
 use ddcore::govern::{OpAbort, OpBudget};
 use ddcore::roots::{RootGuard, RootSet};
+use ddcore::walk;
 
 /// The trait-level BBDD manager: [`ManagerRef`] over the sequential
 /// backend. Start here unless you need the edge-level API.
@@ -167,16 +168,8 @@ impl RawManager for Bbdd {
         self.eval(f, assignment)
     }
 
-    fn sat_count_edge(&self, f: Edge) -> u128 {
-        self.sat_count(f)
-    }
-
-    fn sat_count_checked_edge(&self, f: Edge) -> Option<u128> {
-        self.sat_count_checked(f)
-    }
-
     fn try_sat_count_edge(&self, f: Edge, budget: &mut OpBudget) -> Result<u128, OpAbort> {
-        self.try_sat_count(f, budget)
+        walk::try_sat_count(self, f, self.num_vars(), budget)
     }
 
     fn any_sat_edge(&self, f: Edge) -> Option<Vec<bool>> {
@@ -185,10 +178,6 @@ impl RawManager for Bbdd {
 
     fn all_sat_edge(&self, f: Edge, limit: usize) -> Vec<Vec<bool>> {
         self.all_sat(f, limit)
-    }
-
-    fn node_count_edge(&self, f: Edge) -> usize {
-        self.node_count(f)
     }
 
     fn shared_node_count_edges(&self, roots: &[Edge]) -> usize {
@@ -203,8 +192,13 @@ impl RawManager for Bbdd {
         self.to_dot(roots, names)
     }
 
+    /// Internal nodes per bottom-based level.
     fn level_profile_edges(&self, roots: &[Edge]) -> Option<Vec<usize>> {
-        Some(self.level_profile(roots))
+        let mut profile = vec![0; self.num_vars()];
+        walk::visit(self, roots, usize::MAX, |_, (_, _, meta)| {
+            profile[meta as u16 as usize] += 1;
+        });
+        Some(profile)
     }
 
     fn after_op(&mut self) {

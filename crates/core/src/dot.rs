@@ -7,8 +7,7 @@
 
 use crate::edge::Edge;
 use crate::manager::Bbdd;
-use std::collections::HashSet;
-use std::fmt::Write as _;
+use ddcore::walk;
 
 impl Bbdd {
     /// Render the diagrams rooted at `roots` as a DOT digraph.
@@ -16,71 +15,16 @@ impl Bbdd {
     /// `names` provides per-root labels; missing names default to `f{i}`.
     #[must_use]
     pub fn to_dot(&self, roots: &[Edge], names: &[&str]) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "digraph bbdd {{");
-        let _ = writeln!(out, "  rankdir=TB;");
-        let _ = writeln!(out, "  node [shape=circle, fontsize=10];");
-        let _ = writeln!(out, "  one [shape=box, label=\"1\"];");
-
-        let mut seen: HashSet<u32> = HashSet::new();
-        let mut stack: Vec<u32> = Vec::new();
-        for (i, r) in roots.iter().enumerate() {
-            let name = names.get(i).copied().unwrap_or("");
-            let label = if name.is_empty() {
-                format!("f{i}")
-            } else {
-                name.to_string()
-            };
-            let _ = writeln!(out, "  root{i} [shape=plaintext, label=\"{label}\"];");
-            let style = if r.is_complemented() {
-                ", style=dotted, color=red"
-            } else {
-                ""
-            };
-            if r.is_constant() {
-                let _ = writeln!(out, "  root{i} -> one [arrowhead=none{style}];");
-            } else {
-                let _ = writeln!(out, "  root{i} -> n{} [arrowhead=none{style}];", r.node());
-                stack.push(r.node());
-            }
-        }
-        while let Some(id) = stack.pop() {
-            if !seen.insert(id) {
-                continue;
-            }
+        walk::to_dot(self, "bbdd", roots, names, true, |id| {
             let n = self.node(id);
             let lvl = n.level() as usize;
             let pv = self.var_at_level[lvl];
-            let label = if n.is_shannon() {
+            if n.is_shannon() {
                 format!("x{pv}")
             } else {
-                let sv = self.var_at_level[lvl - 1];
-                format!("x{pv}⊕x{sv}")
-            };
-            let _ = writeln!(out, "  n{id} [label=\"{label}\"];");
-            for (child, dashed) in [(n.eq(), false), (n.neq(), true)] {
-                let mut attrs = Vec::new();
-                if dashed {
-                    attrs.push("style=dashed".to_string());
-                }
-                if child.is_complemented() {
-                    attrs.push("color=red".to_string());
-                }
-                let attr_s = if attrs.is_empty() {
-                    String::new()
-                } else {
-                    format!(" [{}]", attrs.join(", "))
-                };
-                if child.is_constant() {
-                    let _ = writeln!(out, "  n{id} -> one{attr_s};");
-                } else {
-                    let _ = writeln!(out, "  n{id} -> n{}{attr_s};", child.node());
-                    stack.push(child.node());
-                }
+                format!("x{pv}⊕x{}", self.var_at_level[lvl - 1])
             }
-        }
-        let _ = writeln!(out, "}}");
-        out
+        })
     }
 }
 

@@ -124,6 +124,8 @@ pub struct Bbdd {
     /// Governed-operation accounting (the `govern.*` metrics section),
     /// fed by the generic handle layer via `RawManager::note_governed`.
     pub(crate) govern: ddcore::obs::GovernCounters,
+    /// Visit scratch of the read-only walks; a fork starts with a new one.
+    pub(crate) walk: ddcore::walk::WalkScratch,
 }
 
 impl Bbdd {
@@ -162,6 +164,7 @@ impl Bbdd {
             root_scratch: Vec::new(),
             gc_latch: ddcore::roots::GcLatch::default(),
             govern: ddcore::obs::GovernCounters::default(),
+            walk: ddcore::walk::WalkScratch::default(),
         }
     }
 
@@ -190,6 +193,7 @@ impl Bbdd {
             root_scratch: Vec::new(),
             gc_latch: ddcore::roots::GcLatch::default(),
             govern: ddcore::obs::GovernCounters::default(),
+            walk: ddcore::walk::WalkScratch::default(),
         }
     }
 

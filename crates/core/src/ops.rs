@@ -7,8 +7,10 @@
 
 use crate::edge::Edge;
 use crate::manager::Bbdd;
+use ddcore::api::RawManager;
 use ddcore::fxhash::FxHashMap as HashMap;
 use ddcore::govern::{OpAbort, OpBudget};
+use ddcore::walk::{self, NodeGraph, WalkScratch};
 
 impl Bbdd {
     /// Evaluate `f` under a complete variable assignment
@@ -53,24 +55,7 @@ impl Bbdd {
     /// the size of a shared multi-output BBDD (Table I's metric).
     #[must_use]
     pub fn shared_node_count(&self, roots: &[Edge]) -> usize {
-        let mut seen = ddcore::fxhash::FxHashSet::<u32>::default();
-        let mut stack: Vec<u32> = roots
-            .iter()
-            .filter(|e| !e.is_constant())
-            .map(|e| e.node())
-            .collect();
-        while let Some(id) = stack.pop() {
-            if !seen.insert(id) {
-                continue;
-            }
-            let n = self.node(id);
-            for child in [n.neq(), n.eq()] {
-                if !child.is_constant() {
-                    stack.push(child.node());
-                }
-            }
-        }
-        seen.len()
+        walk::shared_node_count(self, roots)
     }
 
     /// Number of satisfying assignments of `f` over all `num_vars()`
@@ -81,128 +66,17 @@ impl Bbdd {
     /// variables, with powers of two for skipped levels.
     ///
     /// # Panics
-    /// Panics if `num_vars() > 127` (count would overflow `u128`). For a
-    /// non-panicking variant see [`Bbdd::sat_count_checked`].
+    /// Panics if `num_vars() > 127` (count would overflow `u128`). The
+    /// budgeted and checked forms are the `RawManager` counting methods.
     #[must_use]
     pub fn sat_count(&self, f: Edge) -> u128 {
-        let n = self.num_vars();
-        assert!(n <= 127, "sat_count overflows u128 beyond 127 variables");
-        let mut memo: HashMap<u32, u128> = HashMap::default();
-        self.sat_edge(f, n as u32, &mut memo)
-    }
-
-    /// [`Bbdd::sat_count`], or `None` when the manager has more than 127
-    /// variables (the count could overflow `u128`; `u128::MAX` itself is
-    /// never a valid count at ≤ 127 variables, so `Some` values are exact).
-    #[must_use]
-    pub fn sat_count_checked(&self, f: Edge) -> Option<u128> {
-        if self.num_vars() > 127 {
-            None
-        } else {
-            Some(self.sat_count(f))
-        }
-    }
-
-    /// [`Bbdd::sat_count`] under a resource budget: the budget is polled
-    /// at every memo-miss (each counted node once), so a deadline or
-    /// cancellation aborts a count over a huge diagram promptly. Counting
-    /// allocates no nodes; an abort leaves no trace in the manager at all.
-    ///
-    /// # Errors
-    /// The budget's abort reason.
-    ///
-    /// # Panics
-    /// Panics if `num_vars() > 127`, like [`Bbdd::sat_count`].
-    pub fn try_sat_count(&self, f: Edge, budget: &mut OpBudget) -> Result<u128, OpAbort> {
-        let n = self.num_vars();
-        assert!(n <= 127, "sat_count overflows u128 beyond 127 variables");
-        let mut memo: HashMap<u32, u128> = HashMap::default();
-        self.try_sat_edge(f, n as u32, &mut memo, budget)
+        self.sat_count_edge(f)
     }
 
     /// `sat_count / 2^n` as a float (usable for any variable count).
     #[must_use]
     pub fn sat_fraction(&self, f: Edge) -> f64 {
-        let mut memo: HashMap<u32, f64> = HashMap::default();
-        fn frac(mgr: &Bbdd, e: Edge, memo: &mut HashMap<u32, f64>) -> f64 {
-            if e.is_constant() {
-                return if e == Edge::ONE { 1.0 } else { 0.0 };
-            }
-            let id = e.node();
-            let raw = if let Some(&r) = memo.get(&id) {
-                r
-            } else {
-                let n = *mgr.node(id);
-                let r = 0.5 * (frac(mgr, n.neq(), memo) + frac(mgr, n.eq(), memo));
-                memo.insert(id, r);
-                r
-            };
-            if e.is_complemented() {
-                1.0 - raw
-            } else {
-                raw
-            }
-        }
-        frac(self, f, &mut memo)
-    }
-
-    /// Count over the `k` bottom-most variables (the sub-universe of an
-    /// edge hanging below a node at level `k`).
-    fn sat_edge(&self, e: Edge, k: u32, memo: &mut HashMap<u32, u128>) -> u128 {
-        if e.is_constant() {
-            return if e == Edge::ONE { 1u128 << k } else { 0 };
-        }
-        let id = e.node();
-        let level = self.node(id).level() as u32;
-        debug_assert!(level < k);
-        let raw = if let Some(&r) = memo.get(&id) {
-            r
-        } else {
-            let n = *self.node(id);
-            // Children live over `level` variables; each branch determines
-            // the PV from the SV, so the two branch counts add up.
-            let r = self.sat_edge(n.neq(), level, memo) + self.sat_edge(n.eq(), level, memo);
-            memo.insert(id, r);
-            r
-        };
-        let signed = if e.is_complemented() {
-            (1u128 << (level + 1)) - raw
-        } else {
-            raw
-        };
-        signed << (k - level - 1)
-    }
-
-    /// [`Bbdd::sat_edge`] with a budget checkpoint at every memo miss.
-    fn try_sat_edge(
-        &self,
-        e: Edge,
-        k: u32,
-        memo: &mut HashMap<u32, u128>,
-        budget: &mut OpBudget,
-    ) -> Result<u128, OpAbort> {
-        if e.is_constant() {
-            return Ok(if e == Edge::ONE { 1u128 << k } else { 0 });
-        }
-        let id = e.node();
-        let level = self.node(id).level() as u32;
-        debug_assert!(level < k);
-        let raw = if let Some(&r) = memo.get(&id) {
-            r
-        } else {
-            budget.checkpoint()?;
-            let n = *self.node(id);
-            let r = self.try_sat_edge(n.neq(), level, memo, budget)?
-                + self.try_sat_edge(n.eq(), level, memo, budget)?;
-            memo.insert(id, r);
-            r
-        };
-        let signed = if e.is_complemented() {
-            (1u128 << (level + 1)) - raw
-        } else {
-            raw
-        };
-        Ok(signed << (k - level - 1))
+        walk::sat_fraction(self, f)
     }
 
     /// The cofactor `f|_{var = value}` (single-variable restriction).
@@ -371,6 +245,29 @@ impl Bbdd {
             }
         }
         out
+    }
+}
+
+/// The walks' view of the arena: words `(neq, eq, meta)`, the level in
+/// the meta word's low 16 bits; a level-`ℓ` node ranges over `ℓ + 1` vars.
+impl NodeGraph for Bbdd {
+    #[inline]
+    fn node_slots(&self) -> u32 {
+        u32::try_from(self.nodes.len()).expect("arena fits u32")
+    }
+
+    #[inline]
+    fn node_words(&self, id: u32) -> (u32, u32, u32) {
+        self.nodes[id as usize].words()
+    }
+
+    #[inline]
+    fn universe(&self, meta: u32) -> u32 {
+        u32::from(meta as u16) + 1
+    }
+
+    fn walk_scratch(&self) -> &WalkScratch {
+        &self.walk
     }
 }
 

@@ -114,16 +114,6 @@ impl NodeShape for Bbdd {
     const APPLY_SECOND_FIRST: bool = true;
 
     #[inline]
-    fn node_slots(&self) -> u32 {
-        u32::try_from(self.nodes.len()).expect("arena fits u32")
-    }
-
-    #[inline]
-    fn node_words(&self, id: u32) -> (u32, u32, u32) {
-        self.nodes[id as usize].words()
-    }
-
-    #[inline]
     fn peek(&self, key: &LevelKey) -> Option<u32> {
         self.subtables[key.level as usize].peek(&key.key)
     }

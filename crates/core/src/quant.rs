@@ -566,7 +566,7 @@ impl Bbdd {
     /// at `u128::MAX` there. This is harmless for enumeration (`limit` is a
     /// `usize`, far below the saturation point), but it is the same
     /// boundary at which [`Bbdd::sat_count`] refuses to answer — use
-    /// [`Bbdd::sat_count_checked`] for a non-panicking count.
+    /// `RawManager::sat_count_checked_edge` for a non-panicking count.
     ///
     /// ```
     /// use bbdd::Bbdd;

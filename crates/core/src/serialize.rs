@@ -19,6 +19,7 @@
 
 use crate::edge::Edge;
 use crate::manager::Bbdd;
+use ddcore::walk;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -111,23 +112,8 @@ impl Bbdd {
 
         // Collect reachable nodes, emitted bottom-up (children first).
         let mut nodes: Vec<u32> = Vec::new();
-        {
-            let mut seen = std::collections::HashSet::new();
-            let mut stack: Vec<u32> = roots.iter().filter_map(|e| self.edge_id(*e)).collect();
-            while let Some(id) = stack.pop() {
-                if !seen.insert(id) {
-                    continue;
-                }
-                nodes.push(id);
-                let info = self.node_info(Edge::new(id, false)).expect("reachable");
-                for child in [info.neq, info.eq] {
-                    if let Some(c) = self.edge_id(child) {
-                        stack.push(c);
-                    }
-                }
-            }
-            nodes.sort_by_key(|&id| self.node_info(Edge::new(id, false)).expect("node").level);
-        }
+        walk::visit(self, roots, usize::MAX, |id, _| nodes.push(id));
+        nodes.sort_by_key(|&id| self.node_info(Edge::new(id, false)).expect("node").level);
         let fmt_edge = |e: Edge| -> String {
             // `edge_id` is `None` exactly for constants, which the format
             // encodes as the sink id 0; every non-constant edge written

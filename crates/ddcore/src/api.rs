@@ -199,19 +199,29 @@ pub trait RawManager: Sized {
     /// Evaluate `f` under a full assignment.
     fn eval_edge(&self, f: Self::Edge, assignment: &[bool]) -> bool;
 
-    /// Exact number of satisfying assignments over all variables.
-    fn sat_count_edge(&self, f: Self::Edge) -> u128;
-
-    /// [`RawManager::sat_count_edge`], or `None` when the count could
-    /// overflow `u128` (more than 127 variables). `Some` values are exact.
-    fn sat_count_checked_edge(&self, f: Self::Edge) -> Option<u128>;
-
-    /// [`RawManager::sat_count_edge`] under a resource budget. Counting
-    /// allocates no nodes, so an abort leaves no trace in the manager.
+    /// Exact number of satisfying assignments over all variables under a
+    /// budget — the one counting primitive the other forms derive from.
+    /// Counting allocates no nodes, so an abort leaves no trace.
     ///
     /// # Errors
     /// The budget's abort reason.
+    ///
+    /// # Panics
+    /// Implementations panic beyond 127 variables (the count could
+    /// overflow `u128`).
     fn try_sat_count_edge(&self, f: Self::Edge, budget: &mut OpBudget) -> Result<u128, OpAbort>;
+
+    /// [`RawManager::try_sat_count_edge`] without a budget (same panics).
+    fn sat_count_edge(&self, f: Self::Edge) -> u128 {
+        self.try_sat_count_edge(f, &mut OpBudget::unlimited())
+            .expect("unlimited budget never aborts")
+    }
+
+    /// [`RawManager::sat_count_edge`], or `None` when the count could
+    /// overflow `u128` (more than 127 variables). `Some` values are exact.
+    fn sat_count_checked_edge(&self, f: Self::Edge) -> Option<u128> {
+        (self.num_vars() <= 127).then(|| self.sat_count_edge(f))
+    }
 
     /// [`RawManager::sat_count_edge`] taken over a caller-declared
     /// variable universe `0..n_vars` instead of the manager's own
@@ -231,17 +241,8 @@ pub trait RawManager: Sized {
     /// `n_vars > 127`, `num_vars() > 127`, or the function depends on a
     /// variable outside `0..n_vars`. `Some` values are always exact.
     fn sat_count_over_edge(&mut self, f: Self::Edge, n_vars: usize) -> Option<u128> {
-        let m = self.num_vars();
-        if n_vars > 127 || (n_vars < m && self.support_edge(f).iter().any(|&v| v >= n_vars)) {
-            return None;
-        }
-        let c = self.sat_count_checked_edge(f)?;
-        // `c ≤ 2^m` and `n_vars ≤ 127`, so the left shift cannot overflow.
-        Some(if n_vars >= m {
-            c << (n_vars - m)
-        } else {
-            c >> (m - n_vars)
-        })
+        self.try_sat_count_over_edge(f, n_vars, &mut OpBudget::unlimited())
+            .expect("unlimited budget never aborts")
     }
 
     /// [`RawManager::sat_count_over_edge`] under a resource budget.
@@ -264,6 +265,7 @@ pub trait RawManager: Sized {
             return Ok(None);
         }
         let c = self.try_sat_count_edge(f, budget)?;
+        // `c ≤ 2^m` and `n_vars ≤ 127`, so the left shift cannot overflow.
         Ok(Some(if n_vars >= m {
             c << (n_vars - m)
         } else {
@@ -278,7 +280,9 @@ pub trait RawManager: Sized {
     fn all_sat_edge(&self, f: Self::Edge, limit: usize) -> Vec<Vec<bool>>;
 
     /// Nodes reachable from `f`.
-    fn node_count_edge(&self, f: Self::Edge) -> usize;
+    fn node_count_edge(&self, f: Self::Edge) -> usize {
+        self.shared_node_count_edges(&[f])
+    }
 
     /// Nodes reachable from any of `roots` (shared nodes counted once).
     fn shared_node_count_edges(&self, roots: &[Self::Edge]) -> usize;

@@ -170,7 +170,11 @@ impl OpBudget {
     /// [`OpBudget::with_deadline`] at `now + limit`.
     #[must_use]
     pub fn with_deadline_in(self, limit: Duration) -> Self {
-        self.with_deadline(Instant::now() + limit)
+        // A limit past the clock's range is no deadline at all.
+        match Instant::now().checked_add(limit) {
+            Some(deadline) => self.with_deadline(deadline),
+            None => self,
+        }
     }
 
     /// Attach a cancellation token (cloned; the caller keeps the original

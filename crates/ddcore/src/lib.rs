@@ -49,6 +49,10 @@
 //! `trace_event` JSON, and per-op profiling histograms — all zero-cost
 //! when disabled.
 //!
+//! The [`walk`] module writes the read-only walks (node and model
+//! counting, profiles, DOT, the cutoff probe) once, over one per-manager
+//! visit scratch instead of a hash table per call.
+//!
 //! The [`session`] module is the MVCC serving layer built over the same
 //! frozen-base / overlay / deterministic-commit design the parallel
 //! managers use per operation: immutable `Arc`-shared base snapshots
@@ -75,6 +79,7 @@ pub mod roots;
 pub mod session;
 pub mod stats;
 pub mod table;
+pub mod walk;
 
 pub use api::{BooleanFunction, Function, FunctionManager, ManagerRef, RawManager};
 pub use boolop::{BoolOp, Unary};
@@ -98,3 +103,4 @@ pub use session::{
 };
 pub use stats::TableStats;
 pub use table::{BucketTable, OpenTable, UniqueTable, NIL};
+pub use walk::{NodeGraph, WalkScratch};

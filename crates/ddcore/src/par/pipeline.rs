@@ -44,13 +44,14 @@ use super::{
 use crate::api::RawManager;
 use crate::boolop::{BoolOp, Unary};
 use crate::dvo::{DvoPolicy, DvoStrategy};
-use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::fxhash::FxHashMap;
 use crate::govern::{OpAbort, OpBudget};
 use crate::obs::{self, MetricsSnapshot, Op};
 use crate::optag;
 use crate::roots::{RootGuard, RootSet};
 use crate::session::SessionBackend;
 use crate::table::TableKey;
+use crate::walk::{self, NodeGraph};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const UNLIMITED: &str = "unlimited budget never aborts";
@@ -103,18 +104,19 @@ pub trait PackedEdge:
 /// What [`Par`] needs from a sequential manager: how its nodes decompose
 /// and how the overlay and the base build them.
 ///
-/// A node is three words `(first, second, meta)`: the packed child edges in
-/// `make_node` argument order and a meta word whose low 16 bits are the
-/// node's *top* — the index the manager's per-level unique tables use (the
-/// BBDD level, the ROBDD variable). Overlay records use the same words, so
-/// the pipeline reads base and overlay nodes alike.
+/// A node is the three [`NodeGraph`] words `(first, second, meta)`: the
+/// packed child edges in `make_node` argument order and a meta word whose
+/// low 16 bits are the node's *top* — the index the manager's per-level
+/// unique tables use (the BBDD level, the ROBDD variable). Overlay records
+/// use the same words, so the pipeline reads base and overlay nodes alike;
+/// node ids at or above [`NodeGraph::node_slots`] live in the overlay.
 ///
 /// Cofactor pairs are returned in `make_node` order too. The quantifying
 /// recursions evaluate the first before the second; apply and ite, their
 /// split and the combine-tree resolve follow
 /// [`NodeShape::APPLY_SECOND_FIRST`]. Keeping each backend's order keeps
 /// every node id it produced before the pipeline was shared.
-pub trait NodeShape: RawManager<Edge: PackedEdge> + Sync {
+pub trait NodeShape: RawManager<Edge: PackedEdge> + NodeGraph + Sync {
     /// Overlay unique-table key: a node's top plus its per-top table key,
     /// one key space across all tops.
     type Key: TableKey + Send + std::fmt::Debug;
@@ -125,12 +127,6 @@ pub trait NodeShape: RawManager<Edge: PackedEdge> + Sync {
     /// Do apply/ite (and the resolve of their combine tree) recurse into
     /// the second cofactor before the first?
     const APPLY_SECOND_FIRST: bool;
-
-    /// Arena slots in use: node ids at or above this live in the overlay.
-    fn node_slots(&self) -> u32;
-
-    /// The words of stored node `id` (see the trait docs).
-    fn node_words(&self, id: u32) -> (u32, u32, u32);
 
     /// Read-only lookup of an overlay key in the base unique tables.
     fn peek(&self, key: &Self::Key) -> Option<u32>;
@@ -898,8 +894,6 @@ pub struct Par<M: NodeShape> {
     cfg: ParConfig,
     frame: OverlayFrame<M::Key>,
     stats: ParStats,
-    /// Reused size-probe scratch (the cutoff check).
-    probe: FxHashSet<u32>,
 }
 
 impl<M: NodeShape> Par<M> {
@@ -944,7 +938,6 @@ impl<M: NodeShape> Par<M> {
             inner,
             frame: OverlayFrame::new(&cfg),
             stats: ParStats::default(),
-            probe: FxHashSet::default(),
             cfg,
         }
     }
@@ -1110,35 +1103,12 @@ impl<M: NodeShape> Par<M> {
     /// cutoff. Walks at most `cutoff` nodes (early exit), so the probe
     /// costs a bounded fraction of the operation it gates; crucially it
     /// depends only on the operands, never on the thread count.
-    fn worth_splitting(&mut self, roots: &[M::Edge]) -> bool {
+    fn worth_splitting(&self, roots: &[M::Edge]) -> bool {
         if self.cfg.cutoff == 0 {
             return true;
         }
-        if self.inner.live_nodes() < self.cfg.cutoff {
-            return false;
-        }
-        let probe = &mut self.probe;
-        probe.clear();
-        let mut stack: Vec<u32> = roots
-            .iter()
-            .filter(|e| !e.is_constant())
-            .map(|e| e.node())
-            .collect();
-        while let Some(id) = stack.pop() {
-            if !probe.insert(id) {
-                continue;
-            }
-            if probe.len() >= self.cfg.cutoff {
-                return true;
-            }
-            let (a, b, _) = self.inner.node_words(id);
-            for child in [M::Edge::from_bits(a), M::Edge::from_bits(b)] {
-                if !child.is_constant() {
-                    stack.push(child.node());
-                }
-            }
-        }
-        false
+        self.inner.live_nodes() >= self.cfg.cutoff
+            && walk::visit(&self.inner, roots, self.cfg.cutoff, |_, _| {}) >= self.cfg.cutoff
     }
 
     fn split_depth(&self) -> u16 {
@@ -1466,14 +1436,6 @@ impl<M: NodeShape> RawManager for Par<M> {
         self.inner.eval_edge(f, assignment)
     }
 
-    fn sat_count_edge(&self, f: M::Edge) -> u128 {
-        self.inner.sat_count_edge(f)
-    }
-
-    fn sat_count_checked_edge(&self, f: M::Edge) -> Option<u128> {
-        self.inner.sat_count_checked_edge(f)
-    }
-
     fn try_sat_count_edge(&self, f: M::Edge, budget: &mut OpBudget) -> Result<u128, OpAbort> {
         self.inner.try_sat_count_edge(f, budget)
     }
@@ -1484,10 +1446,6 @@ impl<M: NodeShape> RawManager for Par<M> {
 
     fn all_sat_edge(&self, f: M::Edge, limit: usize) -> Vec<Vec<bool>> {
         self.inner.all_sat_edge(f, limit)
-    }
-
-    fn node_count_edge(&self, f: M::Edge) -> usize {
-        self.inner.node_count_edge(f)
     }
 
     fn shared_node_count_edges(&self, roots: &[M::Edge]) -> usize {

@@ -269,6 +269,10 @@ fn lex(text: &str) -> Result<Vec<(usize, Tok)>, VerilogError> {
 }
 
 /// An expression tree prior to network emission.
+///
+/// A run of one precedence's binary operators (`a & b & c`) is one flat
+/// [`Expr::Chain`]: it emits the gates a left-deep tree would, but walks
+/// over it loop instead of recursing, so its length costs no stack.
 #[derive(Debug, Clone)]
 enum Expr {
     Ref(String),
@@ -276,6 +280,8 @@ enum Expr {
     Not(Box<Expr>),
     Nary(GateOp, Vec<Expr>),
     Mux(Box<Expr>, Box<Expr>, Box<Expr>),
+    /// `((first op₁ e₁) op₂ e₂) …`
+    Chain(Box<Expr>, Vec<(GateOp, Expr)>),
 }
 
 impl Expr {
@@ -293,6 +299,12 @@ impl Expr {
                 s.free_names(out);
                 a.free_names(out);
                 b.free_names(out);
+            }
+            Expr::Chain(first, rest) => {
+                first.free_names(out);
+                for (_, e) in rest {
+                    e.free_names(out);
+                }
             }
         }
     }
@@ -379,43 +391,43 @@ impl Parser {
     }
 
     fn or_expr(&mut self) -> Result<Expr, VerilogError> {
-        let mut lhs = self.xor_expr()?;
-        while matches!(self.peek(), Some(Tok::Sym('|'))) {
-            self.bump();
-            let rhs = self.xor_expr()?;
-            lhs = Expr::Nary(GateOp::Or, vec![lhs, rhs]);
-        }
-        Ok(lhs)
+        self.chain(Self::xor_expr, |t| {
+            matches!(t, Tok::Sym('|')).then_some(GateOp::Or)
+        })
     }
 
     fn xor_expr(&mut self) -> Result<Expr, VerilogError> {
-        let mut lhs = self.and_expr()?;
-        loop {
-            match self.peek() {
-                Some(Tok::Sym('^')) => {
-                    self.bump();
-                    let rhs = self.and_expr()?;
-                    lhs = Expr::Nary(GateOp::Xor, vec![lhs, rhs]);
-                }
-                Some(Tok::Xnor) => {
-                    self.bump();
-                    let rhs = self.and_expr()?;
-                    lhs = Expr::Nary(GateOp::Xnor, vec![lhs, rhs]);
-                }
-                _ => break,
-            }
-        }
-        Ok(lhs)
+        self.chain(Self::and_expr, |t| match t {
+            Tok::Sym('^') => Some(GateOp::Xor),
+            Tok::Xnor => Some(GateOp::Xnor),
+            _ => None,
+        })
     }
 
     fn and_expr(&mut self) -> Result<Expr, VerilogError> {
-        let mut lhs = self.unary()?;
-        while matches!(self.peek(), Some(Tok::Sym('&'))) {
+        self.chain(Self::unary, |t| {
+            matches!(t, Tok::Sym('&')).then_some(GateOp::And)
+        })
+    }
+
+    /// One precedence level: `operand (op operand)*`, left-associative,
+    /// as a flat [`Expr::Chain`].
+    fn chain(
+        &mut self,
+        operand: fn(&mut Self) -> Result<Expr, VerilogError>,
+        op_of: fn(&Tok) -> Option<GateOp>,
+    ) -> Result<Expr, VerilogError> {
+        let first = operand(self)?;
+        let mut rest = Vec::new();
+        while let Some(op) = self.peek().and_then(op_of) {
             self.bump();
-            let rhs = self.unary()?;
-            lhs = Expr::Nary(GateOp::And, vec![lhs, rhs]);
+            rest.push((op, operand(self)?));
         }
-        Ok(lhs)
+        Ok(if rest.is_empty() {
+            first
+        } else {
+            Expr::Chain(Box::new(first), rest)
+        })
     }
 
     fn unary(&mut self) -> Result<Expr, VerilogError> {
@@ -493,7 +505,6 @@ pub fn parse_verilog(text: &str) -> Result<Network, VerilogError> {
     let mut inputs: Vec<String> = Vec::new();
     let mut outputs: Vec<String> = Vec::new();
     let mut defs: Vec<Def> = Vec::new();
-    let mut gate_counter = 0usize;
 
     loop {
         let line = p.line();
@@ -536,8 +547,6 @@ pub fn parse_verilog(text: &str) -> Result<Network, VerilogError> {
                 if matches!(p.peek(), Some(Tok::Ident(_))) {
                     let _ = p.bump();
                 }
-                gate_counter += 1;
-                let _ = gate_counter;
                 p.expect_sym('(')?;
                 let out = p.expect_ident()?;
                 let mut ins: Vec<Expr> = Vec::new();
@@ -590,6 +599,14 @@ pub fn parse_verilog(text: &str) -> Result<Network, VerilogError> {
             });
         }
     }
+    let free: Vec<Vec<&str>> = defs
+        .iter()
+        .map(|d| {
+            let mut names = Vec::new();
+            d.expr.free_names(&mut names);
+            names
+        })
+        .collect();
     let mut order: Vec<usize> = Vec::with_capacity(defs.len());
     let mut state = vec![0u8; defs.len()];
     for start in 0..defs.len() {
@@ -599,8 +616,7 @@ pub fn parse_verilog(text: &str) -> Result<Network, VerilogError> {
         let mut stack = vec![(start, 0usize)];
         state[start] = 1;
         while let Some(&mut (node, ref mut dep)) = stack.last_mut() {
-            let mut names = Vec::new();
-            defs[node].expr.free_names(&mut names);
+            let names = &free[node];
             if *dep < names.len() {
                 let nm = names[*dep];
                 *dep += 1;
@@ -688,6 +704,14 @@ fn emit_expr(net: &mut Network, e: &Expr, line: usize) -> Result<Signal, Verilog
             let bb = emit_expr(net, b, line)?;
             Ok(net.add_gate(GateOp::Mux, &[ss, aa, bb]))
         }
+        Expr::Chain(first, rest) => {
+            let mut acc = emit_expr(net, first, line)?;
+            for (op, e) in rest {
+                let s = emit_expr(net, e, line)?;
+                acc = net.add_gate(*op, &[acc, s]);
+            }
+            Ok(acc)
+        }
     }
 }
 
@@ -697,6 +721,26 @@ mod tests {
 
     fn assign_module(expr: &str) -> String {
         format!("module m (a, y);\n  input a;\n  output y;\n  assign y = {expr};\nendmodule\n")
+    }
+
+    #[test]
+    fn long_operator_chains_parse_and_build() {
+        use crate::build::build_network;
+        use ddcore::api::BooleanFunction;
+        let n = 100_000;
+        let expr = format!("{}a", "a & ".repeat(n - 1));
+        let net = parse_verilog(&assign_module(&expr)).unwrap();
+        assert_eq!(net.simulate(&[true]), vec![true]);
+        assert_eq!(net.simulate(&[false]), vec![false]);
+        let mgr = bbdd::BbddManager::with_vars(1);
+        let outs = build_network(&mgr, &net);
+        assert_eq!(outs[0].sat_count(), 1);
+        // Mixed operators of one precedence fold left: each `^ a ~^ a`
+        // negates what came before, and the count of pairs is even.
+        let mixed = format!("a{}", " ^ a ~^ a".repeat(n / 2));
+        let net = parse_verilog(&assign_module(&mixed)).unwrap();
+        assert_eq!(net.simulate(&[true]), vec![true]);
+        assert_eq!(net.simulate(&[false]), vec![false]);
     }
 
     #[test]

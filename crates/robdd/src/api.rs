@@ -23,6 +23,7 @@ use ddcore::api::{ManagerRef, RawManager};
 use ddcore::boolop::BoolOp;
 use ddcore::govern::{OpAbort, OpBudget};
 use ddcore::roots::{RootGuard, RootSet};
+use ddcore::walk;
 
 /// The trait-level ROBDD manager.
 pub type RobddManager = ManagerRef<Robdd>;
@@ -161,16 +162,8 @@ impl RawManager for Robdd {
         self.eval(f, assignment)
     }
 
-    fn sat_count_edge(&self, f: Edge) -> u128 {
-        self.sat_count(f)
-    }
-
-    fn sat_count_checked_edge(&self, f: Edge) -> Option<u128> {
-        self.sat_count_checked(f)
-    }
-
     fn try_sat_count_edge(&self, f: Edge, budget: &mut OpBudget) -> Result<u128, OpAbort> {
-        self.try_sat_count(f, budget)
+        walk::try_sat_count(self, f, self.num_vars(), budget)
     }
 
     fn any_sat_edge(&self, f: Edge) -> Option<Vec<bool>> {
@@ -179,10 +172,6 @@ impl RawManager for Robdd {
 
     fn all_sat_edge(&self, f: Edge, limit: usize) -> Vec<Vec<bool>> {
         self.all_sat(f, limit)
-    }
-
-    fn node_count_edge(&self, f: Edge) -> usize {
-        self.node_count(f)
     }
 
     fn shared_node_count_edges(&self, roots: &[Edge]) -> usize {
@@ -197,8 +186,13 @@ impl RawManager for Robdd {
         self.to_dot(roots, names)
     }
 
+    /// Internal nodes per top-based order position.
     fn level_profile_edges(&self, roots: &[Edge]) -> Option<Vec<usize>> {
-        Some(self.level_profile(roots))
+        let mut profile = vec![0; self.num_vars()];
+        walk::visit(self, roots, usize::MAX, |_, (_, _, meta)| {
+            profile[self.position_of(usize::from(meta as u16))] += 1;
+        });
+        Some(profile)
     }
 
     fn after_op(&mut self) {

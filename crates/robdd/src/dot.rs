@@ -3,8 +3,7 @@
 
 use crate::edge::Edge;
 use crate::manager::Robdd;
-use std::collections::HashSet;
-use std::fmt::Write as _;
+use ddcore::walk;
 
 impl Robdd {
     /// Render the diagrams rooted at `roots` as a DOT digraph. Solid
@@ -12,62 +11,9 @@ impl Robdd {
     /// complement attributes.
     #[must_use]
     pub fn to_dot(&self, roots: &[Edge], names: &[&str]) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "digraph robdd {{");
-        let _ = writeln!(out, "  rankdir=TB;");
-        let _ = writeln!(out, "  node [shape=circle, fontsize=10];");
-        let _ = writeln!(out, "  one [shape=box, label=\"1\"];");
-        let mut seen: HashSet<u32> = HashSet::new();
-        let mut stack: Vec<u32> = Vec::new();
-        for (i, r) in roots.iter().enumerate() {
-            let name = names.get(i).copied().unwrap_or("");
-            let label = if name.is_empty() {
-                format!("f{i}")
-            } else {
-                name.to_string()
-            };
-            let _ = writeln!(out, "  root{i} [shape=plaintext, label=\"{label}\"];");
-            let style = if r.is_complemented() {
-                ", style=dotted, color=red"
-            } else {
-                ""
-            };
-            if r.is_constant() {
-                let _ = writeln!(out, "  root{i} -> one [arrowhead=none{style}];");
-            } else {
-                let _ = writeln!(out, "  root{i} -> n{} [arrowhead=none{style}];", r.node());
-                stack.push(r.node());
-            }
-        }
-        while let Some(id) = stack.pop() {
-            if !seen.insert(id) {
-                continue;
-            }
-            let n = self.node(id);
-            let _ = writeln!(out, "  n{id} [label=\"x{}\"];", n.var());
-            for (child, dashed) in [(n.then_(), false), (n.else_(), true)] {
-                let mut attrs = Vec::new();
-                if dashed {
-                    attrs.push("style=dashed");
-                }
-                if child.is_complemented() {
-                    attrs.push("color=red");
-                }
-                let attr_s = if attrs.is_empty() {
-                    String::new()
-                } else {
-                    format!(" [{}]", attrs.join(", "))
-                };
-                if child.is_constant() {
-                    let _ = writeln!(out, "  n{id} -> one{attr_s};");
-                } else {
-                    let _ = writeln!(out, "  n{id} -> n{}{attr_s};", child.node());
-                    stack.push(child.node());
-                }
-            }
-        }
-        let _ = writeln!(out, "}}");
-        out
+        walk::to_dot(self, "robdd", roots, names, false, |id| {
+            format!("x{}", self.node(id).var())
+        })
     }
 
     /// One satisfying assignment of `f`, or `None` if unsatisfiable.

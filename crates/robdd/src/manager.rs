@@ -102,6 +102,8 @@ pub struct Robdd {
     /// Governed-operation accounting (the `govern.*` metrics section),
     /// fed by the generic handle layer via `RawManager::note_governed`.
     pub(crate) govern: ddcore::obs::GovernCounters,
+    /// Visit scratch of the read-only walks; a fork starts with a new one.
+    pub(crate) walk: ddcore::walk::WalkScratch,
 }
 
 impl Robdd {
@@ -131,6 +133,7 @@ impl Robdd {
             gc_latch: ddcore::roots::GcLatch::default(),
             dvo: ddcore::dvo::DvoState::default(),
             govern: ddcore::obs::GovernCounters::default(),
+            walk: ddcore::walk::WalkScratch::default(),
         }
     }
 
@@ -156,6 +159,7 @@ impl Robdd {
             gc_latch: ddcore::roots::GcLatch::default(),
             dvo: ddcore::dvo::DvoState::default(),
             govern: ddcore::obs::GovernCounters::default(),
+            walk: ddcore::walk::WalkScratch::default(),
         }
     }
 
@@ -323,33 +327,6 @@ impl Robdd {
             then_: n.then_(),
             else_: n.else_(),
         })
-    }
-
-    /// Number of internal nodes at each top-based order position for the
-    /// diagrams rooted at `roots` — the level profile reported by package
-    /// log output (feature parity with `bbdd`'s bottom-based profile).
-    #[must_use]
-    pub fn level_profile(&self, roots: &[Edge]) -> Vec<usize> {
-        let mut profile = vec![0usize; self.num_vars()];
-        let mut seen = std::collections::HashSet::new();
-        let mut stack: Vec<u32> = roots
-            .iter()
-            .filter(|e| !e.is_constant())
-            .map(|e| e.node())
-            .collect();
-        while let Some(id) = stack.pop() {
-            if !seen.insert(id) {
-                continue;
-            }
-            let n = self.node(id);
-            profile[self.pos_of_var[n.var() as usize] as usize] += 1;
-            for child in [n.then_(), n.else_()] {
-                if !child.is_constant() {
-                    stack.push(child.node());
-                }
-            }
-        }
-        profile
     }
 
     #[inline]

@@ -4,8 +4,9 @@
 
 use crate::edge::Edge;
 use crate::manager::Robdd;
-use ddcore::govern::{OpAbort, OpBudget};
-use std::collections::{HashMap, HashSet};
+use ddcore::api::RawManager;
+use ddcore::walk::{self, NodeGraph, WalkScratch};
+use std::collections::HashMap;
 
 impl Robdd {
     /// Evaluate `f` under a complete assignment.
@@ -43,122 +44,17 @@ impl Robdd {
     /// Distinct internal nodes reachable from any root (shared size).
     #[must_use]
     pub fn shared_node_count(&self, roots: &[Edge]) -> usize {
-        let mut seen = ddcore::fxhash::FxHashSet::<u32>::default();
-        let mut stack: Vec<u32> = roots
-            .iter()
-            .filter(|e| !e.is_constant())
-            .map(|e| e.node())
-            .collect();
-        while let Some(id) = stack.pop() {
-            if !seen.insert(id) {
-                continue;
-            }
-            let n = self.node(id);
-            for child in [n.then_(), n.else_()] {
-                if !child.is_constant() {
-                    stack.push(child.node());
-                }
-            }
-        }
-        seen.len()
+        walk::shared_node_count(self, roots)
     }
 
     /// Number of satisfying assignments over all variables.
     ///
     /// # Panics
-    /// Panics if `num_vars() > 127`. For a non-panicking variant see
-    /// [`Robdd::sat_count_checked`].
+    /// Panics if `num_vars() > 127`. The budgeted and checked forms are
+    /// the `RawManager` counting methods.
     #[must_use]
     pub fn sat_count(&self, f: Edge) -> u128 {
-        let n = self.num_vars();
-        assert!(n <= 127, "sat_count overflows u128 beyond 127 variables");
-        let mut memo: HashMap<u32, u128> = HashMap::new();
-        self.sat_edge(f, n as u32, &mut memo)
-    }
-
-    /// [`Robdd::sat_count`], or `None` when the manager has more than 127
-    /// variables (the count could overflow `u128`; `Some` values are
-    /// always exact).
-    #[must_use]
-    pub fn sat_count_checked(&self, f: Edge) -> Option<u128> {
-        if self.num_vars() > 127 {
-            None
-        } else {
-            Some(self.sat_count(f))
-        }
-    }
-
-    /// [`Robdd::sat_count`] under a resource budget, polled at every
-    /// memo-miss. Counting allocates no nodes; an abort leaves no trace.
-    ///
-    /// # Errors
-    /// The budget's abort reason.
-    ///
-    /// # Panics
-    /// Panics if `num_vars() > 127`, like [`Robdd::sat_count`].
-    pub fn try_sat_count(&self, f: Edge, budget: &mut OpBudget) -> Result<u128, OpAbort> {
-        let n = self.num_vars();
-        assert!(n <= 127, "sat_count overflows u128 beyond 127 variables");
-        let mut memo: HashMap<u32, u128> = HashMap::new();
-        self.try_sat_edge(f, n as u32, &mut memo, budget)
-    }
-
-    /// Count of `e` over the `k` variables strictly below its reference
-    /// point in the order.
-    fn sat_edge(&self, e: Edge, k: u32, memo: &mut HashMap<u32, u128>) -> u128 {
-        if e.is_constant() {
-            return if e == Edge::ONE { 1u128 << k } else { 0 };
-        }
-        let id = e.node();
-        let n = *self.node(id);
-        // Universe of the node: its variable plus everything below it.
-        let u = (self.num_vars() - self.pos_of_var[n.var() as usize] as usize) as u32;
-        debug_assert!(u <= k);
-        let raw = if let Some(&r) = memo.get(&id) {
-            r
-        } else {
-            let r = self.sat_edge(n.then_(), u - 1, memo) + self.sat_edge(n.else_(), u - 1, memo);
-            memo.insert(id, r);
-            r
-        };
-        let adjusted = if e.is_complemented() {
-            (1u128 << u) - raw
-        } else {
-            raw
-        };
-        adjusted << (k - u)
-    }
-
-    /// [`Robdd::sat_edge`] with a budget checkpoint at every memo miss.
-    fn try_sat_edge(
-        &self,
-        e: Edge,
-        k: u32,
-        memo: &mut HashMap<u32, u128>,
-        budget: &mut OpBudget,
-    ) -> Result<u128, OpAbort> {
-        if e.is_constant() {
-            return Ok(if e == Edge::ONE { 1u128 << k } else { 0 });
-        }
-        let id = e.node();
-        let n = *self.node(id);
-        let u = (self.num_vars() - self.pos_of_var[n.var() as usize] as usize) as u32;
-        debug_assert!(u <= k);
-        let raw = if let Some(&r) = memo.get(&id) {
-            r
-        } else {
-            budget.checkpoint()?;
-            let r = self.try_sat_edge(n.then_(), u - 1, memo, budget)?
-                + self.try_sat_edge(n.else_(), u - 1, memo, budget)?;
-            memo.insert(id, r);
-            r
-        };
-        let adjusted = if e.is_complemented() {
-            (1u128 << u) - raw
-        } else {
-            raw
-        };
-        Ok(adjusted << (k - u))
+        self.sat_count_edge(f)
     }
 
     /// The cofactor `f|_{var = value}`.
@@ -213,28 +109,11 @@ impl Robdd {
     /// structural support is the semantic support.
     #[must_use]
     pub fn support(&self, f: Edge) -> Vec<usize> {
-        let mut vars: HashSet<usize> = HashSet::new();
-        let mut seen: HashSet<u32> = HashSet::new();
-        let mut stack: Vec<u32> = if f.is_constant() {
-            Vec::new()
-        } else {
-            vec![f.node()]
-        };
-        while let Some(id) = stack.pop() {
-            if !seen.insert(id) {
-                continue;
-            }
-            let n = self.node(id);
-            vars.insert(n.var() as usize);
-            for child in [n.then_(), n.else_()] {
-                if !child.is_constant() {
-                    stack.push(child.node());
-                }
-            }
-        }
-        let mut out: Vec<usize> = vars.into_iter().collect();
-        out.sort_unstable();
-        out
+        let mut used = vec![false; self.num_vars()];
+        walk::visit(self, &[f], usize::MAX, |_, (_, _, meta)| {
+            used[meta as u16 as usize] = true;
+        });
+        (0..used.len()).filter(|&v| used[v]).collect()
     }
 
     /// Packed truth table (same convention as the BBDD package).
@@ -258,6 +137,29 @@ impl Robdd {
             }
         }
         out
+    }
+}
+
+/// The walks' view of the arena: words `(then, else, meta)`, the variable
+/// in the meta word's low 16 bits; a node ranges over it and all below.
+impl NodeGraph for Robdd {
+    #[inline]
+    fn node_slots(&self) -> u32 {
+        u32::try_from(self.nodes.len()).expect("arena fits u32")
+    }
+
+    #[inline]
+    fn node_words(&self, id: u32) -> (u32, u32, u32) {
+        self.nodes[id as usize].words()
+    }
+
+    #[inline]
+    fn universe(&self, meta: u32) -> u32 {
+        (self.num_vars() - self.pos_of_var[meta as u16 as usize] as usize) as u32
+    }
+
+    fn walk_scratch(&self) -> &WalkScratch {
+        &self.walk
     }
 }
 

@@ -76,16 +76,6 @@ impl NodeShape for Robdd {
     const APPLY_SECOND_FIRST: bool = false;
 
     #[inline]
-    fn node_slots(&self) -> u32 {
-        u32::try_from(self.nodes.len()).expect("arena fits u32")
-    }
-
-    #[inline]
-    fn node_words(&self, id: u32) -> (u32, u32, u32) {
-        self.nodes[id as usize].words()
-    }
-
-    #[inline]
     fn peek(&self, key: &VarKey) -> Option<u32> {
         let k = BddKey::new(
             Edge::from_bits(key.then_bits),

@@ -509,7 +509,7 @@ impl Robdd {
     /// With 127 or more *free* (unconstrained) variables on a path the
     /// completion count saturates to `u128::MAX` instead of overflowing;
     /// enumeration is still bounded by `limit`, only the internal total is
-    /// clamped. See [`Robdd::sat_count_checked`] for the counting analogue.
+    /// clamped. See `RawManager::sat_count_checked_edge` for the counting analogue.
     ///
     /// ```
     /// use robdd::Robdd;

@@ -20,11 +20,13 @@
 
 use bbdd::Bbdd;
 use ddcore::api::FunctionManager;
+use ddcore::par::PackedEdge;
+use ddcore::walk;
 use logicnet::build::build_network;
 use logicnet::cec::{check_equivalence_bbdd, CecVerdict};
 use logicnet::{GateOp, Network, Signal};
 use robdd::Robdd;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// A manager whose diagrams can be dumped back as a gate-level network —
 /// the capability the manager-generic synthesis flow and the CLI are
@@ -158,21 +160,10 @@ pub fn bbdd_to_network(
 
     // Gather reachable nodes, sorted bottom-up so children exist first.
     let mut nodes: Vec<(u32, bbdd::Edge)> = Vec::new();
-    {
-        let mut seen: HashSet<u32> = HashSet::new();
-        let mut stack: Vec<bbdd::Edge> = roots.to_vec();
-        while let Some(e) = stack.pop() {
-            let Some(id) = mgr.edge_id(e) else { continue };
-            if !seen.insert(id) {
-                continue;
-            }
-            let info = mgr.node_info(e).expect("non-constant edge");
-            nodes.push((id, e.regular()));
-            stack.push(info.neq);
-            stack.push(info.eq);
-        }
-        nodes.sort_by_key(|&(_, e)| mgr.node_info(e).expect("node").level);
-    }
+    walk::visit(mgr, roots, usize::MAX, |id, _| {
+        nodes.push((id, bbdd::Edge::from_bits(id << 1)));
+    });
+    nodes.sort_by_key(|&(_, e)| mgr.node_info(e).expect("node").level);
 
     for (id, e) in nodes {
         let info = mgr.node_info(e).expect("node");
@@ -263,23 +254,12 @@ pub fn robdd_to_network(
     // Reachable nodes, children before parents: a node's children sit
     // strictly *below* it in the order, so descending position = bottom-up.
     let mut nodes: Vec<(u32, robdd::Edge)> = Vec::new();
-    {
-        let mut seen: HashSet<u32> = HashSet::new();
-        let mut stack: Vec<robdd::Edge> = roots.to_vec();
-        while let Some(e) = stack.pop() {
-            let Some(id) = mgr.edge_id(e) else { continue };
-            if !seen.insert(id) {
-                continue;
-            }
-            let info = mgr.node_info(e).expect("non-constant edge");
-            nodes.push((id, e.regular()));
-            stack.push(info.then_);
-            stack.push(info.else_);
-        }
-        nodes.sort_by_key(|&(_, e)| {
-            std::cmp::Reverse(mgr.position_of(mgr.node_info(e).expect("node").var))
-        });
-    }
+    walk::visit(mgr, roots, usize::MAX, |id, _| {
+        nodes.push((id, robdd::Edge::from_bits(id << 1)));
+    });
+    nodes.sort_by_key(|&(_, e)| {
+        std::cmp::Reverse(mgr.position_of(mgr.node_info(e).expect("node").var))
+    });
 
     for (id, e) in nodes {
         let info = mgr.node_info(e).expect("node");

@@ -25,7 +25,7 @@
 
 use bbdd::prelude::*;
 use bbdd_suite::serve::{
-    json_string, run_batch, serve_metrics, serve_tcp, ServeConfig, ServeOutcome,
+    json_string, serve_metrics, serve_stream, serve_tcp, ServeConfig, ServeOutcome,
 };
 use cnf::{CnfOrder, CountError, Schedule};
 use ddcore::dvo::DvoPolicy;
@@ -593,29 +593,23 @@ fn serve_run<B: SessionBackend>(backend: B, nets: &[&Network], o: &ServeOptions)
             }
         }
     } else {
-        let mut lines = Vec::new();
-        for line in std::io::stdin().lines() {
-            match line {
-                Ok(l) => lines.push(l),
-                Err(e) => {
-                    eprintln!("error: stdin: {e}");
-                    return ExitCode::FAILURE;
-                }
+        let (stdin, stdout) = (std::io::stdin(), std::io::stdout());
+        match serve_stream(&base, &cfg, &mut stdin.lock(), &mut stdout.lock()) {
+            Ok(out) => out,
+            Err(e) => {
+                eprintln!("error: stdin: {e}");
+                return ExitCode::FAILURE;
             }
         }
-        let out = run_batch(&base, &cfg, &lines);
-        for resp in &out.responses {
-            println!("{resp}");
-        }
-        out
     };
     eprintln!(
-        "[serve] {} requests over {} session(s): {} ok, {} rejected, {} aborted",
+        "[serve] {} requests over {} session(s): {} ok, {} rejected, {} aborted, {} read errors",
         outcome.requests,
         cfg.sessions.max(1),
         outcome.requests - outcome.rejected - outcome.aborted,
         outcome.rejected,
         outcome.aborted,
+        outcome.read_errors,
     );
     let m = serve_metrics(&base, &cfg, &outcome);
     if o.metrics {

@@ -43,7 +43,9 @@
 //! when the request's budget stopped the operation (the session and the
 //! shared base remain fully usable — a *partial verdict*, mirroring the
 //! CLI's exit-code-3 convention), and `{"id":…,"status":"error",…}` for
-//! malformed or unresolvable requests. `sat_count` and the CEC
+//! malformed or unresolvable requests — among them a `budget` field that
+//! is not a non-negative integer and a line longer than
+//! [`MAX_LINE_BYTES`]. `sat_count` and the CEC
 //! distinguishing count are decimal **strings** (they are `u128`; JSON
 //! numbers cannot carry them losslessly).
 //!
@@ -66,7 +68,7 @@ use ddcore::boolop::BoolOp;
 use ddcore::govern::{Admission, OpAbort};
 use ddcore::obs::MetricsSnapshot;
 use ddcore::session::{CecOutcome, Session, SessionBackend, SessionError, SharedBase};
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -174,6 +176,42 @@ pub fn json_string(s: &str) -> String {
 /// few levels; the cap keeps one hostile line from overflowing the stack
 /// of the thread serving every session.
 pub const MAX_JSON_DEPTH: usize = 128;
+
+/// Longest request line the front doors accept, in bytes without the
+/// line break. A longer line gets an `error` response; the readers keep
+/// at most two bytes more of any line and skip the rest, so one hostile
+/// line cannot make the server buffer it whole.
+pub const MAX_LINE_BYTES: usize = 4 << 20;
+
+/// Read one request line into `line` without its line break, keeping at
+/// most [`MAX_LINE_BYTES`] + 2 bytes of it. Returns `Ok(false)` at end of
+/// input.
+///
+/// # Errors
+/// The input's read error, or `InvalidData` for a line that is not UTF-8.
+fn read_request_line(input: &mut dyn BufRead, line: &mut String) -> std::io::Result<bool> {
+    let mut bytes = Vec::new();
+    let limit = MAX_LINE_BYTES as u64 + 2;
+    if (&mut *input).take(limit).read_until(b'\n', &mut bytes)? == 0 {
+        return Ok(false);
+    }
+    if bytes.last() == Some(&b'\n') {
+        bytes.pop();
+    } else if bytes.len() as u64 == limit {
+        input.skip_until(b'\n')?;
+    }
+    if bytes.last() == Some(&b'\r') {
+        bytes.pop();
+    }
+    *line = if bytes.len() > MAX_LINE_BYTES {
+        // Perhaps cut mid-character; it is rejected for its length anyway.
+        String::from_utf8_lossy(&bytes).into_owned()
+    } else {
+        String::from_utf8(bytes)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?
+    };
+    Ok(true)
+}
 
 /// Parse one JSON value from `text` (must consume the whole input up to
 /// trailing whitespace).
@@ -403,6 +441,9 @@ pub struct ServeOutcome {
     pub rejected: u64,
     /// Requests stopped by their budget (partial verdicts).
     pub aborted: u64,
+    /// TCP connections ended by a read error (a reset socket, a line
+    /// that is not UTF-8).
+    pub read_errors: u64,
     /// CNF front-door accounting for the `cnf.*` metrics section.
     pub cnf: CnfServeStats,
 }
@@ -451,6 +492,27 @@ enum Reply {
     Error(String),
 }
 
+/// The request's `budget` overrides `(nodes, ms)`: absent keeps the
+/// serve-wide limit, a non-negative integer replaces it, anything else is
+/// rejected by name (never silently unlimited).
+fn budget_limits(spec: Option<&Json>) -> Result<(Option<u64>, Option<u64>), Reply> {
+    let Some(spec) = spec else {
+        return Ok((None, None));
+    };
+    if !matches!(spec, Json::Obj(_)) {
+        return Err(Reply::Error("'budget' must be an object".into()));
+    }
+    let field = |key: &str| match spec.get(key) {
+        None => Ok(None),
+        Some(j) => j.as_u64().map(Some).ok_or_else(|| {
+            Reply::Error(format!(
+                "'budget.{key}' must be a non-negative integer, got {j}"
+            ))
+        }),
+    };
+    Ok((field("nodes")?, field("ms")?))
+}
+
 /// Execute one parsed request against a session. Returns the rendered
 /// payload fields (without `id`/`status` framing). CNF front-door
 /// accounting is accumulated into `tally`.
@@ -463,11 +525,10 @@ fn execute<B: SessionBackend>(
         Some(op) => op,
         None => return Reply::Error("missing 'op' field".to_string()),
     };
-    let budget_spec = req.get("budget");
-    let nodes = budget_spec
-        .and_then(|b| b.get("nodes"))
-        .and_then(Json::as_u64);
-    let ms = budget_spec.and_then(|b| b.get("ms")).and_then(Json::as_u64);
+    let (nodes, ms) = match budget_limits(req.get("budget")) {
+        Ok(limits) => limits,
+        Err(reply) => return reply,
+    };
     let mut budget = session
         .admission()
         .mint_with(nodes, ms.map(Duration::from_millis));
@@ -799,6 +860,12 @@ fn serve_line<B: SessionBackend>(
     tally: &mut CnfServeStats,
 ) -> (String, bool, bool) {
     let mut sp = ddcore::obs::span(ddcore::obs::Op::ServeRequest);
+    if line.len() > MAX_LINE_BYTES {
+        let reply = Reply::Error(format!(
+            "bad request: line longer than {MAX_LINE_BYTES} bytes"
+        ));
+        return (render_response(None, &reply), true, false);
+    }
     let req = match parse_json(line) {
         Ok(r) => r,
         Err(e) => {
@@ -902,8 +969,9 @@ pub fn serve_stream<B: SessionBackend>(
     output: &mut dyn Write,
 ) -> std::io::Result<ServeOutcome> {
     let mut lines = Vec::new();
-    for line in input.lines() {
-        lines.push(line?);
+    let mut line = String::new();
+    while read_request_line(input, &mut line)? {
+        lines.push(std::mem::take(&mut line));
     }
     let outcome = run_batch(base, cfg, &lines);
     for resp in &outcome.responses {
@@ -920,7 +988,8 @@ pub fn serve_stream<B: SessionBackend>(
 ///
 /// # Errors
 /// Propagates accept failures; per-connection I/O errors terminate that
-/// connection only.
+/// connection only, and read errors among them are counted in
+/// [`ServeOutcome::read_errors`].
 pub fn serve_tcp<B: SessionBackend>(
     base: &Arc<SharedBase<B>>,
     cfg: &ServeConfig,
@@ -934,27 +1003,7 @@ pub fn serve_tcp<B: SessionBackend>(
         let mut session = base.session_with(cfg.admission());
         let mut reader = std::io::BufReader::new(stream.try_clone()?);
         let mut writer = std::io::BufWriter::new(stream);
-        let mut line = String::new();
-        loop {
-            line.clear();
-            if reader.read_line(&mut line).unwrap_or(0) == 0 {
-                break;
-            }
-            if line.trim().is_empty() {
-                continue;
-            }
-            total.requests += 1;
-            let (resp, rejected, aborted) =
-                serve_line(&mut session, line.trim_end(), &mut total.cnf);
-            total.rejected += u64::from(rejected);
-            total.aborted += u64::from(aborted);
-            if writeln!(writer, "{resp}")
-                .and_then(|()| writer.flush())
-                .is_err()
-            {
-                break;
-            }
-        }
+        serve_connection(&mut session, &mut reader, &mut writer, &mut total);
         served += 1;
         if let Some(max) = max_conns {
             if served >= max {
@@ -963,6 +1012,38 @@ pub fn serve_tcp<B: SessionBackend>(
         }
     }
     Ok(total)
+}
+
+/// One connection's request/response loop on its session, tallied into
+/// `total`. It ends at end of input, on a read error (counted in
+/// `read_errors`) or when a response cannot be written.
+fn serve_connection<B: SessionBackend>(
+    session: &mut Session<B>,
+    reader: &mut dyn BufRead,
+    writer: &mut dyn Write,
+    total: &mut ServeOutcome,
+) {
+    let mut line = String::new();
+    loop {
+        match read_request_line(reader, &mut line) {
+            Ok(true) => {}
+            Ok(false) => return,
+            Err(_) => return total.read_errors += 1,
+        }
+        if line.trim().is_empty() {
+            continue;
+        }
+        total.requests += 1;
+        let (resp, rejected, aborted) = serve_line(session, line.trim_end(), &mut total.cnf);
+        total.rejected += u64::from(rejected);
+        total.aborted += u64::from(aborted);
+        if writeln!(writer, "{resp}")
+            .and_then(|()| writer.flush())
+            .is_err()
+        {
+            return;
+        }
+    }
 }
 
 // ───────────────────────── metrics assembly ──────────────────────────────
@@ -981,6 +1062,7 @@ pub fn serve_metrics<B: SessionBackend>(
     m.counter("serve.requests", outcome.requests);
     m.counter("serve.rejected", outcome.rejected);
     m.counter("serve.aborted", outcome.aborted);
+    m.counter("serve.read_errors", outcome.read_errors);
     m.gauge("serve.sessions", cfg.sessions.max(1) as u64);
     m.counter("cnf.instances_loaded", outcome.cnf.instances_loaded);
     m.counter("cnf.clauses_scheduled", outcome.cnf.clauses_scheduled);
@@ -1284,5 +1366,193 @@ mod tests {
         drop(conn);
         let outcome = server.join().unwrap();
         assert_eq!(outcome.requests, 1);
+    }
+
+    #[test]
+    fn invalid_budget_fields_are_rejected_by_name() {
+        let base = base();
+        let eval = r#""op":"eval","f":"s","assignment":[false,false,true]"#;
+        let cases = [
+            (r#"{"nodes":-1}"#, Some("budget.nodes")),
+            (r#"{"ms":1.5}"#, Some("budget.ms")),
+            (r#"{"ms":1e400}"#, Some("budget.ms")),
+            (r#"{"nodes":"10"}"#, Some("budget.nodes")),
+            ("7", Some("'budget'")),
+            (r#"{"nodes":1000,"ms":1000000000000000000}"#, None),
+            ("{}", None),
+        ];
+        let lines: Vec<String> = cases
+            .iter()
+            .map(|(budget, _)| format!("{{{eval},\"budget\":{budget}}}"))
+            .chain([format!("{{{eval}}}")])
+            .collect();
+        let out = run_batch(&base, &ServeConfig::default(), &lines);
+        for ((budget, field), resp) in cases.iter().zip(&out.responses) {
+            match field {
+                Some(field) => assert!(
+                    resp.contains("\"status\":\"error\"") && resp.contains(field),
+                    "{budget}: {resp}"
+                ),
+                None => assert!(resp.contains("\"value\":true"), "{budget}: {resp}"),
+            }
+        }
+        assert_eq!(out.rejected, 5);
+        // The batch went on past the rejections.
+        assert!(out.responses.last().unwrap().contains("\"value\":true"));
+    }
+
+    #[test]
+    fn reader_keeps_a_bounded_prefix_of_long_lines() {
+        let long = "x".repeat(3 * MAX_LINE_BYTES);
+        let text = format!("{long}\r\nnext\r\nlast");
+        let mut input = std::io::BufReader::with_capacity(1 << 12, text.as_bytes());
+        let mut line = String::new();
+        assert!(read_request_line(&mut input, &mut line).unwrap());
+        assert_eq!(line.len(), MAX_LINE_BYTES + 2);
+        assert!(read_request_line(&mut input, &mut line).unwrap());
+        assert_eq!(line, "next");
+        assert!(read_request_line(&mut input, &mut line).unwrap());
+        assert_eq!(line, "last");
+        assert!(!read_request_line(&mut input, &mut line).unwrap());
+    }
+
+    fn eval_line(id: u32) -> String {
+        format!(r#"{{"op":"eval","id":{id},"f":"s","assignment":[false,false,true]}}"#)
+    }
+
+    #[test]
+    fn over_long_line_in_a_batch_is_an_error_response() {
+        let base = base();
+        let text = format!(
+            "{}\n{}\n{}\n",
+            eval_line(1),
+            "y".repeat(MAX_LINE_BYTES + 1),
+            eval_line(2)
+        );
+        let mut output = Vec::new();
+        let out = serve_stream(
+            &base,
+            &ServeConfig::default(),
+            &mut text.as_bytes(),
+            &mut output,
+        )
+        .unwrap();
+        assert_eq!((out.requests, out.rejected), (3, 1));
+        let responses: Vec<&str> = std::str::from_utf8(&output).unwrap().lines().collect();
+        assert!(responses[0].contains("\"id\":1"));
+        assert!(
+            responses[1].contains("\"status\":\"error\"") && responses[1].contains("longer than"),
+            "{}",
+            responses[1]
+        );
+        assert!(responses[2].contains("\"id\":2") && responses[2].contains("\"value\":true"));
+        // A line at the limit is read and parsed as usual.
+        let mut at_limit = eval_line(3);
+        at_limit.push_str(&" ".repeat(MAX_LINE_BYTES - at_limit.len()));
+        let mut output = Vec::new();
+        serve_stream(
+            &base,
+            &ServeConfig::default(),
+            &mut at_limit.as_bytes(),
+            &mut output,
+        )
+        .unwrap();
+        assert!(String::from_utf8(output).unwrap().contains("\"id\":3"));
+    }
+
+    /// A reader that yields `data`, then fails like a reset socket.
+    struct FailAfter<'a> {
+        data: &'a [u8],
+    }
+
+    impl std::io::Read for FailAfter<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.data.is_empty() {
+                return Err(std::io::ErrorKind::ConnectionReset.into());
+            }
+            let n = buf.len().min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn read_errors_end_the_batch_or_the_connection() {
+        let base = base();
+        let text = format!("{}\n", eval_line(1));
+        let err = serve_stream(
+            &base,
+            &ServeConfig::default(),
+            &mut std::io::BufReader::new(FailAfter {
+                data: text.as_bytes(),
+            }),
+            &mut Vec::new(),
+        )
+        .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::ConnectionReset);
+        let err = serve_stream(
+            &base,
+            &ServeConfig::default(),
+            &mut &b"\xff\xfe\n"[..],
+            &mut Vec::new(),
+        )
+        .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+
+        // A connection answers what it read, then ends on the error.
+        let mut session = base.session();
+        let mut output = Vec::new();
+        let mut total = ServeOutcome::default();
+        serve_connection(
+            &mut session,
+            &mut std::io::BufReader::new(FailAfter {
+                data: text.as_bytes(),
+            }),
+            &mut output,
+            &mut total,
+        );
+        assert_eq!((total.requests, total.read_errors), (1, 1));
+        assert!(String::from_utf8(output).unwrap().contains("\"id\":1"));
+    }
+
+    #[test]
+    fn tcp_over_long_line_and_read_error() {
+        let base = base();
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn({
+            let base = Arc::clone(&base);
+            move || serve_tcp(&base, &ServeConfig::default(), &listener, Some(2)).unwrap()
+        });
+        // Connection 1: an over-long line is answered with an error and
+        // the connection goes on.
+        let conn = std::net::TcpStream::connect(addr).unwrap();
+        let writer = std::thread::spawn({
+            let mut conn = conn.try_clone().unwrap();
+            move || {
+                conn.write_all("z".repeat(2 * MAX_LINE_BYTES).as_bytes())
+                    .unwrap();
+                conn.write_all(format!("\n{}\n", eval_line(4)).as_bytes())
+                    .unwrap();
+            }
+        });
+        let mut reader = std::io::BufReader::new(conn.try_clone().unwrap());
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("longer than"), "{line}");
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("\"id\":4") && line.contains("\"value\":true"));
+        writer.join().unwrap();
+        drop(reader);
+        conn.shutdown(std::net::Shutdown::Both).unwrap();
+        // Connection 2: a line that is not UTF-8 ends it as a read error.
+        let mut conn = std::net::TcpStream::connect(addr).unwrap();
+        conn.write_all(b"\xff\xfe\n").unwrap();
+        let outcome = server.join().unwrap();
+        assert_eq!(outcome.requests, 2);
+        assert_eq!(outcome.rejected, 1);
+        assert_eq!(outcome.read_errors, 1);
     }
 }

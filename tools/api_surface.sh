@@ -5,8 +5,8 @@
 # The listing is a line-per-item dump (public items, trait-method
 # signatures, and `impl ... for ...` headers) extracted textually from the
 # api/session files, the parallel pipeline (`ddcore::par::pipeline` and the
-# two node-shape impls) and the `cnf` front-door crate, so it needs no
-# nightly tooling. CI regenerates it and diffs against the committed copy —
+# two node-shape impls), the shared diagram walks (`ddcore::walk`) and the
+# `cnf` front-door crate, so it needs no nightly tooling. CI regenerates it and diffs against the committed copy —
 # accidental changes to the public API fail the build and must be reviewed
 # by re-running this script.
 #
@@ -17,7 +17,7 @@ cd "$(dirname "$0")/.."
 {
     echo "# Public surface of ddcore::api and its backend implementations."
     echo "# Generated by tools/api_surface.sh — regenerate after intentional API changes."
-    for f in crates/ddcore/src/api.rs crates/ddcore/src/session.rs crates/ddcore/src/par/pipeline.rs \
+    for f in crates/ddcore/src/api.rs crates/ddcore/src/session.rs crates/ddcore/src/par/pipeline.rs crates/ddcore/src/walk.rs \
              crates/core/src/api.rs crates/core/src/par.rs crates/robdd/src/api.rs crates/robdd/src/par.rs \
              crates/cnf/src/dimacs.rs crates/cnf/src/schedule.rs crates/cnf/src/build.rs crates/cnf/src/slice.rs crates/cnf/src/order.rs; do
         echo
