@@ -161,9 +161,8 @@ pub enum DimacsErrorKind {
     },
 }
 
-/// The most variables a header may declare: both managers index levels
-/// and variables with 16 bits and reserve `u16::MAX` for the sink.
-pub const MAX_VARS: usize = u16::MAX as usize - 1;
+/// The most variables a header may declare (the managers' own limit).
+pub use ddcore::MAX_VARS;
 
 /// A parse rejection: the kind plus the 1-based line it was detected on.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -180,13 +180,17 @@ mod tests {
 #[cfg(test)]
 mod auto_reorder_tests {
     use crate::manager::Bbdd;
+    use ddcore::dvo::{DvoPolicy, DvoStrategy, ReorderSchedule};
 
     #[test]
     fn auto_reorder_fires_and_rearms() {
         // Equality with a hostile order grows fast; arm the trigger low.
         let k = 6;
         let mut mgr = Bbdd::new(2 * k);
-        mgr.set_auto_reorder(64);
+        mgr.set_reorder_policy(Some(DvoPolicy {
+            strategy: DvoStrategy::Full,
+            schedule: ReorderSchedule::NodeThreshold(64),
+        }));
         let mut f = mgr.one();
         for i in 0..k {
             let a = mgr.var(i);

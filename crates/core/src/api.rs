@@ -74,26 +74,6 @@ impl RawManager for Bbdd {
         self.var(var)
     }
 
-    fn apply_edge(&mut self, op: BoolOp, f: Edge, g: Edge) -> Edge {
-        self.apply(op, f, g)
-    }
-
-    fn ite_edge(&mut self, f: Edge, g: Edge, h: Edge) -> Edge {
-        self.ite(f, g, h)
-    }
-
-    fn exists_edge(&mut self, f: Edge, vars: &[usize]) -> Edge {
-        self.exists(f, vars)
-    }
-
-    fn forall_edge(&mut self, f: Edge, vars: &[usize]) -> Edge {
-        self.forall(f, vars)
-    }
-
-    fn and_exists_edge(&mut self, f: Edge, g: Edge, vars: &[usize]) -> Edge {
-        self.and_exists(f, g, vars)
-    }
-
     fn try_apply_edge(
         &mut self,
         op: BoolOp,
@@ -154,10 +134,6 @@ impl RawManager for Bbdd {
 
     fn restrict_edge(&mut self, f: Edge, var: usize, value: bool) -> Edge {
         self.restrict(f, var, value)
-    }
-
-    fn compose_edge(&mut self, f: Edge, var: usize, g: Edge) -> Edge {
-        self.compose(f, var, g)
     }
 
     fn vector_compose_edge(&mut self, f: Edge, subs: &[Option<Edge>]) -> Edge {
@@ -221,26 +197,6 @@ impl RawManager for Bbdd {
         Bbdd::live_nodes(self)
     }
 
-    fn try_sift(&mut self) -> Option<usize> {
-        // An installed policy's strategy takes precedence over plain
-        // Rudell sifting, so `reorder()` and the scheduled firings agree
-        // on the algorithm.
-        match self.reorder_policy() {
-            Some(p) => Some(
-                self.sift_strategy(p.strategy, &mut OpBudget::unlimited())
-                    .expect("unlimited budget never aborts"),
-            ),
-            None => Some(self.sift()),
-        }
-    }
-
-    fn sift_bounded(&mut self, budget: &mut OpBudget) -> Option<Result<usize, OpAbort>> {
-        match self.reorder_policy() {
-            Some(p) => Some(self.sift_strategy(p.strategy, budget)),
-            None => Some(Bbdd::sift_bounded(self, budget)),
-        }
-    }
-
     fn reorder_with(
         &mut self,
         strategy: ddcore::dvo::DvoStrategy,
@@ -255,14 +211,6 @@ impl RawManager for Bbdd {
 
     fn reorder_policy(&self) -> Option<ddcore::dvo::DvoPolicy> {
         Bbdd::reorder_policy(self)
-    }
-
-    fn set_auto_reorder(&mut self, threshold: usize) {
-        Bbdd::set_auto_reorder(self, threshold);
-    }
-
-    fn reorder_if_needed(&mut self) -> bool {
-        Bbdd::reorder_if_needed(self)
     }
 
     fn reorder_if_needed_bounded(&mut self, budget: &mut OpBudget) -> Result<bool, OpAbort> {

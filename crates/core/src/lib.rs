@@ -82,5 +82,4 @@ pub use ddcore::nary::NaryOp;
 pub use edge::Edge;
 pub use manager::{Bbdd, BbddStats, NodeInfo};
 pub use par::{ParBbdd, ParConfig, ParStats};
-pub use reorder::SiftConfig;
 pub use serialize::{LoadError, SaveError};

@@ -9,6 +9,9 @@ use ddcore::govern::{OpAbort, OpBudget};
 use ddcore::roots::RootSet;
 use ddcore::table::UniqueTable;
 
+// Every variable index below the limit is distinct from the sink marker.
+const _: () = assert!(ddcore::MAX_VARS < TERMINAL_LEVEL as usize);
+
 /// Statistics counters exposed for the benchmark harness.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BbddStats {
@@ -133,12 +136,12 @@ impl Bbdd {
     /// `π = (0, 1, …, n-1)` (variable 0 on top).
     ///
     /// # Panics
-    /// Panics if `num_vars` is 0 or exceeds `u16::MAX - 1` levels.
+    /// Panics if `num_vars` is 0 or exceeds [`ddcore::MAX_VARS`].
     #[must_use]
     pub fn new(num_vars: usize) -> Self {
         assert!(num_vars > 0, "a BBDD manager needs at least one variable");
         assert!(
-            num_vars < TERMINAL_LEVEL as usize,
+            num_vars <= ddcore::MAX_VARS,
             "too many variables for 16-bit levels"
         );
         let n = num_vars;
@@ -406,20 +409,6 @@ impl Bbdd {
         self.free.pop()
     }
 
-    /// Arm automatic reordering: once the live node count crosses
-    /// `threshold`, the next [`Bbdd::reorder_if_needed`] call (issued by
-    /// the network builders between gates, and by the handle-boundary GC
-    /// latch) garbage-collects, sifts and doubles the threshold — the
-    /// dynamic-reordering discipline packages use to survive order-hostile
-    /// construction. `0` disables. Sugar for installing a
-    /// full-sift/node-threshold [`ddcore::dvo::DvoPolicy`].
-    pub fn set_auto_reorder(&mut self, threshold: usize) {
-        self.set_reorder_policy((threshold > 0).then_some(ddcore::dvo::DvoPolicy {
-            strategy: ddcore::dvo::DvoStrategy::Full,
-            schedule: ddcore::dvo::ReorderSchedule::NodeThreshold(threshold),
-        }));
-    }
-
     /// Install (or clear, with `None`) the dynamic-reordering policy:
     /// which [`ddcore::dvo::DvoStrategy`] to run and when its
     /// [`ddcore::dvo::ReorderSchedule`] fires. Scheduled firings happen at
@@ -453,7 +442,7 @@ impl Bbdd {
     }
 
     /// [`Bbdd::reorder_if_needed`] under a resource budget. On abort the
-    /// variable order is consistent (the [`Bbdd::sift_bounded`] park-back
+    /// variable order is consistent (the [`Bbdd::sift_strategy`] park-back
     /// contract) and the schedule has re-armed — the trigger was consumed,
     /// so the caller can simply continue with a partially improved order.
     ///

@@ -7,7 +7,7 @@
 //! [`Bbdd`] (adjacent CVO swaps, sift-scoped reference counts with
 //! window-local reclamation, per-level widths and the *biconditional chain
 //! affinity* that drives pair-aware sifting) and keeps the manager's
-//! historical `sift*` entry points as thin wrappers.
+//! `sift`/`sift_strategy` entry points as thin wrappers.
 //!
 //! The affinity signal is what makes pair sifting meaningful here: a
 //! biconditional node at chain level `l` branches on `PV ⊕ SV`, coupling
@@ -18,12 +18,8 @@
 //! BBDD compact on XOR-rich logic.
 
 use crate::manager::Bbdd;
-use ddcore::dvo::{DvoStrategy, FullSift, PairSift, ReorderBackend, ReorderStrategy};
+use ddcore::dvo::{DvoStrategy, PairSift, ReorderBackend, ReorderStrategy};
 use ddcore::govern::{OpAbort, OpBudget};
-
-/// Tuning knobs for [`Bbdd::sift_with`] (the shared engine's parameter
-/// block; re-exported under its historical name).
-pub use ddcore::dvo::SiftParams as SiftConfig;
 
 impl ReorderBackend for Bbdd {
     fn num_vars(&self) -> usize {
@@ -99,46 +95,19 @@ impl Bbdd {
     /// assert!(f.node_count() <= before);
     /// ```
     pub fn sift(&mut self) -> usize {
-        self.sift_with(&SiftConfig::default())
-    }
-
-    /// Sift with explicit [`SiftConfig`], tracing the handle registry.
-    pub fn sift_with(&mut self, cfg: &SiftConfig) -> usize {
-        FullSift { params: *cfg }
-            .reorder(self, &mut OpBudget::unlimited())
+        self.sift_strategy(DvoStrategy::Full, &mut OpBudget::unlimited())
             .expect("unlimited budget never aborts")
     }
 
-    /// [`Bbdd::sift`] under a resource budget: the budget is polled before
-    /// every adjacent-swap, so a node limit, deadline or cancellation stops
+    /// Run a specific [`DvoStrategy`] (full, window or pair-aware sift)
+    /// under a resource budget: the budget is polled before every
+    /// adjacent-swap, so a node limit, deadline or cancellation stops
     /// reordering promptly. On abort, the variable currently being sifted
     /// is first parked back at the best position seen (a bounded amount of
     /// un-budgeted work, at most one sweep across the order), so the
     /// manager is left with a consistent variable order, canonical unique
     /// tables and every registered handle semantically intact — the result
     /// is simply a partially improved order.
-    ///
-    /// # Errors
-    /// The budget's abort reason.
-    pub fn sift_bounded(&mut self, budget: &mut OpBudget) -> Result<usize, OpAbort> {
-        self.sift_bounded_with(&SiftConfig::default(), budget)
-    }
-
-    /// [`Bbdd::sift_bounded`] with explicit [`SiftConfig`].
-    ///
-    /// # Errors
-    /// The budget's abort reason.
-    pub fn sift_bounded_with(
-        &mut self,
-        cfg: &SiftConfig,
-        budget: &mut OpBudget,
-    ) -> Result<usize, OpAbort> {
-        FullSift { params: *cfg }.reorder(self, budget)
-    }
-
-    /// Run a specific [`DvoStrategy`] (full, window or pair-aware sift)
-    /// under a resource budget, with the [`Bbdd::sift_bounded`] abort
-    /// contract.
     ///
     /// # Errors
     /// The budget's abort reason.
@@ -197,6 +166,7 @@ impl Bbdd {
 mod tests {
     use super::*;
     use crate::edge::Edge;
+    use ddcore::dvo::FullSift;
     use std::collections::HashSet;
 
     fn truth_of(mgr: &Bbdd, f: Edge, n: usize) -> Vec<bool> {

@@ -63,6 +63,8 @@ use crate::roots::RootSet;
 use std::cell::{Ref, RefCell, RefMut};
 use std::rc::Rc;
 
+const UNLIMITED: &str = "unlimited budget never aborts";
+
 /// The backend contract: edge-level Boolean-function operations plus root
 /// registration and the handle-boundary hook.
 ///
@@ -71,6 +73,12 @@ use std::rc::Rc;
 /// [`ManagerRef`] / [`Function`]. Implementations delegate to the backend's
 /// inherent edge API; the `*_edge` names keep the trait methods from
 /// shadowing those inherent methods.
+///
+/// The node-building operations are required only in their budgeted
+/// `try_*` form; the infallible forms (`apply_edge`, `ite_edge`, …) are
+/// provided over [`OpBudget::unlimited`]. Reordering is optional: one
+/// [`RawManager::reorder_with`] primitive plus the policy accessors and
+/// the scheduled-reorder hook, all defaulting to "no reordering".
 ///
 /// The edge type is the backend's raw, unprotected function currency
 /// (`Copy`, valid only until the next collection point unless covered by a
@@ -99,12 +107,9 @@ pub trait RawManager: Sized {
     /// The positive literal of `var`.
     fn var_edge(&mut self, var: usize) -> Self::Edge;
 
-    /// `f ⊗ g` for an arbitrary binary operator.
-    fn apply_edge(&mut self, op: BoolOp, f: Self::Edge, g: Self::Edge) -> Self::Edge;
-
-    /// [`RawManager::apply_edge`] under a resource budget (see
-    /// [`crate::govern::OpBudget`]). The backend polls the budget at its
-    /// recursion checkpoints; on `Err` the manager must remain fully
+    /// `f ⊗ g` for an arbitrary binary operator under a resource budget
+    /// (see [`crate::govern::OpBudget`]). The backend polls the budget at
+    /// its recursion checkpoints; on `Err` the manager must remain fully
     /// usable, with any partially built nodes reclaimed by the next GC.
     ///
     /// # Errors
@@ -117,10 +122,7 @@ pub trait RawManager: Sized {
         budget: &mut OpBudget,
     ) -> Result<Self::Edge, OpAbort>;
 
-    /// If-then-else `f ? g : h`.
-    fn ite_edge(&mut self, f: Self::Edge, g: Self::Edge, h: Self::Edge) -> Self::Edge;
-
-    /// [`RawManager::ite_edge`] under a resource budget.
+    /// If-then-else `f ? g : h` under a resource budget.
     ///
     /// # Errors
     /// The budget's abort reason.
@@ -132,10 +134,8 @@ pub trait RawManager: Sized {
         budget: &mut OpBudget,
     ) -> Result<Self::Edge, OpAbort>;
 
-    /// Existential cube quantification `∃ vars . f`.
-    fn exists_edge(&mut self, f: Self::Edge, vars: &[usize]) -> Self::Edge;
-
-    /// [`RawManager::exists_edge`] under a resource budget.
+    /// Existential cube quantification `∃ vars . f` under a resource
+    /// budget.
     ///
     /// # Errors
     /// The budget's abort reason.
@@ -146,10 +146,7 @@ pub trait RawManager: Sized {
         budget: &mut OpBudget,
     ) -> Result<Self::Edge, OpAbort>;
 
-    /// Universal cube quantification `∀ vars . f`.
-    fn forall_edge(&mut self, f: Self::Edge, vars: &[usize]) -> Self::Edge;
-
-    /// [`RawManager::forall_edge`] under a resource budget.
+    /// Universal cube quantification `∀ vars . f` under a resource budget.
     ///
     /// # Errors
     /// The budget's abort reason.
@@ -160,10 +157,8 @@ pub trait RawManager: Sized {
         budget: &mut OpBudget,
     ) -> Result<Self::Edge, OpAbort>;
 
-    /// Fused relational product `∃ vars . (f ∧ g)`.
-    fn and_exists_edge(&mut self, f: Self::Edge, g: Self::Edge, vars: &[usize]) -> Self::Edge;
-
-    /// [`RawManager::and_exists_edge`] under a resource budget.
+    /// Fused relational product `∃ vars . (f ∧ g)` under a resource
+    /// budget.
     ///
     /// # Errors
     /// The budget's abort reason.
@@ -175,13 +170,7 @@ pub trait RawManager: Sized {
         budget: &mut OpBudget,
     ) -> Result<Self::Edge, OpAbort>;
 
-    /// Restriction `f|_{var = value}`.
-    fn restrict_edge(&mut self, f: Self::Edge, var: usize, value: bool) -> Self::Edge;
-
-    /// Substitution `f[var := g]`.
-    fn compose_edge(&mut self, f: Self::Edge, var: usize, g: Self::Edge) -> Self::Edge;
-
-    /// [`RawManager::compose_edge`] under a resource budget.
+    /// Substitution `f[var := g]` under a resource budget.
     ///
     /// # Errors
     /// The budget's abort reason.
@@ -193,8 +182,47 @@ pub trait RawManager: Sized {
         budget: &mut OpBudget,
     ) -> Result<Self::Edge, OpAbort>;
 
+    /// Restriction `f|_{var = value}`.
+    fn restrict_edge(&mut self, f: Self::Edge, var: usize, value: bool) -> Self::Edge;
+
     /// Simultaneous substitution (`subs[v]` replaces variable `v`).
     fn vector_compose_edge(&mut self, f: Self::Edge, subs: &[Option<Self::Edge>]) -> Self::Edge;
+
+    /// [`RawManager::try_apply_edge`] without a budget.
+    fn apply_edge(&mut self, op: BoolOp, f: Self::Edge, g: Self::Edge) -> Self::Edge {
+        self.try_apply_edge(op, f, g, &mut OpBudget::unlimited())
+            .expect(UNLIMITED)
+    }
+
+    /// [`RawManager::try_ite_edge`] without a budget.
+    fn ite_edge(&mut self, f: Self::Edge, g: Self::Edge, h: Self::Edge) -> Self::Edge {
+        self.try_ite_edge(f, g, h, &mut OpBudget::unlimited())
+            .expect(UNLIMITED)
+    }
+
+    /// [`RawManager::try_exists_edge`] without a budget.
+    fn exists_edge(&mut self, f: Self::Edge, vars: &[usize]) -> Self::Edge {
+        self.try_exists_edge(f, vars, &mut OpBudget::unlimited())
+            .expect(UNLIMITED)
+    }
+
+    /// [`RawManager::try_forall_edge`] without a budget.
+    fn forall_edge(&mut self, f: Self::Edge, vars: &[usize]) -> Self::Edge {
+        self.try_forall_edge(f, vars, &mut OpBudget::unlimited())
+            .expect(UNLIMITED)
+    }
+
+    /// [`RawManager::try_and_exists_edge`] without a budget.
+    fn and_exists_edge(&mut self, f: Self::Edge, g: Self::Edge, vars: &[usize]) -> Self::Edge {
+        self.try_and_exists_edge(f, g, vars, &mut OpBudget::unlimited())
+            .expect(UNLIMITED)
+    }
+
+    /// [`RawManager::try_compose_edge`] without a budget.
+    fn compose_edge(&mut self, f: Self::Edge, var: usize, g: Self::Edge) -> Self::Edge {
+        self.try_compose_edge(f, var, g, &mut OpBudget::unlimited())
+            .expect(UNLIMITED)
+    }
 
     /// Evaluate `f` under a full assignment.
     fn eval_edge(&self, f: Self::Edge, assignment: &[bool]) -> bool;
@@ -214,7 +242,7 @@ pub trait RawManager: Sized {
     /// [`RawManager::try_sat_count_edge`] without a budget (same panics).
     fn sat_count_edge(&self, f: Self::Edge) -> u128 {
         self.try_sat_count_edge(f, &mut OpBudget::unlimited())
-            .expect("unlimited budget never aborts")
+            .expect(UNLIMITED)
     }
 
     /// [`RawManager::sat_count_edge`], or `None` when the count could
@@ -242,7 +270,7 @@ pub trait RawManager: Sized {
     /// variable outside `0..n_vars`. `Some` values are always exact.
     fn sat_count_over_edge(&mut self, f: Self::Edge, n_vars: usize) -> Option<u128> {
         self.try_sat_count_over_edge(f, n_vars, &mut OpBudget::unlimited())
-            .expect("unlimited budget never aborts")
+            .expect(UNLIMITED)
     }
 
     /// [`RawManager::sat_count_over_edge`] under a resource budget.
@@ -320,24 +348,15 @@ pub trait RawManager: Sized {
     /// Currently stored nodes.
     fn live_nodes(&self) -> usize;
 
-    /// Run Rudell sifting, returning the post-sift live node count, or
-    /// `None` when the backend does not support reordering at all (e.g.
-    /// table-less test backends; the parallel front-ends delegate to their
-    /// inner sequential manager at a handle boundary).
-    fn try_sift(&mut self) -> Option<usize>;
-
-    /// Bounded sifting under a resource budget: `None` when the backend
-    /// does not support reordering; otherwise the post-sift live node
-    /// count, or the budget's abort reason. On abort the variable order is
-    /// left consistent (the variable being sifted is parked back at its
-    /// best position first) and every registered handle stays valid — the
-    /// result is a partially improved order, not a corrupted one.
-    fn sift_bounded(&mut self, budget: &mut OpBudget) -> Option<Result<usize, OpAbort>>;
-
-    /// Run a specific [`DvoStrategy`] under a resource budget, with the
-    /// same contract as [`RawManager::sift_bounded`] (which is simply this
-    /// method with the installed policy's strategy, defaulting to full
-    /// sift). `None` when the backend does not support reordering.
+    /// Run a [`DvoStrategy`] under a resource budget — the one reorder
+    /// primitive. `None` when the backend does not support reordering
+    /// (e.g. table-less test backends; the parallel front-ends delegate to
+    /// their inner sequential manager). Otherwise the post-reorder live
+    /// node count, or the budget's abort reason: on abort the variable
+    /// order is left consistent (the variable being sifted is parked back
+    /// at its best position first) and every registered handle stays
+    /// valid — the result is a partially improved order, not a corrupted
+    /// one.
     fn reorder_with(
         &mut self,
         _strategy: DvoStrategy,
@@ -357,23 +376,12 @@ pub trait RawManager: Sized {
         None
     }
 
-    /// Arm automatic reordering at a live-node threshold (no-op on backends
-    /// without dynamic reordering). Sugar for installing a
-    /// full-sift/node-threshold [`DvoPolicy`]; `0` clears the policy.
-    fn set_auto_reorder(&mut self, _threshold: usize) {}
-
-    /// Collect and, when the installed policy's schedule is due, reorder.
-    /// Returns `true` when a reorder ran. Defaults to `false` (nothing
-    /// armed).
-    fn reorder_if_needed(&mut self) -> bool {
-        false
-    }
-
-    /// [`RawManager::reorder_if_needed`] under a resource budget: `Ok`
-    /// whether a reorder ran, or the abort reason when a scheduled reorder
-    /// was cut short. On abort the order is consistent, every handle stays
-    /// valid, and the schedule re-arms (the trigger is consumed), so the
-    /// caller may simply continue.
+    /// The scheduled-reorder hook: collect and, when the installed
+    /// policy's schedule is due, reorder under `budget`. `Ok` whether a
+    /// reorder ran, or the abort reason when a scheduled reorder was cut
+    /// short. On abort the order is consistent, every handle stays valid,
+    /// and the schedule re-arms (the trigger is consumed), so the caller
+    /// may simply continue. Defaults to `Ok(false)` (nothing armed).
     ///
     /// # Errors
     /// The budget's abort reason.
@@ -577,26 +585,43 @@ impl<B: RawManager> Function<B> {
         (m, self.mgr.borrow_mut())
     }
 
+    /// Run one unbudgeted edge operation: an op span around the edge
+    /// call, then the handle boundary. No govern accounting — only the
+    /// `try_*` forms move the `govern.*` counters.
+    fn run_op(&self, others: &[&Self], op: obs::Op, run: impl FnOnce(&mut B) -> B::Edge) -> Self {
+        let (m, mut b) = self.op_ctx(others);
+        let e = {
+            let _span = obs::span(op);
+            run(&mut b)
+        };
+        m.finish(&mut b, e)
+    }
+
     /// Run one governed edge operation with full observability: an op
     /// span around the edge call, the backend's govern-accounting hook
-    /// fed with this operation's checkpoint spend, and an abort instant
-    /// event on `Err`. Free (two relaxed loads) when tracing and
-    /// profiling are off.
-    fn governed<E>(
-        b: &mut B,
+    /// fed with this operation's checkpoint spend, an abort instant event
+    /// on `Err`, then the handle boundary. Free (two relaxed loads) when
+    /// tracing and profiling are off.
+    fn run_try(
+        &self,
+        others: &[&Self],
         op: obs::Op,
         budget: &mut OpBudget,
-        run: impl FnOnce(&mut B, &mut OpBudget) -> Result<E, OpAbort>,
-    ) -> Result<E, OpAbort> {
-        let _span = obs::span(op);
-        let spent = budget.used();
-        let r = run(b, budget);
-        let abort = r.as_ref().err().copied();
-        b.note_governed(budget.used().saturating_sub(spent), abort);
-        if let Some(reason) = abort {
-            obs::abort_event(reason);
-        }
-        r
+        run: impl FnOnce(&mut B, &mut OpBudget) -> Result<B::Edge, OpAbort>,
+    ) -> Result<Self, OpAbort> {
+        let (m, mut b) = self.op_ctx(others);
+        let r = {
+            let _span = obs::span(op);
+            let spent = budget.used();
+            let r = run(&mut b, budget);
+            let abort = r.as_ref().err().copied();
+            b.note_governed(budget.used().saturating_sub(spent), abort);
+            if let Some(reason) = abort {
+                obs::abort_event(reason);
+            }
+            r
+        };
+        m.finish_try(&mut b, r)
     }
 }
 
@@ -692,7 +717,10 @@ pub trait FunctionManager: Clone {
     /// policy is installed), tracing the handle registry; returns the
     /// post-sift live node count — or `None` when the backend does not
     /// support dynamic reordering.
-    fn reorder(&self) -> Option<usize>;
+    fn reorder(&self) -> Option<usize> {
+        self.try_reorder(&mut OpBudget::unlimited())
+            .map(|r| r.expect(UNLIMITED))
+    }
 
     /// [`FunctionManager::reorder`] under a resource budget: `None` when
     /// the backend does not support reordering, otherwise the post-sift
@@ -703,7 +731,10 @@ pub trait FunctionManager: Clone {
     /// Reorder with a specific [`DvoStrategy`], regardless of the
     /// installed policy; `None` when the backend does not support
     /// reordering.
-    fn reorder_with(&self, strategy: DvoStrategy) -> Option<usize>;
+    fn reorder_with(&self, strategy: DvoStrategy) -> Option<usize> {
+        self.try_reorder_with(strategy, &mut OpBudget::unlimited())
+            .map(|r| r.expect(UNLIMITED))
+    }
 
     /// [`FunctionManager::reorder_with`] under a resource budget, with the
     /// [`FunctionManager::try_reorder`] abort contract.
@@ -721,22 +752,12 @@ pub trait FunctionManager: Clone {
     /// The installed dynamic-reordering policy, if any.
     fn reorder_policy(&self) -> Option<DvoPolicy>;
 
-    /// Arm automatic reordering at a live-node threshold (no-op on
-    /// backends without dynamic reordering). Sugar for a
-    /// full-sift/node-threshold policy; `0` clears it.
-    fn set_auto_reorder(&self, threshold: usize);
-
-    /// Collect and, when the installed policy's schedule is due, reorder;
-    /// `true` when a reorder ran.
-    fn reorder_if_needed(&self) -> bool;
-
     /// The garbage-collection opportunity generic drivers offer between
     /// construction batches: scheduled reorder if one is due, otherwise
     /// plain GC.
     fn collect(&self) {
-        if !self.reorder_if_needed() {
-            self.gc();
-        }
+        self.try_collect(&mut OpBudget::unlimited())
+            .expect(UNLIMITED);
     }
 
     /// [`FunctionManager::collect`] under a resource budget — the gate
@@ -1064,19 +1085,10 @@ impl<B: RawManager> FunctionManager for ManagerRef<B> {
         self.inner.borrow().root_registry().len()
     }
 
-    fn reorder(&self) -> Option<usize> {
-        self.inner.borrow_mut().try_sift()
-    }
-
     fn try_reorder(&self, budget: &mut OpBudget) -> Option<Result<usize, OpAbort>> {
-        self.inner.borrow_mut().sift_bounded(budget)
-    }
-
-    fn reorder_with(&self, strategy: DvoStrategy) -> Option<usize> {
-        self.inner
-            .borrow_mut()
-            .reorder_with(strategy, &mut OpBudget::unlimited())
-            .map(|r| r.unwrap_or_else(|_| unreachable!("unlimited budget cannot abort")))
+        let mut b = self.inner.borrow_mut();
+        let strategy = b.reorder_policy().map_or(DvoStrategy::Full, |p| p.strategy);
+        b.reorder_with(strategy, budget)
     }
 
     fn try_reorder_with(
@@ -1093,14 +1105,6 @@ impl<B: RawManager> FunctionManager for ManagerRef<B> {
 
     fn reorder_policy(&self) -> Option<DvoPolicy> {
         self.inner.borrow().reorder_policy()
-    }
-
-    fn set_auto_reorder(&self, threshold: usize) {
-        self.inner.borrow_mut().set_auto_reorder(threshold);
-    }
-
-    fn reorder_if_needed(&self) -> bool {
-        self.inner.borrow_mut().reorder_if_needed()
     }
 
     fn try_collect(&self, budget: &mut OpBudget) -> Result<bool, OpAbort> {
@@ -1153,20 +1157,15 @@ impl<B: RawManager> BooleanFunction for Function<B> {
     }
 
     fn apply(&self, op: BoolOp, g: &Self) -> Self {
-        let (m, mut b) = self.op_ctx(&[g]);
-        let e = {
-            let _span = obs::span(obs::Op::Apply);
+        self.run_op(&[g], obs::Op::Apply, |b| {
             b.apply_edge(op, self.edge, g.edge)
-        };
-        m.finish(&mut b, e)
+        })
     }
 
     fn try_apply(&self, op: BoolOp, g: &Self, budget: &mut OpBudget) -> Result<Self, OpAbort> {
-        let (m, mut b) = self.op_ctx(&[g]);
-        let r = Self::governed(&mut b, obs::Op::Apply, budget, |b, budget| {
+        self.run_try(&[g], obs::Op::Apply, budget, |b, budget| {
             b.try_apply_edge(op, self.edge, g.edge, budget)
-        });
-        m.finish_try(&mut b, r)
+        })
     }
 
     fn not(&self) -> Self {
@@ -1180,63 +1179,41 @@ impl<B: RawManager> BooleanFunction for Function<B> {
     }
 
     fn ite(&self, g: &Self, h: &Self) -> Self {
-        let (m, mut b) = self.op_ctx(&[g, h]);
-        let e = {
-            let _span = obs::span(obs::Op::Ite);
+        self.run_op(&[g, h], obs::Op::Ite, |b| {
             b.ite_edge(self.edge, g.edge, h.edge)
-        };
-        m.finish(&mut b, e)
+        })
     }
 
     fn try_ite(&self, g: &Self, h: &Self, budget: &mut OpBudget) -> Result<Self, OpAbort> {
-        let (m, mut b) = self.op_ctx(&[g, h]);
-        let r = Self::governed(&mut b, obs::Op::Ite, budget, |b, budget| {
+        self.run_try(&[g, h], obs::Op::Ite, budget, |b, budget| {
             b.try_ite_edge(self.edge, g.edge, h.edge, budget)
-        });
-        m.finish_try(&mut b, r)
+        })
     }
 
     fn exists(&self, vars: &[usize]) -> Self {
-        let (m, mut b) = self.op_ctx(&[]);
-        let e = {
-            let _span = obs::span(obs::Op::Exists);
-            b.exists_edge(self.edge, vars)
-        };
-        m.finish(&mut b, e)
+        self.run_op(&[], obs::Op::Exists, |b| b.exists_edge(self.edge, vars))
     }
 
     fn try_exists(&self, vars: &[usize], budget: &mut OpBudget) -> Result<Self, OpAbort> {
-        let (m, mut b) = self.op_ctx(&[]);
-        let r = Self::governed(&mut b, obs::Op::Exists, budget, |b, budget| {
+        self.run_try(&[], obs::Op::Exists, budget, |b, budget| {
             b.try_exists_edge(self.edge, vars, budget)
-        });
-        m.finish_try(&mut b, r)
+        })
     }
 
     fn forall(&self, vars: &[usize]) -> Self {
-        let (m, mut b) = self.op_ctx(&[]);
-        let e = {
-            let _span = obs::span(obs::Op::Forall);
-            b.forall_edge(self.edge, vars)
-        };
-        m.finish(&mut b, e)
+        self.run_op(&[], obs::Op::Forall, |b| b.forall_edge(self.edge, vars))
     }
 
     fn try_forall(&self, vars: &[usize], budget: &mut OpBudget) -> Result<Self, OpAbort> {
-        let (m, mut b) = self.op_ctx(&[]);
-        let r = Self::governed(&mut b, obs::Op::Forall, budget, |b, budget| {
+        self.run_try(&[], obs::Op::Forall, budget, |b, budget| {
             b.try_forall_edge(self.edge, vars, budget)
-        });
-        m.finish_try(&mut b, r)
+        })
     }
 
     fn and_exists(&self, g: &Self, vars: &[usize]) -> Self {
-        let (m, mut b) = self.op_ctx(&[g]);
-        let e = {
-            let _span = obs::span(obs::Op::AndExists);
+        self.run_op(&[g], obs::Op::AndExists, |b| {
             b.and_exists_edge(self.edge, g.edge, vars)
-        };
-        m.finish(&mut b, e)
+        })
     }
 
     fn try_and_exists(
@@ -1245,37 +1222,27 @@ impl<B: RawManager> BooleanFunction for Function<B> {
         vars: &[usize],
         budget: &mut OpBudget,
     ) -> Result<Self, OpAbort> {
-        let (m, mut b) = self.op_ctx(&[g]);
-        let r = Self::governed(&mut b, obs::Op::AndExists, budget, |b, budget| {
+        self.run_try(&[g], obs::Op::AndExists, budget, |b, budget| {
             b.try_and_exists_edge(self.edge, g.edge, vars, budget)
-        });
-        m.finish_try(&mut b, r)
+        })
     }
 
     fn restrict(&self, var: usize, value: bool) -> Self {
-        let (m, mut b) = self.op_ctx(&[]);
-        let e = {
-            let _span = obs::span(obs::Op::Restrict);
+        self.run_op(&[], obs::Op::Restrict, |b| {
             b.restrict_edge(self.edge, var, value)
-        };
-        m.finish(&mut b, e)
+        })
     }
 
     fn compose(&self, var: usize, g: &Self) -> Self {
-        let (m, mut b) = self.op_ctx(&[g]);
-        let e = {
-            let _span = obs::span(obs::Op::Compose);
+        self.run_op(&[g], obs::Op::Compose, |b| {
             b.compose_edge(self.edge, var, g.edge)
-        };
-        m.finish(&mut b, e)
+        })
     }
 
     fn try_compose(&self, var: usize, g: &Self, budget: &mut OpBudget) -> Result<Self, OpAbort> {
-        let (m, mut b) = self.op_ctx(&[g]);
-        let r = Self::governed(&mut b, obs::Op::Compose, budget, |b, budget| {
+        self.run_try(&[g], obs::Op::Compose, budget, |b, budget| {
             b.try_compose_edge(self.edge, var, g.edge, budget)
-        });
-        m.finish_try(&mut b, r)
+        })
     }
 
     fn vector_compose(&self, subs: &[Option<Self>]) -> Self {
@@ -1283,12 +1250,9 @@ impl<B: RawManager> BooleanFunction for Function<B> {
             .iter()
             .map(|s| s.as_ref().map(Function::edge))
             .collect();
-        let (m, mut b) = self.op_ctx(&[]);
-        let e = {
-            let _span = obs::span(obs::Op::VectorCompose);
+        self.run_op(&[], obs::Op::VectorCompose, |b| {
             b.vector_compose_edge(self.edge, &edges)
-        };
-        m.finish(&mut b, e)
+        })
     }
 
     fn cofactors(&self, var: usize) -> (Self, Self) {
@@ -1484,43 +1448,9 @@ mod tests {
             Tt(var_table(var))
         }
 
-        fn apply_edge(&mut self, op: BoolOp, f: Tt, g: Tt) -> Tt {
-            let mut out = 0u64;
-            for m in 0..64 {
-                if op.eval((f.0 >> m) & 1 == 1, (g.0 >> m) & 1 == 1) {
-                    out |= 1 << m;
-                }
-            }
-            Tt(out)
-        }
-
-        fn ite_edge(&mut self, f: Tt, g: Tt, h: Tt) -> Tt {
-            Tt((f.0 & g.0) | (!f.0 & h.0))
-        }
-
-        fn exists_edge(&mut self, f: Tt, vars: &[usize]) -> Tt {
-            let mut t = f.0;
-            for &v in vars {
-                t = restrict_table(t, v, true) | restrict_table(t, v, false);
-            }
-            Tt(t)
-        }
-
-        fn forall_edge(&mut self, f: Tt, vars: &[usize]) -> Tt {
-            let mut t = f.0;
-            for &v in vars {
-                t = restrict_table(t, v, true) & restrict_table(t, v, false);
-            }
-            Tt(t)
-        }
-
-        fn and_exists_edge(&mut self, f: Tt, g: Tt, vars: &[usize]) -> Tt {
-            self.exists_edge(Tt(f.0 & g.0), vars)
-        }
-
-        // The governed variants poll the budget once up front: truth-table
-        // ops are O(1)-ish, so a single checkpoint per call is both the
-        // natural granularity and enough for the generic-layer tests.
+        // Truth-table ops are O(1)-ish, so a single budget checkpoint per
+        // call is both the natural granularity and enough for the
+        // generic-layer tests.
         fn try_apply_edge(
             &mut self,
             op: BoolOp,
@@ -1529,7 +1459,13 @@ mod tests {
             budget: &mut OpBudget,
         ) -> Result<Tt, OpAbort> {
             budget.checkpoint()?;
-            Ok(self.apply_edge(op, f, g))
+            let mut out = 0u64;
+            for m in 0..64 {
+                if op.eval((f.0 >> m) & 1 == 1, (g.0 >> m) & 1 == 1) {
+                    out |= 1 << m;
+                }
+            }
+            Ok(Tt(out))
         }
 
         fn try_ite_edge(
@@ -1540,7 +1476,7 @@ mod tests {
             budget: &mut OpBudget,
         ) -> Result<Tt, OpAbort> {
             budget.checkpoint()?;
-            Ok(self.ite_edge(f, g, h))
+            Ok(Tt((f.0 & g.0) | (!f.0 & h.0)))
         }
 
         fn try_exists_edge(
@@ -1550,7 +1486,11 @@ mod tests {
             budget: &mut OpBudget,
         ) -> Result<Tt, OpAbort> {
             budget.checkpoint()?;
-            Ok(self.exists_edge(f, vars))
+            let mut t = f.0;
+            for &v in vars {
+                t = restrict_table(t, v, true) | restrict_table(t, v, false);
+            }
+            Ok(Tt(t))
         }
 
         fn try_forall_edge(
@@ -1560,7 +1500,11 @@ mod tests {
             budget: &mut OpBudget,
         ) -> Result<Tt, OpAbort> {
             budget.checkpoint()?;
-            Ok(self.forall_edge(f, vars))
+            let mut t = f.0;
+            for &v in vars {
+                t = restrict_table(t, v, true) & restrict_table(t, v, false);
+            }
+            Ok(Tt(t))
         }
 
         fn try_and_exists_edge(
@@ -1570,8 +1514,7 @@ mod tests {
             vars: &[usize],
             budget: &mut OpBudget,
         ) -> Result<Tt, OpAbort> {
-            budget.checkpoint()?;
-            Ok(self.and_exists_edge(f, g, vars))
+            self.try_exists_edge(Tt(f.0 & g.0), vars, budget)
         }
 
         fn try_compose_edge(
@@ -1582,17 +1525,13 @@ mod tests {
             budget: &mut OpBudget,
         ) -> Result<Tt, OpAbort> {
             budget.checkpoint()?;
-            Ok(self.compose_edge(f, var, g))
+            let hi = restrict_table(f.0, var, true);
+            let lo = restrict_table(f.0, var, false);
+            Ok(Tt((g.0 & hi) | (!g.0 & lo)))
         }
 
         fn restrict_edge(&mut self, f: Tt, var: usize, value: bool) -> Tt {
             Tt(restrict_table(f.0, var, value))
-        }
-
-        fn compose_edge(&mut self, f: Tt, var: usize, g: Tt) -> Tt {
-            let hi = restrict_table(f.0, var, true);
-            let lo = restrict_table(f.0, var, false);
-            Tt((g.0 & hi) | (!g.0 & lo))
         }
 
         fn vector_compose_edge(&mut self, f: Tt, subs: &[Option<Tt>]) -> Tt {
@@ -1627,17 +1566,9 @@ mod tests {
             (f.0 >> m) & 1 == 1
         }
 
-        fn sat_count_edge(&self, f: Tt) -> u128 {
-            u128::from(f.0.count_ones())
-        }
-
-        fn sat_count_checked_edge(&self, f: Tt) -> Option<u128> {
-            Some(self.sat_count_edge(f))
-        }
-
         fn try_sat_count_edge(&self, f: Tt, budget: &mut OpBudget) -> Result<u128, OpAbort> {
             budget.checkpoint()?;
-            Ok(self.sat_count_edge(f))
+            Ok(u128::from(f.0.count_ones()))
         }
 
         fn any_sat_edge(&self, f: Tt) -> Option<Vec<bool>> {
@@ -1656,12 +1587,8 @@ mod tests {
                 .collect()
         }
 
-        fn node_count_edge(&self, f: Tt) -> usize {
-            usize::from(f.0 != 0 && f.0 != !0)
-        }
-
         fn shared_node_count_edges(&self, roots: &[Tt]) -> usize {
-            roots.iter().map(|&e| self.node_count_edge(e)).sum()
+            roots.iter().filter(|e| e.0 != 0 && e.0 != !0).count()
         }
 
         fn support_edge(&mut self, f: Tt) -> Vec<usize> {
@@ -1690,14 +1617,6 @@ mod tests {
 
         fn live_nodes(&self) -> usize {
             0
-        }
-
-        fn try_sift(&mut self) -> Option<usize> {
-            None
-        }
-
-        fn sift_bounded(&mut self, _budget: &mut OpBudget) -> Option<Result<usize, OpAbort>> {
-            None
         }
 
         fn variable_order(&self) -> Vec<usize> {
@@ -1796,7 +1715,6 @@ mod tests {
         let g = m2.var(4);
         assert_eq!(f, g, "same backend behind both references");
         assert!(mgr.reorder().is_none());
-        assert!(!mgr.reorder_if_needed());
         // The DVO defaults on a reorder-less backend: everything is a
         // polite no-op.
         assert!(mgr.reorder_with(DvoStrategy::Full).is_none());

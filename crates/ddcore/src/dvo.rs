@@ -21,8 +21,8 @@
 //!   the BBDD-specific strategy, see below). [`DvoStrategy`] is the
 //!   CLI-parseable value form dispatching to the three.
 //! * [`ReorderSchedule`] / [`DvoPolicy`] / [`DvoState`] — *when* to
-//!   reorder: never, past an absolute live-node threshold (the legacy
-//!   `set_auto_reorder` discipline), on a live-node growth factor, or
+//!   reorder: never, past an absolute live-node threshold (the classic
+//!   auto-reorder discipline), on a live-node growth factor, or
 //!   after every N node creations. The managers consult their [`DvoState`]
 //!   at the PR 4 GC-latch boundary and at the network builders' collection
 //!   gates, so reordering triggers adaptively *during* long builds.
@@ -50,8 +50,8 @@
 //! best position seen (a bounded amount of un-budgeted work, at most one
 //! sweep across the order), so the backend is always left with a
 //! consistent variable order and canonical tables — the contract
-//! established by `sift_bounded` and relied on by the scheduled-reorder
-//! hooks in `try_build_network`.
+//! `RawManager::reorder_with` documents and the scheduled-reorder hooks
+//! in `try_build_network` rely on.
 
 use crate::govern::{OpAbort, OpBudget};
 use crate::par::PackedEdge;
@@ -607,7 +607,7 @@ pub enum ReorderSchedule {
     Never,
     /// Fire once the live node count reaches an absolute threshold; after
     /// each firing the threshold re-arms at twice the post-reorder size
-    /// (the legacy `set_auto_reorder` discipline).
+    /// (the classic auto-reorder discipline).
     NodeThreshold(usize),
     /// Fire when the live node count has grown by this factor since the
     /// last reorder (or since the policy was installed).

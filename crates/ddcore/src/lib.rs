@@ -81,6 +81,12 @@ pub mod stats;
 pub mod table;
 pub mod walk;
 
+/// The most variables a manager supports: both backends index levels and
+/// variables with 16 bits and reserve `u16::MAX` for the sink. Front doors
+/// (DIMACS headers, netlist inputs) reject anything wider with an error
+/// naming this limit.
+pub const MAX_VARS: usize = u16::MAX as usize - 1;
+
 pub use api::{BooleanFunction, Function, FunctionManager, ManagerRef, RawManager};
 pub use boolop::{BoolOp, Unary};
 pub use cache::{CacheStats, ComputedCache};

@@ -54,8 +54,6 @@ use crate::table::TableKey;
 use crate::walk::{self, NodeGraph};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-const UNLIMITED: &str = "unlimited budget never aborts";
-
 // ───────────────────────────── node shape ─────────────────────────────────
 
 /// A backend edge packed into one `u32`: node id shifted left by one, the
@@ -1334,11 +1332,6 @@ impl<M: NodeShape> RawManager for Par<M> {
         self.inner.var_edge(var)
     }
 
-    fn apply_edge(&mut self, op: BoolOp, f: M::Edge, g: M::Edge) -> M::Edge {
-        self.apply_op(op, f, g, &mut OpBudget::unlimited())
-            .expect(UNLIMITED)
-    }
-
     fn try_apply_edge(
         &mut self,
         op: BoolOp,
@@ -1347,11 +1340,6 @@ impl<M: NodeShape> RawManager for Par<M> {
         budget: &mut OpBudget,
     ) -> Result<M::Edge, OpAbort> {
         self.apply_op(op, f, g, budget)
-    }
-
-    fn ite_edge(&mut self, f: M::Edge, g: M::Edge, h: M::Edge) -> M::Edge {
-        self.ite_op(f, g, h, &mut OpBudget::unlimited())
-            .expect(UNLIMITED)
     }
 
     fn try_ite_edge(
@@ -1364,11 +1352,6 @@ impl<M: NodeShape> RawManager for Par<M> {
         self.ite_op(f, g, h, budget)
     }
 
-    fn exists_edge(&mut self, f: M::Edge, vars: &[usize]) -> M::Edge {
-        self.try_exists_edge(f, vars, &mut OpBudget::unlimited())
-            .expect(UNLIMITED)
-    }
-
     fn try_exists_edge(
         &mut self,
         f: M::Edge,
@@ -1378,11 +1361,6 @@ impl<M: NodeShape> RawManager for Par<M> {
         self.quant_op(f, vars, BoolOp::OR, optag::EXISTS, budget)
     }
 
-    fn forall_edge(&mut self, f: M::Edge, vars: &[usize]) -> M::Edge {
-        self.try_forall_edge(f, vars, &mut OpBudget::unlimited())
-            .expect(UNLIMITED)
-    }
-
     fn try_forall_edge(
         &mut self,
         f: M::Edge,
@@ -1390,11 +1368,6 @@ impl<M: NodeShape> RawManager for Par<M> {
         budget: &mut OpBudget,
     ) -> Result<M::Edge, OpAbort> {
         self.quant_op(f, vars, BoolOp::AND, optag::FORALL, budget)
-    }
-
-    fn and_exists_edge(&mut self, f: M::Edge, g: M::Edge, vars: &[usize]) -> M::Edge {
-        self.and_exists_op(f, g, vars, &mut OpBudget::unlimited())
-            .expect(UNLIMITED)
     }
 
     fn try_and_exists_edge(
@@ -1412,10 +1385,6 @@ impl<M: NodeShape> RawManager for Par<M> {
 
     fn restrict_edge(&mut self, f: M::Edge, var: usize, value: bool) -> M::Edge {
         self.inner.restrict_edge(f, var, value)
-    }
-
-    fn compose_edge(&mut self, f: M::Edge, var: usize, g: M::Edge) -> M::Edge {
-        self.inner.compose_edge(f, var, g)
     }
 
     fn try_compose_edge(
@@ -1497,18 +1466,6 @@ impl<M: NodeShape> RawManager for Par<M> {
     /// collections advance the GC generation, so the epoch sync below
     /// invalidates the id-keyed concurrent cache exactly as a collection
     /// through any other path would.
-    fn try_sift(&mut self) -> Option<usize> {
-        let n = self.inner.try_sift();
-        self.sync_cache_epoch();
-        n
-    }
-
-    fn sift_bounded(&mut self, budget: &mut OpBudget) -> Option<Result<usize, OpAbort>> {
-        let r = self.inner.sift_bounded(budget);
-        self.sync_cache_epoch();
-        r
-    }
-
     fn reorder_with(
         &mut self,
         strategy: DvoStrategy,
@@ -1525,16 +1482,6 @@ impl<M: NodeShape> RawManager for Par<M> {
 
     fn reorder_policy(&self) -> Option<DvoPolicy> {
         self.inner.reorder_policy()
-    }
-
-    fn set_auto_reorder(&mut self, threshold: usize) {
-        self.inner.set_auto_reorder(threshold);
-    }
-
-    fn reorder_if_needed(&mut self) -> bool {
-        let ran = self.inner.reorder_if_needed();
-        self.sync_cache_epoch();
-        ran
     }
 
     fn reorder_if_needed_bounded(&mut self, budget: &mut OpBudget) -> Result<bool, OpAbort> {

@@ -68,26 +68,6 @@ impl RawManager for Robdd {
         self.var(var)
     }
 
-    fn apply_edge(&mut self, op: BoolOp, f: Edge, g: Edge) -> Edge {
-        self.apply(op, f, g)
-    }
-
-    fn ite_edge(&mut self, f: Edge, g: Edge, h: Edge) -> Edge {
-        self.ite(f, g, h)
-    }
-
-    fn exists_edge(&mut self, f: Edge, vars: &[usize]) -> Edge {
-        self.exists(f, vars)
-    }
-
-    fn forall_edge(&mut self, f: Edge, vars: &[usize]) -> Edge {
-        self.forall(f, vars)
-    }
-
-    fn and_exists_edge(&mut self, f: Edge, g: Edge, vars: &[usize]) -> Edge {
-        self.and_exists(f, g, vars)
-    }
-
     fn try_apply_edge(
         &mut self,
         op: BoolOp,
@@ -148,10 +128,6 @@ impl RawManager for Robdd {
 
     fn restrict_edge(&mut self, f: Edge, var: usize, value: bool) -> Edge {
         self.restrict(f, var, value)
-    }
-
-    fn compose_edge(&mut self, f: Edge, var: usize, g: Edge) -> Edge {
-        self.compose(f, var, g)
     }
 
     fn vector_compose_edge(&mut self, f: Edge, subs: &[Option<Edge>]) -> Edge {
@@ -215,26 +191,6 @@ impl RawManager for Robdd {
         Robdd::live_nodes(self)
     }
 
-    fn try_sift(&mut self) -> Option<usize> {
-        // An installed policy's strategy takes precedence over plain
-        // Rudell sifting, so `reorder()` and the scheduled firings agree
-        // on the algorithm.
-        match self.reorder_policy() {
-            Some(p) => Some(
-                self.sift_strategy(p.strategy, &mut OpBudget::unlimited())
-                    .expect("unlimited budget never aborts"),
-            ),
-            None => Some(self.sift()),
-        }
-    }
-
-    fn sift_bounded(&mut self, budget: &mut OpBudget) -> Option<Result<usize, OpAbort>> {
-        match self.reorder_policy() {
-            Some(p) => Some(self.sift_strategy(p.strategy, budget)),
-            None => Some(Robdd::sift_bounded(self, budget)),
-        }
-    }
-
     fn reorder_with(
         &mut self,
         strategy: ddcore::dvo::DvoStrategy,
@@ -249,14 +205,6 @@ impl RawManager for Robdd {
 
     fn reorder_policy(&self) -> Option<ddcore::dvo::DvoPolicy> {
         Robdd::reorder_policy(self)
-    }
-
-    fn set_auto_reorder(&mut self, threshold: usize) {
-        Robdd::set_auto_reorder(self, threshold);
-    }
-
-    fn reorder_if_needed(&mut self) -> bool {
-        Robdd::reorder_if_needed(self)
     }
 
     fn reorder_if_needed_bounded(&mut self, budget: &mut OpBudget) -> Result<bool, OpAbort> {

@@ -50,4 +50,3 @@ pub use ddcore::nary::NaryOp;
 pub use edge::Edge;
 pub use manager::{Robdd, RobddNodeInfo, RobddStats};
 pub use par::{ParConfig, ParRobdd, ParStats};
-pub use reorder::SiftConfig;

@@ -7,6 +7,9 @@ use ddcore::cache::ComputedCache;
 use ddcore::roots::RootSet;
 use ddcore::table::UniqueTable;
 
+// Every variable index below the limit is distinct from the sink marker.
+const _: () = assert!(ddcore::MAX_VARS < TERMINAL_VAR as usize);
+
 /// Counters exposed for the benchmark harness.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RobddStats {
@@ -110,12 +113,12 @@ impl Robdd {
     /// Create a manager for `num_vars` variables with the identity order.
     ///
     /// # Panics
-    /// Panics if `num_vars` is 0 or too large for 16-bit variable indices.
+    /// Panics if `num_vars` is 0 or exceeds [`ddcore::MAX_VARS`].
     #[must_use]
     pub fn new(num_vars: usize) -> Self {
         assert!(num_vars > 0, "a BDD manager needs at least one variable");
         assert!(
-            num_vars < TERMINAL_VAR as usize,
+            num_vars <= ddcore::MAX_VARS,
             "too many variables for 16-bit indices"
         );
         Robdd {
@@ -455,16 +458,6 @@ impl Robdd {
         true
     }
 
-    /// Arm automatic reordering at a live-node threshold: sugar for a
-    /// full-sift/node-threshold [`ddcore::dvo::DvoPolicy`] (the discipline
-    /// the BBDD manager has always offered; `0` disables).
-    pub fn set_auto_reorder(&mut self, threshold: usize) {
-        self.set_reorder_policy((threshold > 0).then_some(ddcore::dvo::DvoPolicy {
-            strategy: ddcore::dvo::DvoStrategy::Full,
-            schedule: ddcore::dvo::ReorderSchedule::NodeThreshold(threshold),
-        }));
-    }
-
     /// Install (or clear, with `None`) the dynamic-reordering policy:
     /// which [`ddcore::dvo::DvoStrategy`] to run and when its
     /// [`ddcore::dvo::ReorderSchedule`] fires. Scheduled firings happen at
@@ -498,7 +491,7 @@ impl Robdd {
     }
 
     /// [`Robdd::reorder_if_needed`] under a resource budget. On abort the
-    /// variable order is consistent (the [`Robdd::sift_bounded`] park-back
+    /// variable order is consistent (the [`Robdd::sift_strategy`] park-back
     /// contract) and the schedule has re-armed — the trigger was consumed,
     /// so the caller can simply continue with a partially improved order.
     ///

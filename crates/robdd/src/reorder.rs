@@ -6,17 +6,13 @@
 //! [`ReorderBackend`]; this module supplies the backend contract (adjacent
 //! swaps, sift-scoped reference counts with window-local reclamation,
 //! per-variable widths and a structural pair-affinity analogue) and keeps
-//! the historical `sift*` entry points as thin wrappers.
+//! the `sift`/`sift_strategy` entry points as thin wrappers.
 
 use crate::edge::Edge;
 use crate::manager::Robdd;
 use crate::node::Node;
-use ddcore::dvo::{DvoStrategy, FullSift, ReorderBackend, ReorderStrategy};
+use ddcore::dvo::{DvoStrategy, ReorderBackend};
 use ddcore::govern::{OpAbort, OpBudget};
-
-/// Tuning knobs for [`Robdd::sift_with`] (the shared engine's parameter
-/// block; re-exported under its historical name).
-pub use ddcore::dvo::SiftParams as SiftConfig;
 
 impl ReorderBackend for Robdd {
     fn num_vars(&self) -> usize {
@@ -167,43 +163,16 @@ impl Robdd {
     /// node count. Everything a live [`crate::RobddFn`] handle denotes
     /// survives — the handle registry is the root set.
     pub fn sift(&mut self) -> usize {
-        self.sift_with(&SiftConfig::default())
-    }
-
-    /// Sift with an explicit [`SiftConfig`], tracing the handle registry.
-    pub fn sift_with(&mut self, cfg: &SiftConfig) -> usize {
-        FullSift { params: *cfg }
-            .reorder(self, &mut OpBudget::unlimited())
+        self.sift_strategy(DvoStrategy::Full, &mut OpBudget::unlimited())
             .expect("unlimited budget never aborts")
     }
 
-    /// [`Robdd::sift`] under a resource budget, polled before every
-    /// adjacent swap. On abort, the variable currently being sifted is
-    /// first parked back at the best position seen (a bounded amount of
-    /// un-budgeted work), so the order, tables and every registered handle
-    /// stay consistent — the result is simply a partially improved order.
-    ///
-    /// # Errors
-    /// The budget's abort reason.
-    pub fn sift_bounded(&mut self, budget: &mut OpBudget) -> Result<usize, OpAbort> {
-        self.sift_bounded_with(&SiftConfig::default(), budget)
-    }
-
-    /// [`Robdd::sift_bounded`] with explicit [`SiftConfig`].
-    ///
-    /// # Errors
-    /// The budget's abort reason.
-    pub fn sift_bounded_with(
-        &mut self,
-        cfg: &SiftConfig,
-        budget: &mut OpBudget,
-    ) -> Result<usize, OpAbort> {
-        FullSift { params: *cfg }.reorder(self, budget)
-    }
-
     /// Run a specific [`DvoStrategy`] (full, window or pair-aware sift)
-    /// under a resource budget, with the [`Robdd::sift_bounded`] abort
-    /// contract.
+    /// under a resource budget, polled before every adjacent swap. On
+    /// abort, the variable currently being sifted is first parked back at
+    /// the best position seen (a bounded amount of un-budgeted work), so
+    /// the order, tables and every registered handle stay consistent — the
+    /// result is simply a partially improved order.
     ///
     /// # Errors
     /// The budget's abort reason.

@@ -34,7 +34,7 @@ use ddcore::obs::MetricsSnapshot;
 use ddcore::session::SessionBackend;
 use logicnet::build::{build_network, try_build_network};
 use logicnet::publish::{input_union, publish_networks_on};
-use logicnet::{apply_static_order, blif, verilog, Network, StaticOrder};
+use logicnet::{apply_static_order, blif, verilog, Network, Signal, StaticOrder};
 use robdd::prelude::*;
 use std::process::ExitCode;
 use synthkit::rewrite::DiagramRewrite;
@@ -264,6 +264,53 @@ fn emit_observability<M: DiagramRewrite>(mgr: &M, opts: &Options, tag: &str) {
     }
 }
 
+/// Manager size for a netlist with `inputs` primary inputs: at least one
+/// variable (a manager cannot be empty), and an error naming the limit
+/// past [`ddcore::MAX_VARS`] instead of the managers' 16-bit assert.
+fn manager_vars(inputs: usize) -> Result<usize, String> {
+    if inputs > ddcore::MAX_VARS {
+        return Err(format!(
+            "{inputs} inputs, more than the {} variables a manager supports",
+            ddcore::MAX_VARS
+        ));
+    }
+    Ok(inputs.max(1))
+}
+
+/// The rewritten netlist of `roots` (the outputs of `net`), with the
+/// source's port names. A netlist without inputs still needs a
+/// one-variable manager, and the dump declares that variable as a port;
+/// every output of such a netlist is constant, so the port is dropped
+/// and the interface stays the source's.
+fn rewrite<M: DiagramRewrite>(mgr: &M, net: &Network, roots: &[M::Function]) -> Network {
+    let in_names: Vec<String> = net
+        .inputs()
+        .iter()
+        .map(|&s| net.signal_name(s).to_string())
+        .collect();
+    let out_names: Vec<String> = net.outputs().iter().map(|(n, _)| n.clone()).collect();
+    let dumped = mgr.dump_network(roots, &in_names, &out_names);
+    if dumped.num_inputs() == in_names.len() {
+        return dumped;
+    }
+    let constant = "no gate of a constant netlist reads an input";
+    let mut out = Network::new(dumped.name());
+    let mut sig: Vec<Option<Signal>> = vec![None; dumped.num_signals()];
+    for g in dumped.gates() {
+        let ins: Vec<Signal> = g
+            .inputs
+            .iter()
+            .map(|s| sig[s.index()].expect(constant))
+            .collect();
+        let name = dumped.signal_name(g.output);
+        sig[g.output.index()] = Some(out.add_named_gate(name, g.op, &ins));
+    }
+    for (port, s) in dumped.outputs() {
+        out.set_output(port, sig[s.index()].expect(constant));
+    }
+    out
+}
+
 /// The whole pipeline, written once against the trait API: build, report,
 /// optionally sift, and dump either DOT or the rewritten Verilog netlist.
 /// `tag` labels the log lines with the selected backend.
@@ -365,18 +412,11 @@ fn run<M: DiagramRewrite>(mgr: &M, net: &Network, opts: &Options, tag: &str) -> 
         }
     }
 
-    let in_names: Vec<String> = net
-        .inputs()
-        .iter()
-        .map(|&s| net.signal_name(s).to_string())
-        .collect();
-    let out_names: Vec<String> = net.outputs().iter().map(|(n, _)| n.clone()).collect();
     let text = if opts.dot {
-        let names: Vec<&str> = out_names.iter().map(String::as_str).collect();
+        let names: Vec<&str> = net.outputs().iter().map(|(n, _)| n.as_str()).collect();
         mgr.to_dot(&roots, &names)
     } else {
-        let rewritten = mgr.dump_network(&roots, &in_names, &out_names);
-        verilog::write_verilog(&rewritten)
+        verilog::write_verilog(&rewrite(mgr, net, &roots))
     };
     match &opts.output {
         Some(path) => {
@@ -662,7 +702,13 @@ fn serve_main(args: impl Iterator<Item = String>) -> ExitCode {
         }
     };
     let nets: Vec<&Network> = nets_owned.iter().collect();
-    let n = input_union(&nets).len().max(1);
+    let n = match manager_vars(input_union(&nets).len()) {
+        Ok(n) => n,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let threads = o
         .threads
         .unwrap_or_else(|| ddcore::par::threads_from_env(4));
@@ -1104,7 +1150,13 @@ fn main() -> ExitCode {
         net.num_gates(),
     );
 
-    let n = net.num_inputs().max(1);
+    let n = match manager_vars(net.num_inputs()) {
+        Ok(n) => n,
+        Err(e) => {
+            eprintln!("error: {}: {e}", net.name());
+            return ExitCode::FAILURE;
+        }
+    };
     let threads = opts
         .threads
         .unwrap_or_else(|| ddcore::par::threads_from_env(4));
@@ -1123,5 +1175,34 @@ fn main() -> ExitCode {
             &opts,
             tag,
         ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use logicnet::GateOp;
+
+    #[test]
+    fn oversized_netlists_are_an_error_naming_the_limit() {
+        assert_eq!(manager_vars(0), Ok(1));
+        assert_eq!(manager_vars(ddcore::MAX_VARS), Ok(ddcore::MAX_VARS));
+        let err = manager_vars(70_000).unwrap_err();
+        assert!(err.contains("70000") && err.contains("65534"), "{err}");
+    }
+
+    #[test]
+    fn netlists_without_inputs_rewrite_without_ports() {
+        let mut net = Network::new("consts");
+        let one = net.add_gate(GateOp::Const1, &[]);
+        let zero = net.add_gate(GateOp::Not, &[one]);
+        net.set_output("y", one);
+        net.set_output("z", zero);
+        let mgr = BbddManager::with_vars(manager_vars(net.num_inputs()).unwrap());
+        let roots = logicnet::build::build_network(&mgr, &net);
+        let out = rewrite(&mgr, &net, &roots);
+        assert_eq!(out.num_inputs(), 0);
+        assert_eq!(out.simulate(&[]), vec![true, false]);
+        assert!(verilog::write_verilog(&out).contains("module bbdd_rewrite (y, z)"));
     }
 }

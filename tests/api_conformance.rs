@@ -10,6 +10,8 @@
 //! invocation at the bottom.
 
 use bbdd::prelude::*;
+use ddcore::api::RawManager;
+use ddcore::dvo::{DvoPolicy, DvoStrategy};
 use ddcore::govern::{CancelToken, OpAbort, OpBudget};
 use ddcore::obs;
 use ddcore::MetricKind;
@@ -605,4 +607,133 @@ fn trace_spans_balance_across_abort() {
     for (op, d) in &depth {
         assert_eq!(*d, 0, "unbalanced span for {op:?}");
     }
+}
+
+// ───────────────────── derived backend contract ─────────────────────────
+
+/// The provided forms of the backend contract: every infallible op is its
+/// budgeted form under an unlimited budget (at the edge level and through
+/// the handles), infallible handle ops never touch the `govern.*`
+/// accounting, and `reorder()` is `reorder_with` of the installed policy's
+/// strategy, full sift without one. `make` builds a fresh manager, so the
+/// reorder checks run on twins with identical histories.
+fn derived_contract<B: RawManager>(make: impl Fn(usize) -> ManagerRef<B>) {
+    let unlimited = || OpBudget::unlimited();
+    let mgr = make(NV);
+    let pool = pool(&mgr);
+    let governed = |m: &ManagerRef<B>| {
+        let s = m.metrics();
+        (s.get("govern.ops"), s.get("govern.checkpoints"))
+    };
+    let before = governed(&mgr);
+    for (i, (f, _)) in pool.iter().enumerate() {
+        let (g, _) = &pool[(i * 7 + 3) % pool.len()];
+        let (h, _) = &pool[(i * 5 + 1) % pool.len()];
+        let (v, vars) = (i % NV, [i % NV, (i + 2) % NV]);
+        let mut u = unlimited();
+        for op in [BoolOp::AND, BoolOp::XOR, BoolOp::IMPLIES] {
+            assert_eq!(f.apply(op, g), f.try_apply(op, g, &mut u).unwrap());
+        }
+        assert_eq!(f.ite(g, h), f.try_ite(g, h, &mut u).unwrap());
+        assert_eq!(f.exists(&vars), f.try_exists(&vars, &mut u).unwrap());
+        assert_eq!(f.forall(&vars), f.try_forall(&vars, &mut u).unwrap());
+        assert_eq!(
+            f.and_exists(g, &vars),
+            f.try_and_exists(g, &vars, &mut u).unwrap()
+        );
+        assert_eq!(f.compose(v, g), f.try_compose(v, g, &mut u).unwrap());
+
+        let mut b = mgr.backend_mut();
+        let (fe, ge, he) = (f.edge(), g.edge(), h.edge());
+        let mut u = unlimited();
+        assert_eq!(
+            b.apply_edge(BoolOp::NAND, fe, ge),
+            b.try_apply_edge(BoolOp::NAND, fe, ge, &mut u).unwrap()
+        );
+        assert_eq!(
+            b.ite_edge(fe, ge, he),
+            b.try_ite_edge(fe, ge, he, &mut u).unwrap()
+        );
+        assert_eq!(
+            b.exists_edge(fe, &vars),
+            b.try_exists_edge(fe, &vars, &mut u).unwrap()
+        );
+        assert_eq!(
+            b.forall_edge(fe, &vars),
+            b.try_forall_edge(fe, &vars, &mut u).unwrap()
+        );
+        assert_eq!(
+            b.and_exists_edge(fe, ge, &vars),
+            b.try_and_exists_edge(fe, ge, &vars, &mut u).unwrap()
+        );
+        assert_eq!(
+            b.compose_edge(fe, v, ge),
+            b.try_compose_edge(fe, v, ge, &mut u).unwrap()
+        );
+    }
+    // Only the handle-level `try_*` calls above were accounted; the
+    // infallible ops alone leave the counters where they were.
+    let after_try = governed(&mgr);
+    assert_ne!(before, after_try, "governed ops are accounted");
+    for (i, (f, _)) in pool.iter().enumerate() {
+        let (g, _) = &pool[(i * 3 + 2) % pool.len()];
+        let vars = [i % NV];
+        let subs = vec![Some(g.clone()), None];
+        drop([
+            f.apply(BoolOp::OR, g),
+            f.ite(g, f),
+            f.exists(&vars),
+            f.forall(&vars),
+            f.and_exists(g, &vars),
+            f.restrict(i % NV, true),
+            f.compose(i % NV, g),
+            f.vector_compose(&subs),
+        ]);
+    }
+    assert_eq!(governed(&mgr), after_try, "infallible ops are not governed");
+
+    // Twins with a hostile order: the equality comparator of two 4-bit
+    // words, operand bits stacked.
+    let twin = || {
+        let m = make(8);
+        let eq = (0..4).fold(m.constant(true), |acc, i| {
+            acc.and(&m.var(i).xnor(&m.var(i + 4)))
+        });
+        (m, eq)
+    };
+    for (policy, strategy) in [
+        (None, DvoStrategy::Full),
+        (Some("pair:never"), DvoStrategy::Pair),
+    ] {
+        let (m1, f1) = twin();
+        let (m2, f2) = twin();
+        let policy = policy.map(|p| p.parse::<DvoPolicy>().unwrap());
+        m1.set_reorder_policy(policy);
+        m2.set_reorder_policy(policy);
+        let live = m1.reorder();
+        assert_eq!(live, m2.reorder_with(strategy), "{strategy} live count");
+        assert_eq!(live, Some(m1.live_nodes()));
+        assert_eq!(m1.variable_order(), m2.variable_order(), "{strategy} order");
+        assert_eq!(f1.node_count(), f2.node_count());
+    }
+}
+
+#[test]
+fn derived_contract_bbdd() {
+    derived_contract(BbddManager::with_vars);
+}
+
+#[test]
+fn derived_contract_robdd() {
+    derived_contract(RobddManager::with_vars);
+}
+
+#[test]
+fn derived_contract_par_bbdd() {
+    derived_contract(|n| ParBbddManager::new(ParBbdd::new(n, 4)));
+}
+
+#[test]
+fn derived_contract_par_robdd() {
+    derived_contract(|n| ParRobddManager::new(ParRobdd::new(n, 4)));
 }

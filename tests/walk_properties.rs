@@ -15,6 +15,7 @@
 use bbdd::{Bbdd, ParBbdd};
 use ddcore::api::RawManager;
 use ddcore::boolop::BoolOp;
+use ddcore::dvo::DvoStrategy;
 use ddcore::govern::{OpAbort, OpBudget};
 use ddcore::par::{NodeShape, PackedEdge, Par, ParConfig};
 use ddcore::session::{Library, SharedBase};
@@ -282,7 +283,9 @@ fn scenario<M: Reference>(extra: impl Fn(&M, &[M::Edge])) {
         extra(&m, &both);
 
         let counts: Vec<u128> = both.iter().map(|&r| m.sat_count_edge(r)).collect();
-        assert!(m.try_sift().is_some());
+        assert!(m
+            .reorder_with(DvoStrategy::Full, &mut OpBudget::unlimited())
+            .is_some());
         check_walks(&mut m, |m| m, &both);
         extra(&m, &both);
         let after: Vec<u128> = both.iter().map(|&r| m.sat_count_edge(r)).collect();
