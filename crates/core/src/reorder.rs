@@ -72,6 +72,24 @@ impl ReorderBackend for Bbdd {
             .count();
         chained as f64 / total as f64
     }
+
+    /// A swap at position `p` rewrites the three chain levels at positions
+    /// `p - 1 ..= p + 1` (see the `swap` module) and never touches a level
+    /// above or below them. Moving down, the next swaps sit at positions
+    /// `>= top`, so everything above `top - 1` is settled; moving up they
+    /// sit at positions `< top + len - 1`, so everything from `top + len`
+    /// down is. There is no interaction refinement: the swap re-expands
+    /// `y`'s nodes over `y ⊕ x` when `x` lands between `y` and its SV, even
+    /// if no function depends on both.
+    fn settled_width(&self, top: usize, len: usize, down: bool) -> usize {
+        let n = Bbdd::num_vars(self);
+        let settled = if down {
+            0..top.saturating_sub(1)
+        } else {
+            top + len..n
+        };
+        settled.map(|pos| self.subtables[n - 1 - pos].len()).sum()
+    }
 }
 
 impl Bbdd {

@@ -46,52 +46,55 @@ use crate::node::{Node, NodeKey};
 use ddcore::fxhash::FxHashMap;
 
 /// Reference to either a committed arena node or a staged node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SRef {
     Final(u32),
     Staged(u32),
 }
 
-/// Edge in staging space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct SEdge {
-    r: SRef,
-    c: bool,
-}
+/// Edge in staging space, packed into one word: the target's index from
+/// bit 2 up, bit 1 set when the target is staged, bit 0 the complement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SEdge(u64);
 
 impl SEdge {
-    const ONE: SEdge = SEdge {
-        r: SRef::Final(0),
-        c: false,
-    };
-    const ZERO: SEdge = SEdge {
-        r: SRef::Final(0),
-        c: true,
-    };
+    const ONE: SEdge = SEdge(0);
+    const ZERO: SEdge = SEdge(1);
+    const STAGED: u64 = 2;
 
     #[inline]
-    fn flip(self) -> SEdge {
-        SEdge {
-            r: self.r,
-            c: !self.c,
-        }
-    }
-
-    #[inline]
-    fn complement_if(self, c: bool) -> SEdge {
-        if c {
-            self.flip()
-        } else {
-            self
-        }
+    fn staged(k: u32) -> SEdge {
+        SEdge(u64::from(k) << 2 | Self::STAGED)
     }
 
     #[inline]
     fn from_edge(e: Edge) -> SEdge {
-        SEdge {
-            r: SRef::Final(e.node()),
-            c: e.is_complemented(),
+        SEdge(u64::from(e.node()) << 2 | u64::from(e.is_complemented()))
+    }
+
+    #[inline]
+    fn r(self) -> SRef {
+        let i = (self.0 >> 2) as u32;
+        if self.0 & Self::STAGED == 0 {
+            SRef::Final(i)
+        } else {
+            SRef::Staged(i)
         }
+    }
+
+    #[inline]
+    fn c(self) -> bool {
+        self.0 & 1 == 1
+    }
+
+    #[inline]
+    fn flip(self) -> SEdge {
+        SEdge(self.0 ^ 1)
+    }
+
+    #[inline]
+    fn complement_if(self, c: bool) -> SEdge {
+        SEdge(self.0 ^ u64::from(c))
     }
 }
 
@@ -107,12 +110,16 @@ struct StagedNode {
     owner: Option<u32>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct SKey {
-    level: u16,
-    shannon: bool,
-    neq: SEdge,
-    eq: SEdge,
+impl StagedNode {
+    /// The tuple packed into one `u128`: level from bit 69, the Shannon
+    /// flag at bit 68, then the two 34-bit edges.
+    #[inline]
+    fn key(&self) -> u128 {
+        u128::from(self.level) << 69
+            | u128::from(self.shannon) << 68
+            | u128::from(self.neq.0) << 34
+            | u128::from(self.eq.0)
+    }
 }
 
 /// Cofactor value in *old* semantics: either a real edge (stable region) or
@@ -123,50 +130,47 @@ enum VEdge {
     OldLit { level: u16, c: bool },
 }
 
-#[derive(Debug)]
+/// Per-swap scratch, kept on the manager between swaps so no swap
+/// allocates once the buffers have grown.
+#[derive(Debug, Default)]
 pub(crate) struct SwapCtx {
     staged: Vec<StagedNode>,
-    tab: FxHashMap<SKey, u32>,
+    tab: FxHashMap<u128, u32>,
     /// Bottom level of the swap window (`L0`); final nodes may only be
     /// referenced below it.
     l0: u16,
+    /// The window's old node ids: level `L0`'s, then `L1`'s, then `L2`'s.
+    window: Vec<u32>,
+    /// Commit scratch, indexed by staged id: reachability from the owned
+    /// tuples, its DFS stack, and each tuple's arena slot.
+    used: Vec<bool>,
+    stack: Vec<u32>,
+    final_id: Vec<u32>,
 }
 
 impl SwapCtx {
-    fn new(l0: u16) -> Self {
-        SwapCtx {
-            staged: Vec::new(),
-            tab: FxHashMap::default(),
-            l0,
-        }
-    }
-
     fn reset(&mut self, l0: u16) {
         self.staged.clear();
         self.tab.clear();
+        self.window.clear();
         self.l0 = l0;
     }
 
-    fn intern(&mut self, key: SKey, owner: Option<u32>) -> u32 {
-        if let Some(&k) = self.tab.get(&key) {
-            if let Some(id) = owner {
-                assert!(
-                    self.staged[k as usize].owner.is_none(),
-                    "BBDD swap: two surviving nodes claim one canonical tuple"
-                );
-                self.staged[k as usize].owner = Some(id);
-            }
-            return k;
+    /// The staged id of `node`'s tuple, staging it on first sight. An
+    /// owned `node` hands its owner to an existing unowned tuple.
+    fn intern(&mut self, node: StagedNode) -> u32 {
+        let next = self.staged.len() as u32;
+        let k = *self.tab.entry(node.key()).or_insert(next);
+        if k == next {
+            self.staged.push(node);
+        } else if let Some(id) = node.owner {
+            let s = &mut self.staged[k as usize];
+            assert!(
+                s.owner.is_none(),
+                "BBDD swap: two surviving nodes claim one canonical tuple"
+            );
+            s.owner = Some(id);
         }
-        let k = self.staged.len() as u32;
-        self.staged.push(StagedNode {
-            level: key.level,
-            shannon: key.shannon,
-            neq: key.neq,
-            eq: key.eq,
-            owner,
-        });
-        self.tab.insert(key, k);
         k
     }
 }
@@ -198,37 +202,40 @@ impl Bbdd {
             None
         };
 
-        let ids0 = self.subtables[l0 as usize].values();
-        let ids1 = self.subtables[l1 as usize].values();
-        let ids2 = l2.map(|l| self.subtables[l as usize].values());
+        let mut ctx = self.take_swap_scratch(l0);
+        let mut ids = std::mem::take(&mut ctx.window);
+        for l in [l0, l1].into_iter().chain(l2) {
+            self.subtables[l as usize].for_each(|_, id| ids.push(id));
+        }
+        let n0 = self.subtables[l0 as usize].len();
+        let n01 = n0 + self.subtables[l1 as usize].len();
         // Inside a reorder, drop the window's outgoing references now; the
         // commit adds back those of the rebuilt nodes.
         if let Some(refs) = self.sift_refs.as_mut() {
-            for &id in ids0.iter().chain(&ids1).chain(ids2.iter().flatten()) {
+            for &id in &ids {
                 let n = &self.nodes[id as usize];
                 refs.dec(n.neq());
                 refs.dec(n.eq());
             }
         }
 
-        let mut ctx = self.take_swap_scratch(l0);
-        for &id in &ids0 {
+        for &id in &ids[..n0] {
             self.rebuild_l0(&mut ctx, id, l0, l1);
         }
-        for &id in &ids1 {
+        for &id in &ids[n0..n01] {
             self.rebuild_l1(&mut ctx, id, l0, l1);
         }
-        if let (Some(l2), Some(ids2)) = (l2, &ids2) {
-            for &id in ids2 {
+        if let Some(l2) = l2 {
+            for &id in &ids[n01..] {
                 self.rebuild_l2(&mut ctx, id, l0, l1, l2);
             }
         }
-        let claimed = ctx.staged.iter().filter(|s| s.owner.is_some()).count();
         debug_assert_eq!(
-            claimed,
-            ids0.len() + ids1.len() + ids2.as_ref().map_or(0, Vec::len),
+            ctx.staged.iter().filter(|s| s.owner.is_some()).count(),
+            ids.len(),
             "every old node must adopt exactly one new tuple"
         );
+        ctx.window = ids;
 
         self.commit(&mut ctx, l0, l1, l2);
         self.put_swap_scratch(ctx);
@@ -427,54 +434,46 @@ impl Bbdd {
         if neq == eq {
             return eq; // R2
         }
-        let mut out_c = false;
-        if eq.c {
+        let out_c = eq.c();
+        if out_c {
             neq = neq.flip();
             eq = eq.flip();
-            out_c = true;
         }
         if neq == eq.flip() && self.is_new_lit_below(ctx, eq, level) {
-            let lit = self.stage_shannon(ctx, level);
+            let lit = Self::stage_shannon(ctx, level);
             return lit.complement_if(out_c); // R4
         }
-        let key = SKey {
+        let k = ctx.intern(StagedNode {
             level,
             shannon: false,
             neq,
             eq,
-        };
-        let k = ctx.intern(key, None);
-        SEdge {
-            r: SRef::Staged(k),
-            c: out_c,
-        }
+            owner: None,
+        });
+        SEdge::staged(k).complement_if(out_c)
     }
 
-    fn stage_shannon(&mut self, ctx: &mut SwapCtx, level: u16) -> SEdge {
-        let key = SKey {
+    fn stage_shannon(ctx: &mut SwapCtx, level: u16) -> SEdge {
+        SEdge::staged(ctx.intern(StagedNode {
             level,
             shannon: true,
             neq: SEdge::ZERO,
             eq: SEdge::ONE,
-        };
-        let k = ctx.intern(key, None);
-        SEdge {
-            r: SRef::Staged(k),
-            c: false,
-        }
+            owner: None,
+        }))
     }
 
     /// Is `e` the regular positive literal of the level below `level`, in
     /// post-swap semantics?
     fn is_new_lit_below(&self, ctx: &SwapCtx, e: SEdge, level: u16) -> bool {
-        if e.c {
+        if e.c() {
             return false;
         }
         if level == 0 {
             return e == SEdge::ONE;
         }
         let below = level - 1;
-        match e.r {
+        match e.r() {
             SRef::Final(id) => {
                 if id == 0 {
                     return false;
@@ -507,7 +506,7 @@ impl Bbdd {
             // The node's function does not depend on the new PV of `level`:
             // it migrates to the root of its (single) child, which is
             // always a regular staged node — see the module docs.
-            match (neq.r, neq.c) {
+            match (neq.r(), neq.c()) {
                 (SRef::Staged(k), false) => {
                     assert!(
                         ctx.staged[k as usize].owner.is_none(),
@@ -520,20 +519,20 @@ impl Bbdd {
             return;
         }
         assert!(
-            !eq.c,
+            !eq.c(),
             "BBDD swap: claim with complemented =-edge (polarity flip)"
         );
         debug_assert!(
             shannon || !(neq == eq.flip() && self.is_new_lit_below(ctx, eq, level)),
             "BBDD swap: surviving biconditional node degenerated to a literal"
         );
-        let key = SKey {
+        ctx.intern(StagedNode {
             level,
             shannon,
             neq,
             eq,
-        };
-        ctx.intern(key, Some(id));
+            owner: Some(id),
+        });
     }
 
     /// Is the edge's target strictly below the swap window?
@@ -546,13 +545,9 @@ impl Bbdd {
     }
 
     fn take_swap_scratch(&mut self, l0: u16) -> SwapCtx {
-        match self.swap_scratch.take() {
-            Some(mut ctx) => {
-                ctx.reset(l0);
-                ctx
-            }
-            None => SwapCtx::new(l0),
-        }
+        let mut ctx = self.swap_scratch.take().unwrap_or_default();
+        ctx.reset(l0);
+        ctx
     }
 
     fn put_swap_scratch(&mut self, ctx: SwapCtx) {
@@ -562,20 +557,26 @@ impl Bbdd {
     /// Write the staged forest back: reuse owned slots, allocate fresh ones
     /// for reachable unowned nodes, refill the three subtables.
     fn commit(&mut self, ctx: &mut SwapCtx, l0: u16, l1: u16, l2: Option<u16>) {
-        let staged = &ctx.staged;
+        let SwapCtx {
+            staged,
+            used,
+            stack,
+            final_id,
+            ..
+        } = ctx;
         // Reachability from owned (adopted) nodes; unreferenced fresh
         // intermediates are dropped instead of becoming instant garbage.
-        let mut used = vec![false; staged.len()];
-        let mut stack: Vec<u32> = (0..staged.len() as u32)
-            .filter(|&k| staged[k as usize].owner.is_some())
-            .collect();
+        used.clear();
+        used.resize(staged.len(), false);
+        stack.clear();
+        stack.extend((0..staged.len() as u32).filter(|&k| staged[k as usize].owner.is_some()));
         while let Some(k) = stack.pop() {
             if used[k as usize] {
                 continue;
             }
             used[k as usize] = true;
             for e in [staged[k as usize].neq, staged[k as usize].eq] {
-                if let SRef::Staged(j) = e.r {
+                if let SRef::Staged(j) = e.r() {
                     stack.push(j);
                 }
             }
@@ -589,7 +590,8 @@ impl Bbdd {
             self.subtables[l2 as usize].clear();
         }
 
-        let mut final_id = vec![u32::MAX; staged.len()];
+        final_id.clear();
+        final_id.resize(staged.len(), u32::MAX);
         for (k, s) in staged.iter().enumerate() {
             if !used[k] {
                 continue;
@@ -609,11 +611,11 @@ impl Bbdd {
         }
 
         let resolve = |e: SEdge| -> Edge {
-            match e.r {
-                SRef::Final(id) => Edge::new(id, e.c),
+            match e.r() {
+                SRef::Final(id) => Edge::new(id, e.c()),
                 SRef::Staged(k) => {
                     debug_assert_ne!(final_id[k as usize], u32::MAX);
-                    Edge::new(final_id[k as usize], e.c)
+                    Edge::new(final_id[k as usize], e.c())
                 }
             }
         };

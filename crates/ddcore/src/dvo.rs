@@ -11,7 +11,10 @@
 //!   generic engine can sift it: positions, adjacent swaps, an exact live
 //!   count and level widths (plus an optional *chain-affinity* signal, see
 //!   below), bracketed by a reorder scope in which the backend keeps
-//!   [`SiftRefs`] and reclaims each swap's dead nodes locally.
+//!   [`SiftRefs`] and reclaims each swap's dead nodes locally. A backend
+//!   may also report a *settled width*
+//!   ([`ReorderBackend::settled_width`]), a lower bound that ends a sift
+//!   direction once no further move in it can beat the best size.
 //!   Both `bbdd::Bbdd` and `robdd::Robdd` implement this; their crates'
 //!   public sift entry points are thin wrappers over the engine here.
 //! * [`ReorderStrategy`] — the pluggable algorithm: [`FullSift`] (classic
@@ -105,6 +108,17 @@ pub trait ReorderBackend {
     /// (`0.0`) makes [`PairSift`] degenerate to singleton sifting.
     fn pair_affinity(&self, _pos: usize) -> f64 {
         0.0
+    }
+
+    /// A lower bound for every size the engine can still see in one sift
+    /// direction: the stored nodes on levels that no further move of the
+    /// group at positions `top .. top + len` towards the bottom (`down`)
+    /// or the top can change. The group's own levels never count. The
+    /// engine ends a direction once this reaches the best size seen, since
+    /// no later move in it can then strictly improve. The default (`0`)
+    /// is no bound.
+    fn settled_width(&self, _top: usize, _len: usize, _down: bool) -> usize {
+        0
     }
 }
 
@@ -281,6 +295,12 @@ fn sift_group<B: ReorderBackend>(
             }
             let next_top = if down { top + 1 } else { top - 1 };
             if !in_window(next_top) {
+                break;
+            }
+            // Every later size in this direction is at least the settled
+            // width, and `best_top` moves only on a strict improvement, so
+            // the cut never changes where the group parks.
+            if b.settled_width(top, len, down) >= best_size {
                 break;
             }
             if let Err(reason) = budget.checkpoint() {

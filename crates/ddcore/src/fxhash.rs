@@ -57,6 +57,12 @@ impl Hasher for FxHasher {
     }
 
     #[inline]
+    fn write_u128(&mut self, i: u128) {
+        self.add(i as u64);
+        self.add((i >> 64) as u64);
+    }
+
+    #[inline]
     fn write_usize(&mut self, i: usize) {
         self.add(i as u64);
     }

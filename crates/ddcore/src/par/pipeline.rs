@@ -230,8 +230,13 @@ impl<M: NodeShape> Overlay<'_, M> {
     /// function — the cornerstone of the determinism argument.
     #[inline]
     pub fn find_or_insert(&self, key: M::Key, words: (u32, u32, u32)) -> u32 {
-        if let Some(id) = self.base.peek(&key) {
-            return id;
+        // A frozen base node has only base children, so a key with an
+        // overlay child can never hit the base tables.
+        let in_base = |w: u32| M::Edge::from_bits(w).node() < self.base_len;
+        if in_base(words.0) && in_base(words.1) {
+            if let Some(id) = self.base.peek(&key) {
+                return id;
+            }
         }
         self.table.get_or_insert_with(key, || {
             self.base_len + self.arena.alloc(words.0, words.1, words.2)
@@ -297,7 +302,14 @@ struct OverlayFrame<K> {
     /// through *any* path is caught by comparing generations before
     /// trusting cached node ids.
     seen_generation: u64,
+    /// The commit's import memo, indexed by overlay slot: the packed base
+    /// edge a slot imported to, or [`NOT_IMPORTED`].
+    memo: Vec<u32>,
 }
+
+/// Import-memo entry of an overlay slot the commit has not reached. An
+/// import always yields a regular edge, so no result packs to it.
+const NOT_IMPORTED: u32 = u32::MAX;
 
 impl<K: TableKey> OverlayFrame<K> {
     fn new(cfg: &ParConfig) -> Self {
@@ -306,6 +318,7 @@ impl<K: TableKey> OverlayFrame<K> {
             arena: OverlayArena::new(),
             cache: AtomicCache::new(cfg.cache_ways),
             seen_generation: 0,
+            memo: Vec::new(),
         }
     }
 
@@ -847,30 +860,33 @@ impl<M: NodeShape> Engine<'_, M> {
 
 /// Commit one overlay edge into the base manager (memoized depth-first
 /// rebuild, first child before second, through
-/// [`NodeShape::import_node`]).
+/// [`NodeShape::import_node`]). `memo` holds one entry per overlay slot;
+/// `imported` counts the slots this call filled.
 fn import<M: NodeShape>(
     base: &mut M,
     arena: &OverlayArena,
     base_len: u32,
-    memo: &mut FxHashMap<u32, M::Edge>,
+    memo: &mut [u32],
+    imported: &mut u64,
     e: M::Edge,
 ) -> M::Edge {
     if e.is_constant() || e.node() < base_len {
         return e;
     }
-    let id = e.node();
-    if let Some(&r) = memo.get(&id) {
-        return r.complement_if(e.is_complemented());
+    let slot = (e.node() - base_len) as usize;
+    if memo[slot] != NOT_IMPORTED {
+        return M::Edge::from_bits(memo[slot]).complement_if(e.is_complemented());
     }
-    let (a, b, meta) = arena.get(id - base_len);
-    let first = import(base, arena, base_len, memo, M::Edge::from_bits(a));
-    let second = import(base, arena, base_len, memo, M::Edge::from_bits(b));
+    let (a, b, meta) = arena.get(slot as u32);
+    let first = import(base, arena, base_len, memo, imported, M::Edge::from_bits(a));
+    let second = import(base, arena, base_len, memo, imported, M::Edge::from_bits(b));
     let r = base.import_node(meta, first, second);
     debug_assert!(
         !r.is_complemented(),
         "regular overlay nodes import to regular edges"
     );
-    memo.insert(id, r);
+    memo[slot] = r.bits();
+    *imported += 1;
     r.complement_if(e.is_complemented())
 }
 
@@ -1243,29 +1259,33 @@ impl<M: NodeShape> Par<M> {
         // the canonical overlay graph, fixed task order), then resolve the
         // combine tree.
         let mut commit = obs::span(Op::ParCommit);
-        let mut memo: FxHashMap<u32, M::Edge> = FxHashMap::default();
+        let memo = &mut self.frame.memo;
+        memo.clear();
+        memo.resize(self.frame.arena.len() as usize, NOT_IMPORTED);
+        let mut imported = 0u64;
         let mut leaf_edges = Vec::with_capacity(results.len());
         let mut abort = None;
         for slot in &results {
             let e = M::Edge::from_bits(slot.load(Ordering::Acquire) as u32);
-            let before = memo.len();
+            let before = imported;
             leaf_edges.push(import(
                 &mut self.inner,
                 &self.frame.arena,
                 base_len,
-                &mut memo,
+                memo,
+                &mut imported,
                 e,
             ));
-            if let Err(reason) = budget.charge((memo.len() - before) as u64) {
+            if let Err(reason) = budget.charge(imported - before) {
                 abort = Some(reason);
                 break;
             }
         }
-        self.stats.nodes_imported += memo.len() as u64;
+        self.stats.nodes_imported += imported;
         if let Some(reason) = abort {
             return Err(reason);
         }
-        commit.set_arg("imported", memo.len() as u64);
+        commit.set_arg("imported", imported);
         self.resolve(plan, &leaf_edges, budget)
     }
 

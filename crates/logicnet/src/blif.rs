@@ -7,7 +7,7 @@
 //! with a clear error.
 
 use crate::ir::{GateOp, Network, Signal};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Problems encountered while parsing BLIF text.
@@ -76,6 +76,7 @@ pub fn parse_blif(text: &str) -> Result<Network, BlifError> {
 
     let mut model_name = String::from("top");
     let mut inputs: Vec<String> = Vec::new();
+    let mut input_names: HashSet<String> = HashSet::new();
     let mut outputs: Vec<String> = Vec::new();
     let mut names: Vec<NamesEntry> = Vec::new();
     let mut current: Option<NamesEntry> = None;
@@ -95,7 +96,14 @@ pub fn parse_blif(text: &str) -> Result<Network, BlifError> {
                         model_name = (*n).to_string();
                     }
                 }
-                ".inputs" => inputs.extend(tokens[1..].iter().map(|t| t.to_string())),
+                ".inputs" => {
+                    for t in &tokens[1..] {
+                        if !input_names.insert(t.to_string()) {
+                            return Err(err(line, &format!("input {t} declared twice")));
+                        }
+                        inputs.push(t.to_string());
+                    }
+                }
                 ".outputs" => outputs.extend(tokens[1..].iter().map(|t| t.to_string())),
                 ".names" => {
                     if tokens.len() < 2 {
@@ -208,6 +216,11 @@ pub fn parse_blif(text: &str) -> Result<Network, BlifError> {
     }
     for &idx in &order {
         let e = &names[idx];
+        // Covers were checked against each other above; this catches a
+        // cover driving a primary input.
+        if net.signal_by_name(&e.output).is_some() {
+            return Err(err(e.line, &format!("{} driven twice", e.output)));
+        }
         let mut ins: Vec<Signal> = Vec::with_capacity(e.inputs.len());
         for name in &e.inputs {
             match net.signal_by_name(name) {
@@ -445,6 +458,24 @@ mod tests {
 .end
 ";
         assert!(parse_blif(cyc).is_err());
+    }
+
+    #[test]
+    fn rejects_a_duplicate_input_naming_its_line() {
+        let text = ".model m\n.inputs a a\n.outputs y\n.names a y\n1 1\n.end\n";
+        let e = parse_blif(text).unwrap_err();
+        assert_eq!(e.line, 2, "{e}");
+        assert!(e.message.contains("input a declared twice"), "{e}");
+        let split = ".model m\n.inputs a\n.inputs b a\n.outputs y\n.names a y\n1 1\n.end\n";
+        assert_eq!(parse_blif(split).unwrap_err().line, 3);
+    }
+
+    #[test]
+    fn rejects_a_cover_driving_an_input() {
+        let text = ".model m\n.inputs a\n.outputs y\n.names a y\n1 1\n.names a\n1\n.end\n";
+        let e = parse_blif(text).unwrap_err();
+        assert_eq!(e.line, 6, "{e}");
+        assert!(e.message.contains("a driven twice"), "{e}");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! `1'b1`. Buses are not supported — generators emit flattened bit names.
 
 use crate::ir::{GateOp, Network, Signal};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Problems encountered while parsing Verilog text.
@@ -503,6 +503,7 @@ pub fn parse_verilog(text: &str) -> Result<Network, VerilogError> {
     p.expect_sym(';')?;
 
     let mut inputs: Vec<String> = Vec::new();
+    let mut input_names: HashSet<String> = HashSet::new();
     let mut outputs: Vec<String> = Vec::new();
     let mut defs: Vec<Def> = Vec::new();
 
@@ -513,8 +514,15 @@ pub fn parse_verilog(text: &str) -> Result<Network, VerilogError> {
             Some(Tok::Input) | Some(Tok::Output) | Some(Tok::Wire) => {
                 let kind = p.toks[p.pos - 1].1.clone();
                 loop {
+                    let at = p.line();
                     match p.bump() {
                         Some(Tok::Ident(n)) => match kind {
+                            Tok::Input if !input_names.insert(n.clone()) => {
+                                return Err(VerilogError {
+                                    line: at,
+                                    message: format!("input {n} declared twice"),
+                                })
+                            }
                             Tok::Input => inputs.push(n),
                             Tok::Output => outputs.push(n),
                             _ => {}
@@ -566,6 +574,15 @@ pub fn parse_verilog(text: &str) -> Result<Network, VerilogError> {
                             .cloned()
                             .ok_or_else(|| p.err("not needs one input"))?,
                     )),
+                    _ if ins.is_empty() => {
+                        return Err(VerilogError {
+                            line,
+                            message: format!(
+                                "{} needs at least one input",
+                                format!("{op:?}").to_lowercase()
+                            ),
+                        })
+                    }
                     _ => Expr::Nary(op, ins),
                 };
                 defs.push(Def {
@@ -840,6 +857,29 @@ endmodule
         assert!(parse_verilog(cyc).is_err());
         let bus = "module m (a, y); input [3:0] a; output y; endmodule";
         assert!(parse_verilog(bus).is_err());
+    }
+
+    #[test]
+    fn rejects_a_duplicate_input_naming_its_line() {
+        let src =
+            "module m (a, y);\n  input a;\n  input a;\n  output y;\n  buf g (y, a);\nendmodule\n";
+        let e = parse_verilog(src).unwrap_err();
+        assert_eq!(e.line, 3, "{e}");
+        assert!(e.message.contains("input a declared twice"), "{e}");
+        let same_line = "module m (a, y); input a, a; output y; buf g (y, a); endmodule";
+        assert!(parse_verilog(same_line).is_err());
+    }
+
+    #[test]
+    fn rejects_a_gate_with_no_inputs_naming_its_line() {
+        let src = "module m (a, y);\n  input a;\n  output y;\n  xor g (y);\nendmodule\n";
+        let e = parse_verilog(src).unwrap_err();
+        assert_eq!(e.line, 4, "{e}");
+        assert!(e.message.contains("xor needs at least one input"), "{e}");
+        for prim in ["and", "or", "nand", "nor", "xnor"] {
+            let src = format!("module m (a, y); input a; output y; {prim} g (y); endmodule");
+            assert!(parse_verilog(&src).is_err(), "{prim}");
+        }
     }
 
     #[test]

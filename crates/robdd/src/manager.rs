@@ -90,12 +90,15 @@ pub struct Robdd {
     /// Reference counts kept while a reorder runs (`None` outside one);
     /// swaps then reclaim their dead nodes locally.
     pub(crate) sift_refs: Option<ddcore::dvo::SiftRefs>,
+    /// Level widths and the interaction matrix the sift bound reads,
+    /// built when a reorder opens (`None` outside one).
+    pub(crate) sift_bound: Option<crate::reorder::SiftBound>,
     /// External-root registry behind the [`crate::RobddFn`] handles; GC
     /// and sifting trace from here instead of caller-supplied root lists.
     roots: RootSet,
     /// Reusable snapshot buffer for the registry trace; after a
     /// collection it holds the snapshot that collection marked from.
-    root_scratch: Vec<u64>,
+    pub(crate) root_scratch: Vec<u64>,
     /// The automatic-GC latch + collection generation (shared shape with
     /// the BBDD manager; see [`ddcore::roots::GcLatch`]).
     gc_latch: ddcore::roots::GcLatch,
@@ -131,6 +134,7 @@ impl Robdd {
             cache: ComputedCache::default(),
             stats: RobddStats::default(),
             sift_refs: None,
+            sift_bound: None,
             roots: RootSet::new(),
             root_scratch: Vec::new(),
             gc_latch: ddcore::roots::GcLatch::default(),
@@ -157,6 +161,7 @@ impl Robdd {
             cache: self.cache.clone(),
             stats: RobddStats::default(),
             sift_refs: None,
+            sift_bound: None,
             roots: RootSet::new(),
             root_scratch: Vec::new(),
             gc_latch: ddcore::roots::GcLatch::default(),

@@ -13,6 +13,7 @@ use crate::manager::Robdd;
 use crate::node::Node;
 use ddcore::dvo::{DvoStrategy, ReorderBackend};
 use ddcore::govern::{OpAbort, OpBudget};
+use std::ops::Range;
 
 impl ReorderBackend for Robdd {
     fn num_vars(&self) -> usize {
@@ -37,9 +38,18 @@ impl ReorderBackend for Robdd {
 
     fn begin_reorder(&mut self) {
         self.begin_sift_refs();
+        self.sift_bound = Some(SiftBound {
+            widths: LevelWidths::new(
+                (0..Robdd::num_vars(self))
+                    .map(|pos| self.subtables[self.var_at_pos[pos] as usize].len())
+                    .collect(),
+            ),
+            interact: Interaction::of_roots(self),
+        });
     }
 
     fn end_reorder(&mut self) -> usize {
+        self.sift_bound = None;
         self.end_sift_refs()
     }
 
@@ -72,6 +82,184 @@ impl ReorderBackend for Robdd {
             .count();
         coupled as f64 / total as f64
     }
+
+    /// A swap rewrites only the two swapped levels. Moving the group one
+    /// way leaves every level on the other side untouched, and on its own
+    /// side every level whose variable interacts with no group member: the
+    /// group passes such a variable by position exchanges alone. Outside a
+    /// reorder scope there is no bound.
+    fn settled_width(&self, top: usize, len: usize, down: bool) -> usize {
+        let Some(sb) = &self.sift_bound else {
+            return 0;
+        };
+        let n = Robdd::num_vars(self);
+        debug_assert!(
+            (0..n)
+                .all(|pos| sb.widths.width[pos]
+                    == self.subtables[self.var_at_pos[pos] as usize].len()),
+            "stale sift-bound level widths"
+        );
+        let above = sb.widths.sum_to(top);
+        let below = self.live_nodes() - sb.widths.sum_to(top + len);
+        let (behind, ahead, ahead_width) = if down {
+            (above, top + len..n, below)
+        } else {
+            (below, 0..top, above)
+        };
+        match &sb.interact {
+            None => behind,
+            Some(m) => {
+                let group = &self.var_at_pos[top..top + len];
+                behind + ahead_width - m.interacting_width(self, group, ahead)
+            }
+        }
+    }
+}
+
+/// What the sift bound keeps for one reorder scope.
+#[derive(Debug)]
+pub(crate) struct SiftBound {
+    /// Level widths by position; each swap refreshes its two positions.
+    widths: LevelWidths,
+    /// `None` when the matrix would outweigh the node arena.
+    interact: Option<Interaction>,
+}
+
+/// Level widths by position with `O(log n)` prefix sums (a Fenwick tree),
+/// so the bound costs no pass over the order per move.
+#[derive(Debug)]
+struct LevelWidths {
+    width: Vec<usize>,
+    /// Fenwick sums, 1-based.
+    tree: Vec<usize>,
+}
+
+impl LevelWidths {
+    fn new(width: Vec<usize>) -> Self {
+        let mut lw = LevelWidths {
+            tree: vec![0; width.len() + 1],
+            width: vec![0; width.len()],
+        };
+        for (pos, w) in width.into_iter().enumerate() {
+            lw.set(pos, w);
+        }
+        lw
+    }
+
+    fn set(&mut self, pos: usize, w: usize) {
+        let delta = w.wrapping_sub(std::mem::replace(&mut self.width[pos], w));
+        if delta == 0 {
+            return;
+        }
+        let mut i = pos + 1;
+        while i < self.tree.len() {
+            self.tree[i] = self.tree[i].wrapping_add(delta);
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// Total width of the positions `0..pos`.
+    fn sum_to(&self, pos: usize) -> usize {
+        let (mut sum, mut i) = (0usize, pos);
+        while i > 0 {
+            sum = sum.wrapping_add(self.tree[i]);
+            i &= i - 1;
+        }
+        sum
+    }
+}
+
+/// CUDD's interaction matrix: variables `x` and `y` interact when some
+/// root's support holds both. A reduced node's support contains its
+/// children's, so an `x`-node with a `y`-child proves an interaction, and
+/// swapping two variables that do not interact rewrites nothing. Support
+/// does not depend on the order, so the matrix built when a reorder opens
+/// holds for its whole scope: nodes the swaps create denote cofactors of
+/// functions already stored.
+#[derive(Debug)]
+struct Interaction {
+    /// `u64` words per row.
+    words: usize,
+    /// Row `x`: the union of the supports of every root whose support
+    /// holds `x`.
+    rows: Vec<u64>,
+}
+
+impl Interaction {
+    /// The matrix for the root snapshot the opening collection marked
+    /// from, or `None` (no refinement) when its `n²/8` bytes would exceed
+    /// the node arena's.
+    fn of_roots(mgr: &Robdd) -> Option<Self> {
+        let n = mgr.num_vars();
+        let words = n.div_ceil(64);
+        if n * words * 8 > mgr.nodes.len() * std::mem::size_of::<Node>() {
+            return None;
+        }
+        let mut rows = vec![0u64; n * words];
+        let mut supp = vec![0u64; words];
+        // Last root whose traversal reached each node.
+        let mut seen = vec![u32::MAX; mgr.nodes.len()];
+        let mut stack = Vec::new();
+        for (r, &bits) in mgr.root_scratch.iter().enumerate() {
+            let root = Edge::from_bits(bits as u32);
+            // A node an earlier traversal reached has a support inside
+            // that root's, which the rows already cover.
+            if root.is_constant() || seen[root.node() as usize] != u32::MAX {
+                continue;
+            }
+            supp.fill(0);
+            stack.push(root.node());
+            while let Some(id) = stack.pop() {
+                if seen[id as usize] == r as u32 {
+                    continue;
+                }
+                seen[id as usize] = r as u32;
+                let nd = mgr.node(id);
+                let v = nd.var() as usize;
+                supp[v / 64] |= 1 << (v % 64);
+                for c in [nd.then_(), nd.else_()] {
+                    if !c.is_constant() {
+                        stack.push(c.node());
+                    }
+                }
+            }
+            for (w, &word) in supp.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let v = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    for (row, &s) in rows[v * words..(v + 1) * words].iter_mut().zip(&supp) {
+                        *row |= s;
+                    }
+                }
+            }
+        }
+        Some(Interaction { words, rows })
+    }
+
+    /// Do `x` and `y` share some root's support?
+    fn interacts(&self, x: usize, y: usize) -> bool {
+        (self.rows[x * self.words + y / 64] >> (y % 64)) & 1 == 1
+    }
+
+    /// Stored nodes of the variables at positions `ahead` that interact
+    /// with some member of `group`.
+    fn interacting_width(&self, mgr: &Robdd, group: &[u32], ahead: Range<usize>) -> usize {
+        let mut width = 0;
+        for w in 0..self.words {
+            let mut bits = group
+                .iter()
+                .fold(0, |acc, &g| acc | self.rows[g as usize * self.words + w]);
+            while bits != 0 {
+                let v = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if ahead.contains(&(mgr.pos_of_var[v] as usize)) {
+                    width += mgr.subtables[v].len();
+                }
+            }
+        }
+        width
+    }
 }
 
 impl Robdd {
@@ -90,7 +278,32 @@ impl Robdd {
         assert!(pos + 1 < n, "swap position out of range");
         let x = self.var_at_pos[pos] as u16;
         let y = self.var_at_pos[pos + 1] as u16;
+        // Variables that do not interact share no node: only the positions
+        // trade (CUDD's shortcut).
+        if self
+            .sift_bound
+            .as_ref()
+            .and_then(|sb| sb.interact.as_ref())
+            .is_none_or(|m| m.interacts(x as usize, y as usize))
+        {
+            self.rewrite_pair(x, y);
+        }
+        self.var_at_pos.swap(pos, pos + 1);
+        self.pos_of_var[self.var_at_pos[pos] as usize] = pos as u32;
+        self.pos_of_var[self.var_at_pos[pos + 1] as usize] = (pos + 1) as u32;
+        if let Some(sb) = self.sift_bound.as_mut() {
+            for p in [pos, pos + 1] {
+                sb.widths
+                    .set(p, self.subtables[self.var_at_pos[p] as usize].len());
+            }
+        }
+        self.stats.swaps += 1;
+        ddcore::obs::prof_record(ddcore::obs::Op::Swap, timer);
+    }
 
+    /// Rewrite the `x`-nodes with a `y`-child to test `y` first (`x` sits
+    /// directly above `y`), then reclaim what the rewrite left dead.
+    fn rewrite_pair(&mut self, x: u16, y: u16) {
         let ids = self.subtables[x as usize].values();
         for id in ids {
             let nd = *self.node(id);
@@ -138,11 +351,6 @@ impl Robdd {
             }
         }
         self.reclaim_dead();
-        self.var_at_pos.swap(pos, pos + 1);
-        self.pos_of_var[self.var_at_pos[pos] as usize] = pos as u32;
-        self.pos_of_var[self.var_at_pos[pos + 1] as usize] = (pos + 1) as u32;
-        self.stats.swaps += 1;
-        ddcore::obs::prof_record(ddcore::obs::Op::Swap, timer);
     }
 
     /// `make_node` for the swap: inside a reorder, a node it creates

@@ -270,3 +270,247 @@ dvo_suite! {
     par_robdd_dvo_t1 => par_robdd(1);
     par_robdd_dvo_t4 => par_robdd(4);
 }
+
+// The sift bound (`ReorderBackend::settled_width`) on the raw managers:
+// every size a direction can still reach is at least the bound, and the
+// engine's cut on it changes no result.
+
+use ddcore::boolop::BoolOp;
+use ddcore::dvo::ReorderBackend;
+use ddcore::roots::RootGuard;
+
+/// What the bound tests need from a raw manager beyond the reorder
+/// contract.
+trait RawSift: ReorderBackend + Sized {
+    type E: Copy;
+    fn with_vars(n: usize) -> Self;
+    fn lit(&mut self, v: usize) -> Self::E;
+    fn op(&mut self, op: BoolOp, f: Self::E, g: Self::E) -> Self::E;
+    fn hold(&self, f: Self::E) -> RootGuard;
+    fn swaps(&self) -> u64;
+}
+
+impl RawSift for bbdd::Bbdd {
+    type E = bbdd::Edge;
+    fn with_vars(n: usize) -> Self {
+        bbdd::Bbdd::new(n)
+    }
+    fn lit(&mut self, v: usize) -> bbdd::Edge {
+        self.var(v)
+    }
+    fn op(&mut self, op: BoolOp, f: bbdd::Edge, g: bbdd::Edge) -> bbdd::Edge {
+        self.apply(op, f, g)
+    }
+    fn hold(&self, f: bbdd::Edge) -> RootGuard {
+        self.pin(f)
+    }
+    fn swaps(&self) -> u64 {
+        self.stats().swaps
+    }
+}
+
+impl RawSift for robdd::Robdd {
+    type E = robdd::Edge;
+    fn with_vars(n: usize) -> Self {
+        robdd::Robdd::new(n)
+    }
+    fn lit(&mut self, v: usize) -> robdd::Edge {
+        self.var(v)
+    }
+    fn op(&mut self, op: BoolOp, f: robdd::Edge, g: robdd::Edge) -> robdd::Edge {
+        self.apply(op, f, g)
+    }
+    fn hold(&self, f: robdd::Edge) -> RootGuard {
+        self.pin(f)
+    }
+    fn swaps(&self) -> u64 {
+        self.stats().swaps
+    }
+}
+
+/// Three pinned random functions over `n` variables, each over its own
+/// stretch of variables (so some pairs share no support), plus unpinned
+/// garbage for the opening collection.
+fn random_forest<B: RawSift>(n: usize, seed: u64) -> (B, Vec<RootGuard>) {
+    let mut mgr = B::with_vars(n);
+    let ops = [
+        BoolOp::XOR,
+        BoolOp::AND,
+        BoolOp::OR,
+        BoolOp::XNOR,
+        BoolOp::NAND,
+    ];
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut next = || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as usize
+    };
+    let mut roots = Vec::new();
+    for _ in 0..6 {
+        let lo = next() % n;
+        let span = 2 + next() % (n - 1);
+        let mut f = mgr.lit(lo);
+        for _ in 0..2 * span {
+            let v = mgr.lit((lo + next() % span) % n);
+            f = mgr.op(ops[next() % ops.len()], f, v);
+        }
+        roots.push(f);
+    }
+    let guards = roots.iter().step_by(2).map(|&f| mgr.hold(f)).collect();
+    (mgr, guards)
+}
+
+fn order_of<B: ReorderBackend>(b: &B) -> Vec<usize> {
+    (0..b.num_vars()).map(|p| b.var_at_position(p)).collect()
+}
+
+/// From every start position and in both directions, move a group of
+/// `len` through every remaining position.
+fn bound_is_sound<B: RawSift>(label: &str) {
+    for n in [4, 7, 10] {
+        for seed in 0..4u64 {
+            for len in [1, 2] {
+                for start in 0..=n - len {
+                    for down in [true, false] {
+                        let case = format!(
+                            "{label} n={n} seed={seed} len={len} start={start} down={down}"
+                        );
+                        let (mut b, _roots) = random_forest::<B>(n, seed);
+                        b.begin_reorder();
+                        walk_checking_bound(&case, &mut b, start, len, down);
+                        b.end_reorder();
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Move the group at `top .. top + len` to the end of the order in one
+/// direction. Each size must be at least every bound reported before it,
+/// and the first bound must fit inside the levels the moves really left
+/// alone: the widths of the non-group variables whose level never
+/// changed.
+fn walk_checking_bound<B: ReorderBackend>(
+    case: &str,
+    b: &mut B,
+    mut top: usize,
+    len: usize,
+    down: bool,
+) {
+    let n = b.num_vars();
+    let first = b.settled_width(top, len, down);
+    let mut bound = first;
+    assert!(b.sweep() >= bound, "{case}: bound above the current size");
+    let group: Vec<usize> = (top..top + len).map(|p| b.var_at_position(p)).collect();
+    let widths: Vec<usize> = (0..n).map(|v| b.var_width(v)).collect();
+    let mut untouched: Vec<bool> = (0..n).map(|v| !group.contains(&v)).collect();
+    while (down && top + len < n) || (!down && top > 0) {
+        if down {
+            for i in (0..len).rev() {
+                b.swap_positions(top + i);
+            }
+            top += 1;
+        } else {
+            for i in 0..len {
+                b.swap_positions(top - 1 + i);
+            }
+            top -= 1;
+        }
+        let size = b.sweep();
+        assert!(
+            size >= bound,
+            "{case}: size {size} at {top} below bound {bound}"
+        );
+        bound = bound.max(b.settled_width(top, len, down));
+        for (v, same) in untouched.iter_mut().enumerate() {
+            *same &= b.var_width(v) == widths[v];
+        }
+    }
+    let unchanged: usize = (0..n).filter(|&v| untouched[v]).map(|v| widths[v]).sum();
+    assert!(
+        first <= unchanged,
+        "{case}: bound {first} exceeds the {unchanged} nodes no move changed"
+    );
+}
+
+/// Delegates the whole reorder contract but keeps the default (absent)
+/// bound.
+struct NoBound<'a, B>(&'a mut B);
+
+impl<B: ReorderBackend> ReorderBackend for NoBound<'_, B> {
+    fn num_vars(&self) -> usize {
+        self.0.num_vars()
+    }
+    fn position_of(&self, var: usize) -> usize {
+        self.0.position_of(var)
+    }
+    fn var_at_position(&self, pos: usize) -> usize {
+        self.0.var_at_position(pos)
+    }
+    fn swap_positions(&mut self, pos: usize) {
+        self.0.swap_positions(pos);
+    }
+    fn sweep(&mut self) -> usize {
+        self.0.sweep()
+    }
+    fn begin_reorder(&mut self) {
+        self.0.begin_reorder();
+    }
+    fn end_reorder(&mut self) -> usize {
+        self.0.end_reorder()
+    }
+    fn var_width(&self, var: usize) -> usize {
+        self.0.var_width(var)
+    }
+    fn pair_affinity(&self, pos: usize) -> f64 {
+        self.0.pair_affinity(pos)
+    }
+}
+
+/// Full, window and pair sift reach the same order and live count with
+/// and without the bound, and the bound never costs a swap.
+fn bound_changes_no_result<B: RawSift>(label: &str) {
+    let mut saved = 0;
+    for n in [4, 7, 10] {
+        for seed in 0..6u64 {
+            for strategy in [DvoStrategy::Full, DvoStrategy::Window(2), DvoStrategy::Pair] {
+                let (mut bounded, _r1) = random_forest::<B>(n, seed);
+                let (mut plain, _r2) = random_forest::<B>(n, seed);
+                let unlimited = &mut OpBudget::unlimited();
+                let live = strategy.run(&mut bounded, unlimited).expect("unlimited");
+                let live_plain = strategy
+                    .run(&mut NoBound(&mut plain), unlimited)
+                    .expect("unlimited");
+                let case = format!("{label} {strategy} n={n} seed={seed}");
+                assert_eq!(order_of(&bounded), order_of(&plain), "{case}: order");
+                assert_eq!(live, live_plain, "{case}: live count");
+                assert!(bounded.swaps() <= plain.swaps(), "{case}: swaps");
+                saved += plain.swaps() - bounded.swaps();
+            }
+        }
+    }
+    assert!(saved > 0, "{label}: the bound never cut a direction");
+}
+
+#[test]
+fn bbdd_sift_bound_is_sound() {
+    bound_is_sound::<bbdd::Bbdd>("bbdd");
+}
+
+#[test]
+fn robdd_sift_bound_is_sound() {
+    bound_is_sound::<robdd::Robdd>("robdd");
+}
+
+#[test]
+fn bbdd_sift_bound_changes_no_result() {
+    bound_changes_no_result::<bbdd::Bbdd>("bbdd");
+}
+
+#[test]
+fn robdd_sift_bound_changes_no_result() {
+    bound_changes_no_result::<robdd::Robdd>("robdd");
+}
