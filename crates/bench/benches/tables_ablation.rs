@@ -10,7 +10,7 @@ use ddcore::table::{BucketTable, OpenTable, TableKey};
 use ddcore::ComputedCache;
 use std::hash::Hasher as _;
 
-#[derive(Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 struct CantorKey(u32, u32, u32);
 impl TableKey for CantorKey {
     fn table_hash(&self, h: &CantorHasher) -> u64 {
@@ -20,7 +20,7 @@ impl TableKey for CantorKey {
 
 /// The same key hashed with the Fx multiplicative hash instead of the
 /// paper's nested Cantor pairing.
-#[derive(Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 struct FxKey(u32, u32, u32);
 impl TableKey for FxKey {
     fn table_hash(&self, _h: &CantorHasher) -> u64 {
@@ -58,11 +58,14 @@ fn bench_unique_table_hashing(c: &mut Criterion) {
     let data = keys(100_000);
     group.bench_function("cantor_adaptive", |b| {
         b.iter(|| {
-            let mut t: BucketTable<CantorKey> = BucketTable::new(64);
-            for (i, &(x, y, z)) in data.iter().enumerate() {
+            // The keys live in a side arena, as in a manager's node store.
+            let mut arena: Vec<CantorKey> = Vec::with_capacity(data.len());
+            let mut t = BucketTable::new(64);
+            for &(x, y, z) in &data {
                 let k = CantorKey(x, y, z);
-                if t.get(&k).is_none() {
-                    t.insert(k, i as u32);
+                if t.get(&k, &arena).is_none() {
+                    arena.push(k);
+                    t.insert(arena.len() as u32 - 1, &arena);
                 }
             }
             t.len()
@@ -70,11 +73,14 @@ fn bench_unique_table_hashing(c: &mut Criterion) {
     });
     group.bench_function("fx_multiplicative", |b| {
         b.iter(|| {
-            let mut t: BucketTable<FxKey> = BucketTable::new(64);
-            for (i, &(x, y, z)) in data.iter().enumerate() {
+            // The keys live in a side arena, as in a manager's node store.
+            let mut arena: Vec<FxKey> = Vec::with_capacity(data.len());
+            let mut t = BucketTable::new(64);
+            for &(x, y, z) in &data {
                 let k = FxKey(x, y, z);
-                if t.get(&k).is_none() {
-                    t.insert(k, i as u32);
+                if t.get(&k, &arena).is_none() {
+                    arena.push(k);
+                    t.insert(arena.len() as u32 - 1, &arena);
                 }
             }
             t.len()
@@ -91,11 +97,14 @@ fn bench_table_layout(c: &mut Criterion) {
     let data = keys(100_000);
     group.bench_function("chained_bucket", |b| {
         b.iter(|| {
-            let mut t: BucketTable<CantorKey> = BucketTable::new(64);
-            for (i, &(x, y, z)) in data.iter().enumerate() {
+            // The keys live in a side arena, as in a manager's node store.
+            let mut arena: Vec<CantorKey> = Vec::with_capacity(data.len());
+            let mut t = BucketTable::new(64);
+            for &(x, y, z) in &data {
                 let k = CantorKey(x, y, z);
-                if t.get(&k).is_none() {
-                    t.insert(k, i as u32);
+                if t.get(&k, &arena).is_none() {
+                    arena.push(k);
+                    t.insert(arena.len() as u32 - 1, &arena);
                 }
             }
             t.len()
@@ -103,11 +112,14 @@ fn bench_table_layout(c: &mut Criterion) {
     });
     group.bench_function("open_addressed", |b| {
         b.iter(|| {
-            let mut t: OpenTable<CantorKey> = OpenTable::new(64);
-            for (i, &(x, y, z)) in data.iter().enumerate() {
+            // The keys live in a side arena, as in a manager's node store.
+            let mut arena: Vec<CantorKey> = Vec::with_capacity(data.len());
+            let mut t = OpenTable::new(64);
+            for &(x, y, z) in &data {
                 let k = CantorKey(x, y, z);
-                if t.get(&k).is_none() {
-                    t.insert(k, i as u32);
+                if t.get(&k, &arena).is_none() {
+                    arena.push(k);
+                    t.insert(arena.len() as u32 - 1, &arena);
                 }
             }
             t.len()

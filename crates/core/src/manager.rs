@@ -96,7 +96,7 @@ pub struct Bbdd {
     pub(crate) nodes: Vec<Node>,
     free: Vec<u32>,
     /// One unique subtable per bottom-based level.
-    pub(crate) subtables: Vec<UniqueTable<NodeKey>>,
+    pub(crate) subtables: Vec<UniqueTable>,
     /// Stored nodes over all subtables, kept current by creation, GC,
     /// sift-time reclamation and the swap commit.
     pub(crate) live: usize,
@@ -297,18 +297,20 @@ impl Bbdd {
     #[must_use]
     pub fn metrics_snapshot(&self) -> ddcore::MetricsSnapshot {
         let mut m = ddcore::MetricsSnapshot::new("bbdd");
-        self.fill_metrics(&mut m, None);
+        self.fill_metrics(&mut m, None, ddcore::MemBytes::default());
         m
     }
 
     /// Fill `m` with this manager's sections. The Par front-end passes its
     /// lock-free cache counters as `par_cache` so the `cache.*` section
     /// stays one unified tree (sequential + concurrent lookups summed,
-    /// tear misses appearing only when a concurrent cache exists).
+    /// tear misses appearing only when a concurrent cache exists), and its
+    /// overlay's heap bytes as `overlay`, summed into `mem.*`.
     pub(crate) fn fill_metrics(
         &self,
         m: &mut ddcore::MetricsSnapshot,
         par_cache: Option<ddcore::AtomicCacheStats>,
+        overlay: ddcore::MemBytes,
     ) {
         let s = self.stats();
         let c = self.cache.stats();
@@ -348,6 +350,18 @@ impl Bbdd {
         m.counter("roots.released", released);
         m.counter("dvo.reorders", self.dvo.reorders());
         self.govern.fill(m);
+        (self.mem_bytes() + overlay).fill(m);
+    }
+
+    /// Heap bytes of the node arena, the unique tables and the computed
+    /// cache (the `mem.*` gauges).
+    fn mem_bytes(&self) -> ddcore::MemBytes {
+        ddcore::MemBytes {
+            arena: self.nodes.capacity() * std::mem::size_of::<Node>()
+                + self.free.capacity() * std::mem::size_of::<u32>(),
+            table: self.subtables.iter().map(UniqueTable::heap_bytes).sum(),
+            cache: self.cache.heap_bytes(),
+        }
     }
 
     /// A stable identifier of the node an edge points to (`None` for the
@@ -546,10 +560,10 @@ impl Bbdd {
     }
 
     fn find_or_insert(&mut self, level: u16, key: NodeKey) -> u32 {
-        let nodes = &mut self.nodes;
         let free = &mut self.free;
         let mut created = false;
-        let id = self.subtables[level as usize].get_or_insert_with(key, || {
+        let table = &mut self.subtables[level as usize];
+        let id = table.get_or_insert_with(key, &mut self.nodes, |nodes| {
             created = true;
             let node = Node::new(level, key.shannon(), key.neq(), key.eq());
             match free.pop() {
@@ -708,11 +722,10 @@ impl Bbdd {
         }
         // Sweep; survivors drop their mark bit in the same pass (the
         // tables call the closure exactly once per stored entry).
-        let nodes = &mut self.nodes;
         let free = &mut self.free;
         let mut freed = 0usize;
         for table in &mut self.subtables {
-            table.retain(|_, id| {
+            table.retain(&mut self.nodes, |nodes, id| {
                 let n = &mut nodes[id as usize];
                 if n.is_marked() {
                     n.set_mark(false);
@@ -739,7 +752,7 @@ impl Bbdd {
         self.gc_keeping(&[]);
         let mut refs = ddcore::dvo::SiftRefs::new(self.nodes.len());
         for table in &self.subtables {
-            table.for_each(|_, id| {
+            table.for_each(|id| {
                 let n = &self.nodes[id as usize];
                 refs.inc(n.neq());
                 refs.inc(n.eq());
@@ -772,8 +785,8 @@ impl Bbdd {
             if n.is_free() {
                 continue;
             }
-            let removed = self.subtables[n.level() as usize].remove(&n.key());
-            debug_assert_eq!(removed, Some(id), "dead node missing from its subtable");
+            let removed = self.subtables[n.level() as usize].remove(id, &self.nodes);
+            debug_assert!(removed, "dead node missing from its subtable");
             self.nodes[id as usize].set_free(true);
             self.free.push(id);
             freed += 1;
@@ -809,7 +822,7 @@ impl Bbdd {
         let mut present: HashSet<u32> = HashSet::new();
         for (lvl, table) in self.subtables.iter().enumerate() {
             let mut err: Option<String> = None;
-            table.for_each(|key, id| {
+            table.for_each(|id| {
                 if err.is_some() {
                     return;
                 }
@@ -829,8 +842,8 @@ impl Bbdd {
                     ));
                     return;
                 }
-                if n.key() != *key {
-                    err = Some(format!("node {id} key mismatch"));
+                if table.peek(&n.key(), &self.nodes) != Some(id) {
+                    err = Some(format!("node {id} not found under its own key"));
                     return;
                 }
                 if n.eq().is_complemented() {
@@ -870,7 +883,7 @@ impl Bbdd {
         // Every child of a stored node must itself be stored.
         for (lvl, table) in self.subtables.iter().enumerate() {
             let mut err: Option<String> = None;
-            table.for_each(|_, id| {
+            table.for_each(|id| {
                 if err.is_some() {
                     return;
                 }

@@ -16,12 +16,14 @@
 //! * a [`NodeKey`] is one `u64`: the `≠`-edge word in the high half and the
 //!   `=`-edge word in the low half. The `=`-edge is regular by the
 //!   canonical form, so its free bit 0 holds the mode bit — the key packs
-//!   with zero waste and sits inline in the open-addressed unique table
-//!   (16-byte slot: key + value + cached hash).
+//!   with zero waste. It is never stored: the unique tables hold
+//!   `(cached hash, id)` slots and derive a stored node's key from the
+//!   arena ([`Node::key`], through the arena's
+//!   [`KeyStore`](ddcore::table::KeyStore) impl).
 
 use crate::edge::Edge;
 use ddcore::cantor::CantorHasher;
-use ddcore::table::TableKey;
+use ddcore::table::{KeyStore, TableKey};
 
 /// Level value reserved for the 1 sink.
 pub(crate) const TERMINAL_LEVEL: u16 = u16::MAX;
@@ -122,6 +124,15 @@ impl Node {
     #[inline]
     pub(crate) fn key(&self) -> NodeKey {
         NodeKey::new(self.is_shannon(), self.neq(), self.eq())
+    }
+}
+
+/// The node arena is the unique tables' key store: a stored id's key is
+/// its node's key.
+impl KeyStore<NodeKey> for Vec<Node> {
+    #[inline]
+    fn key_of(&self, id: u32) -> NodeKey {
+        self[id as usize].key()
     }
 }
 

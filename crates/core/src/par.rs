@@ -15,7 +15,7 @@ use crate::edge::Edge;
 use crate::manager::{Bbdd, BbddStats};
 use crate::node::NodeKey;
 use ddcore::cantor::CantorHasher;
-use ddcore::obs::MetricsSnapshot;
+use ddcore::obs::{MemBytes, MetricsSnapshot};
 use ddcore::par::{AtomicCacheStats, NodeShape, Overlay, PackedEdge, Par, QuantCube};
 pub use ddcore::par::{ParConfig, ParStats};
 use ddcore::table::TableKey;
@@ -44,7 +44,7 @@ const SHANNON_BIT: u32 = 1 << 16;
 /// Unique-table key of the overlay: the per-level [`NodeKey`] plus the
 /// level itself (the base manager keeps one table per level; the sharded
 /// overlay is a single key space).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LevelKey {
     level: u16,
     key: NodeKey,
@@ -80,10 +80,7 @@ impl PackedEdge for Edge {
 #[inline]
 fn overlay_find(ov: &Overlay<'_, Bbdd>, level: u16, key: NodeKey) -> u32 {
     let meta = u32::from(level) | if key.shannon() { SHANNON_BIT } else { 0 };
-    ov.find_or_insert(
-        LevelKey { level, key },
-        (key.neq().bits(), key.eq().bits(), meta),
-    )
+    ov.find_or_insert((key.neq().bits(), key.eq().bits(), meta))
 }
 
 /// The Shannon (R4) node of `level` in the overlay space.
@@ -114,8 +111,20 @@ impl NodeShape for Bbdd {
     const APPLY_SECOND_FIRST: bool = true;
 
     #[inline]
+    fn overlay_key((neq, eq, meta): (u32, u32, u32)) -> LevelKey {
+        LevelKey {
+            level: meta as u16,
+            key: NodeKey::new(
+                meta & SHANNON_BIT != 0,
+                Edge::from_bits(neq),
+                Edge::from_bits(eq),
+            ),
+        }
+    }
+
+    #[inline]
     fn peek(&self, key: &LevelKey) -> Option<u32> {
-        self.subtables[key.level as usize].peek(&key.key)
+        self.subtables[key.level as usize].peek(&key.key, &self.nodes)
     }
 
     #[inline]
@@ -235,7 +244,12 @@ impl NodeShape for Bbdd {
         Bbdd::stats(self)
     }
 
-    fn fill_par_metrics(&self, m: &mut MetricsSnapshot, cache: AtomicCacheStats) {
-        self.fill_metrics(m, Some(cache));
+    fn fill_par_metrics(
+        &self,
+        m: &mut MetricsSnapshot,
+        cache: AtomicCacheStats,
+        overlay: MemBytes,
+    ) {
+        self.fill_metrics(m, Some(cache), overlay);
     }
 }

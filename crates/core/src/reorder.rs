@@ -66,7 +66,7 @@ impl ReorderBackend for Bbdd {
             return 0.0;
         }
         let chained = table
-            .values()
+            .ids()
             .into_iter()
             .filter(|&idx| !self.node(idx).is_shannon())
             .count();
@@ -399,7 +399,7 @@ mod tests {
     }
 
     fn stored(mgr: &Bbdd) -> HashSet<u32> {
-        mgr.subtables.iter().flat_map(|t| t.values()).collect()
+        mgr.subtables.iter().flat_map(|t| t.ids()).collect()
     }
 
     /// Runs a strategy on the wrapped manager and, after every swap,

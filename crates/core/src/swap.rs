@@ -205,7 +205,7 @@ impl Bbdd {
         let mut ctx = self.take_swap_scratch(l0);
         let mut ids = std::mem::take(&mut ctx.window);
         for l in [l0, l1].into_iter().chain(l2) {
-            self.subtables[l as usize].for_each(|_, id| ids.push(id));
+            self.subtables[l as usize].for_each(|id| ids.push(id));
         }
         let n0 = self.subtables[l0 as usize].len();
         let n01 = n0 + self.subtables[l1 as usize].len();
@@ -244,7 +244,7 @@ impl Bbdd {
             // literal of the level below it with no rebuilt node using it.
             if l0 > 0 {
                 let lit = NodeKey::new(true, Edge::ZERO, Edge::ONE);
-                if let Some(id) = self.subtables[l0 as usize - 1].peek(&lit) {
+                if let Some(id) = self.subtables[l0 as usize - 1].peek(&lit, &self.nodes) {
                     refs.queue_if_dead(id);
                 }
             }
@@ -628,12 +628,13 @@ impl Bbdd {
             let neq = resolve(s.neq);
             let eq = resolve(s.eq);
             self.nodes[id as usize] = Node::new(s.level, s.shannon, neq, eq);
-            let key = NodeKey::new(s.shannon, neq, eq);
             debug_assert!(
-                self.subtables[s.level as usize].get(&key).is_none(),
+                self.subtables[s.level as usize]
+                    .peek(&self.nodes[id as usize].key(), &self.nodes)
+                    .is_none(),
                 "BBDD swap: duplicate canonical tuple after commit"
             );
-            self.subtables[s.level as usize].insert(key, id);
+            self.subtables[s.level as usize].insert(id, &self.nodes);
             self.live += 1;
             self.stats.nodes_created += u64::from(s.owner.is_none());
             if let Some(refs) = self.sift_refs.as_mut() {

@@ -6,9 +6,11 @@
 //! Entries are keyed by two 64-bit operand words plus a small operation tag,
 //! which is wide enough for binary `apply` (two edges + operator truth
 //! table) and ternary `ite` (edge + two packed edges). Each set holds two
-//! 32-byte slots — one cache line — and a one-bit insertion age (stored in
-//! a spare tag bit of the set's first way, so no extra memory is touched)
-//! picks the victim on collision: a recent result is no longer destroyed
+//! 32-byte slots in one 64-byte-aligned cache line (so a lookup touches
+//! exactly one line whatever address the allocator hands out), and a
+//! one-bit insertion age (stored in a spare tag bit of the set's first
+//! way, so no extra memory is touched) picks the victim on collision: a
+//! recent result is no longer destroyed
 //! by a single conflicting insert, the failure mode of the seed's
 //! direct-mapped cache. The cache grows geometrically while it is being
 //! used productively, up to a cap.
@@ -41,6 +43,16 @@ const EMPTY_SLOT: Slot = Slot {
     epoch: 0,
     val: 0,
 };
+
+/// One 2-way set: two 32-byte slots aligned to a 64-byte cache line. A
+/// `Vec<Slot>` is only 8-byte aligned, and large allocations commonly
+/// start 16 bytes past a line boundary, which would make every set
+/// straddle two lines.
+#[derive(Debug, Clone, Copy)]
+#[repr(align(64))]
+struct Set([Slot; 2]);
+
+const EMPTY_SET: Set = Set([EMPTY_SLOT; 2]);
 
 /// Hit/miss/eviction counters for one computed table.
 #[derive(Debug, Clone, Copy, Default)]
@@ -86,8 +98,8 @@ impl CacheStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ComputedCache {
-    /// `2 * sets` slots; set `s` owns slots `2s` and `2s + 1`.
-    slots: Vec<Slot>,
+    /// The 2-way sets; a power of two of them.
+    sets: Vec<Set>,
     hasher: CantorHasher,
     epoch: u32,
     stats: CacheStats,
@@ -111,7 +123,7 @@ impl ComputedCache {
     pub fn new(slots: usize) -> Self {
         let n = slots.next_power_of_two().max(16);
         Self {
-            slots: vec![EMPTY_SLOT; n],
+            sets: vec![EMPTY_SET; n / 2],
             hasher: CantorHasher::new(),
             epoch: 0,
             stats: CacheStats::default(),
@@ -128,10 +140,16 @@ impl ComputedCache {
         c
     }
 
+    /// Heap bytes the cache holds.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.sets.capacity() * std::mem::size_of::<Set>()
+    }
+
     /// Number of slots currently allocated.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.sets.len() * 2
     }
 
     /// Hit/miss/eviction counters since creation.
@@ -146,26 +164,25 @@ impl ComputedCache {
         self.stats.hit_rate()
     }
 
-    /// Base slot index of the set for a key.
+    /// Index of the set a key maps to.
     #[inline]
     fn set_base(&self, k1: u64, k2: u64, tag: u32) -> usize {
-        let sets = self.slots.len() / 2;
-        (self.hasher.hash3(k1, k2, tag as u64) as usize & (sets - 1)) * 2
+        self.hasher.hash3(k1, k2, tag as u64) as usize & (self.sets.len() - 1)
     }
 
     /// Look up a previously computed result.
     #[inline]
     pub fn get(&mut self, k1: u64, k2: u64, tag: u32) -> Option<u64> {
         self.stats.lookups += 1;
-        let base = self.set_base(k1, k2, tag);
+        let set = &self.sets[self.set_base(k1, k2, tag)].0;
         let epoch = self.epoch;
-        let s0 = &self.slots[base];
+        let s0 = &set[0];
         if s0.tag & TAG_MASK == tag && s0.epoch == epoch && s0.k1 == k1 && s0.k2 == k2 {
             self.stats.hits += 1;
             crate::obs::cache_access(tag, true);
             return Some(s0.val);
         }
-        let s1 = &self.slots[base + 1];
+        let s1 = &set[1];
         if s1.tag == tag && s1.epoch == epoch && s1.k1 == k1 && s1.k2 == k2 {
             self.stats.hits += 1;
             crate::obs::cache_access(tag, true);
@@ -183,13 +200,14 @@ impl ComputedCache {
     #[inline]
     pub fn insert(&mut self, k1: u64, k2: u64, tag: u32, val: u64) {
         assert!(tag < AGE_BIT, "tags above 2^30 are reserved");
-        let base = self.set_base(k1, k2, tag);
         let epoch = self.epoch;
-        let way0 = self.slots[base];
+        let i = self.set_base(k1, k2, tag);
+        let set = &mut self.sets[i].0;
+        let way0 = set[0];
         let way = if way0.tag == EMPTY_TAG || way0.epoch != epoch {
             0
         } else {
-            let way1 = &self.slots[base + 1];
+            let way1 = &set[1];
             if way1.tag == EMPTY_TAG || way1.epoch != epoch {
                 1
             } else {
@@ -197,33 +215,22 @@ impl ComputedCache {
                 usize::from(way0.tag & AGE_BIT == 0)
             }
         };
-        if way == 0 {
-            // Writing way 0: it is now the newer way; leave its age bit
-            // clear.
-            self.slots[base] = Slot {
-                k1,
-                k2,
-                tag,
-                epoch,
-                val,
-            };
-        } else {
-            self.slots[base + 1] = Slot {
-                k1,
-                k2,
-                tag,
-                epoch,
-                val,
-            };
-            // Way 0 is now the older way.
-            if way0.tag != EMPTY_TAG {
-                self.slots[base].tag = way0.tag | AGE_BIT;
-            }
+        // Writing way 0 makes it the newer way (age bit clear); writing
+        // way 1 makes way 0 the older one.
+        set[way] = Slot {
+            k1,
+            k2,
+            tag,
+            epoch,
+            val,
+        };
+        if way == 1 && way0.tag != EMPTY_TAG {
+            set[0].tag = way0.tag | AGE_BIT;
         }
         self.stats.inserts += 1;
         self.inserts_since_resize += 1;
-        if self.inserts_since_resize > 4 * self.slots.len() as u64
-            && self.slots.len() < self.max_slots
+        if self.inserts_since_resize > 4 * self.capacity() as u64
+            && self.capacity() < self.max_slots
         {
             self.grow();
         }
@@ -239,20 +246,19 @@ impl ComputedCache {
     }
 
     fn grow(&mut self) {
-        let new_len = self.slots.len() * 2;
-        let old = std::mem::replace(&mut self.slots, vec![EMPTY_SLOT; new_len]);
-        for mut s in old {
-            if s.tag != EMPTY_TAG && s.epoch == self.epoch {
+        let new_len = self.sets.len() * 2;
+        let old = std::mem::replace(&mut self.sets, vec![EMPTY_SET; new_len]);
+        let epoch = self.epoch;
+        for mut s in old.into_iter().flat_map(|set| set.0) {
+            if s.tag != EMPTY_TAG && s.epoch == epoch {
                 s.tag &= !AGE_BIT;
-                let base = self.set_base(s.k1, s.k2, s.tag);
-                let way = usize::from(
-                    self.slots[base].tag != EMPTY_TAG && self.slots[base].epoch == self.epoch,
-                );
+                let i = self.set_base(s.k1, s.k2, s.tag);
+                let set = &mut self.sets[i].0;
+                let way = usize::from(set[0].tag != EMPTY_TAG && set[0].epoch == epoch);
                 if way == 1 {
-                    let t = self.slots[base].tag;
-                    self.slots[base].tag = t | AGE_BIT;
+                    set[0].tag |= AGE_BIT;
                 }
-                self.slots[base + way] = s;
+                set[way] = s;
             }
         }
         self.inserts_since_resize = 0;
@@ -262,6 +268,16 @@ impl ComputedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sets_are_cache_line_aligned() {
+        assert_eq!(std::mem::size_of::<Set>(), 64);
+        for slots in [16usize, 1 << 14, 1 << 19] {
+            let c = ComputedCache::new(slots);
+            assert_eq!(c.sets.as_ptr() as usize % 64, 0, "{slots} slots");
+            assert_eq!(c.capacity(), slots);
+        }
+    }
 
     #[test]
     fn get_insert_roundtrip() {

@@ -8,10 +8,12 @@
 //!    table-size modulo ([`cantor`]);
 //! 2. an **adaptive hash table** used as the *unique table*, which resizes
 //!    on load and can re-arrange its hash function when collision
-//!    statistics degrade ([`table`]). Two implementations exist: the
-//!    cache-friendly open-addressed [`table::OpenTable`] (default) and the
-//!    seed's chained [`table::BucketTable`] (the `chained_tables` ablation
-//!    feature); [`table::UniqueTable`] aliases the selected one;
+//!    statistics degrade ([`table`]). The tables store node ids only and
+//!    read keys from the owner's node arena ([`table::KeyStore`]). Two
+//!    implementations exist: the cache-friendly open-addressed
+//!    [`table::OpenTable`] (default) and the seed's chained
+//!    [`table::BucketTable`] (the `chained_tables` ablation feature);
+//!    [`table::UniqueTable`] aliases the selected one;
 //! 3. an **overwrite-on-collision cache** used as the *computed table*,
 //!    2-way set-associative with an age-based victim bit ([`cache`]).
 //!
@@ -98,7 +100,9 @@ pub use dvo::{
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use govern::{Admission, CancelToken, OpAbort, OpBudget};
 pub use nary::NaryOp;
-pub use obs::{GovernCounters, Metric, MetricKind, MetricsSnapshot, ProfileSnapshot, TraceEvent};
+pub use obs::{
+    GovernCounters, MemBytes, Metric, MetricKind, MetricsSnapshot, ProfileSnapshot, TraceEvent,
+};
 pub use par::{
     AtomicCache, AtomicCacheStats, NodeShape, OverlayArena, Par, ParConfig, ParStats, ShardStats,
     ShardedTable, TaskPanic,
@@ -108,5 +112,5 @@ pub use session::{
     CecOutcome, EpochTracker, Library, Session, SessionBackend, SessionError, SharedBase,
 };
 pub use stats::TableStats;
-pub use table::{BucketTable, OpenTable, UniqueTable, NIL};
+pub use table::{BucketTable, KeyStore, OpenTable, UniqueTable, NIL};
 pub use walk::{NodeGraph, WalkScratch};

@@ -776,7 +776,7 @@ pub struct Metric {
 ///
 /// Metric names are stable dotted paths grouped into sections —
 /// `nodes.*`, `ops.*`, `cache.*`, `table.*`, `gc.*`, `roots.*`, `dvo.*`,
-/// `govern.*`, and (parallel backends only) `par.*` — so one formatter,
+/// `govern.*`, `mem.*`, and (parallel backends only) `par.*` — so one formatter,
 /// one JSON encoder and one test suite cover all backends.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
@@ -906,6 +906,42 @@ impl MetricsSnapshot {
 
 fn section_of(name: &str) -> &str {
     name.split_once('.').map_or(name, |(s, _)| s)
+}
+
+// ───────────────────────────── memory gauges ─────────────────────────────
+
+/// Heap bytes a manager holds, by structure — the `mem.*` gauges. Each is
+/// allocated capacity (what the process pays for), not occupancy.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemBytes {
+    /// Node storage: the node arena and its free list (plus, on a parallel
+    /// manager, the overlay arena and its import memo).
+    pub arena: usize,
+    /// Unique tables: the slot (or bucket and entry) arrays.
+    pub table: usize,
+    /// Computed tables.
+    pub cache: usize,
+}
+
+impl MemBytes {
+    /// Append the `mem.*` gauges to `m`.
+    pub fn fill(&self, m: &mut MetricsSnapshot) {
+        m.gauge("mem.arena_bytes", self.arena as u64);
+        m.gauge("mem.table_bytes", self.table as u64);
+        m.gauge("mem.cache_bytes", self.cache as u64);
+    }
+}
+
+impl std::ops::Add for MemBytes {
+    type Output = MemBytes;
+
+    fn add(self, o: MemBytes) -> MemBytes {
+        MemBytes {
+            arena: self.arena + o.arena,
+            table: self.table + o.table,
+            cache: self.cache + o.cache,
+        }
+    }
 }
 
 // ───────────────────────── govern counter helper ────────────────────────

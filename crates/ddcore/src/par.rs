@@ -26,7 +26,9 @@
 //!
 //! 1. the **sharded table** — the id is published by `get_or_insert_with`
 //!    under a shard `Mutex`, and every reader obtains it under the same
-//!    lock (lock release/acquire orders the preceding word writes);
+//!    lock (lock release/acquire orders the preceding word writes). The
+//!    table is key-less, so its probes read the words of the ids stored
+//!    in the shard — under that same lock, after the writes it orders;
 //! 2. the **computed cache** — an entry's value is stored before its tag
 //!    (`Release`), and a reader checks the tag first (`Acquire`).
 //!
@@ -37,7 +39,7 @@
 //! fingerprint of the key; the counters report them as `tear_misses`.
 
 use crate::cantor::CantorHasher;
-use crate::table::{OpenTable, TableKey};
+use crate::table::{KeyStore, OpenTable, TableKey};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
@@ -131,14 +133,16 @@ pub struct ShardStats {
 /// false-share.
 #[repr(align(64))]
 #[derive(Debug)]
-struct Shard<K> {
-    table: Mutex<OpenTable<K>>,
+struct Shard {
+    table: Mutex<OpenTable>,
     /// `try_lock` failures (a direct proxy for lock contention).
     contended: AtomicU64,
 }
 
-/// A concurrent hash map `K -> u32` built from N power-of-two shards of the
-/// sequential [`OpenTable`], each behind its own lock.
+/// A concurrent, key-less unique table of node ids built from N
+/// power-of-two shards of the sequential [`OpenTable`], each behind its
+/// own lock. Keys live in the caller's node store ([`KeyStore`]), as for
+/// the sequential table.
 ///
 /// A key is routed to a shard by the top bits of its (Fibonacci-spread)
 /// Cantor hash, so the per-shard tables see the same key distribution as
@@ -155,7 +159,7 @@ struct Shard<K> {
 /// use ddcore::table::TableKey;
 /// use ddcore::cantor::CantorHasher;
 ///
-/// #[derive(Clone, Copy, PartialEq, Eq, Default)]
+/// #[derive(Clone, Copy, PartialEq, Eq)]
 /// struct Pair(u32, u32);
 /// impl TableKey for Pair {
 ///     fn table_hash(&self, h: &CantorHasher) -> u64 {
@@ -163,20 +167,21 @@ struct Shard<K> {
 ///     }
 /// }
 ///
-/// let t: ShardedTable<Pair> = ShardedTable::new(8, 64);
-/// assert_eq!(t.get_or_insert_with(Pair(1, 2), || 42), 42);
-/// assert_eq!(t.get_or_insert_with(Pair(1, 2), || 99), 42); // first wins
+/// let keys = vec![Pair(1, 2), Pair(1, 2)]; // the node store: id = index
+/// let t = ShardedTable::new(8, 64);
+/// assert_eq!(t.get_or_insert_with(Pair(1, 2), &keys, || 0), 0);
+/// assert_eq!(t.get_or_insert_with(Pair(1, 2), &keys, || 1), 0); // first wins
 /// assert_eq!(t.len(), 1);
 /// ```
 #[derive(Debug)]
-pub struct ShardedTable<K> {
-    shards: Box<[Shard<K>]>,
+pub struct ShardedTable {
+    shards: Box<[Shard]>,
     /// `64 - log2(shard count)`; routing takes the top hash bits.
     shift: u32,
     router: CantorHasher,
 }
 
-impl<K: TableKey> ShardedTable<K> {
+impl ShardedTable {
     /// Create a table with `shards` shards (rounded up to a power of two)
     /// of `per_shard_capacity` initial entries each.
     #[must_use]
@@ -214,7 +219,8 @@ impl<K: TableKey> ShardedTable<K> {
 
     /// Combined lookup-or-insert under exactly one shard lock. `make` runs
     /// inside the critical section on a miss (the unique-table discipline:
-    /// at most one thread materializes a given key).
+    /// at most one thread materializes a given key); it stores the new
+    /// node where `keys` can read it and returns its id.
     ///
     /// # Panics
     /// Panics if the shard lock is poisoned — a *previous* worker panicked
@@ -223,7 +229,12 @@ impl<K: TableKey> ShardedTable<K> {
     /// [`fork_join`]/[`try_fork_join`], this panic is caught and surfaced
     /// as one clean [`TaskPanic`] at join time (not an opaque cross-thread
     /// abort); [`ShardedTable::clear`] afterwards heals the shard.
-    pub fn get_or_insert_with(&self, key: K, make: impl FnOnce() -> u32) -> u32 {
+    pub fn get_or_insert_with<K: TableKey, A: KeyStore<K> + ?Sized>(
+        &self,
+        key: K,
+        keys: &A,
+        make: impl FnOnce() -> u32,
+    ) -> u32 {
         let shard = &self.shards[self.shard_of(key.table_hash(&self.router))];
         let mut guard = match shard.table.try_lock() {
             Ok(g) => g,
@@ -240,7 +251,7 @@ impl<K: TableKey> ShardedTable<K> {
                 panic!("sharded unique table: shard poisoned by an earlier worker panic")
             }
         };
-        guard.get_or_insert_with(key, make)
+        guard.get_or_insert_with(key, &mut &*keys, |_| make())
     }
 
     /// Total entries across all shards (locks each shard briefly).
@@ -288,13 +299,28 @@ impl<K: TableKey> ShardedTable<K> {
             .collect()
     }
 
-    /// Iterate over all `(key, value)` pairs, shard by shard (order
-    /// unspecified; each shard is locked for its portion of the walk).
+    /// Heap bytes of the shards' slot arrays (poison-tolerant, like
+    /// [`ShardedTable::len`]).
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| {
+                s.table
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .heap_bytes()
+            })
+            .sum()
+    }
+
+    /// Visit every stored id, shard by shard (order unspecified; each
+    /// shard is locked for its portion of the walk).
     ///
     /// # Panics
     /// Panics if a shard lock is poisoned: a half-finished insert may be
-    /// present, so enumerating its entries could yield a torn pair.
-    pub fn for_each(&self, mut f: impl FnMut(&K, u32)) {
+    /// present, so enumerating its entries could yield a torn entry.
+    pub fn for_each(&self, mut f: impl FnMut(u32)) {
         for s in self.shards.iter() {
             s.table
                 .lock()
@@ -422,6 +448,12 @@ impl AtomicCache {
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.ways.len()
+    }
+
+    /// Heap bytes the cache holds.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.ways.len() * std::mem::size_of::<Way>()
     }
 
     /// The two independent fingerprints of a key under the current epoch.
@@ -616,6 +648,14 @@ impl OverlayArena {
     #[must_use]
     pub fn segments_allocated(&self) -> usize {
         self.segs.iter().filter(|s| s.get().is_some()).count()
+    }
+
+    /// Heap bytes of the arena: the segment directory plus every
+    /// allocated segment.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.segs.capacity() * std::mem::size_of::<OnceLock<Box<[OverlaySlot]>>>()
+            + self.segments_allocated() * SEG_LEN * std::mem::size_of::<OverlaySlot>()
     }
 
     /// Recycle the arena: existing segments stay allocated, indices restart
@@ -840,7 +880,7 @@ pub fn threads_from_env(default: usize) -> usize {
 mod tests {
     use super::*;
 
-    #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
     struct K2(u32, u32);
     impl TableKey for K2 {
         fn table_hash(&self, h: &CantorHasher) -> u64 {
@@ -850,20 +890,22 @@ mod tests {
 
     #[test]
     fn sharded_first_insert_wins() {
-        let t: ShardedTable<K2> = ShardedTable::new(4, 16);
-        assert_eq!(t.get_or_insert_with(K2(7, 9), || 1), 1);
-        assert_eq!(t.get_or_insert_with(K2(7, 9), || 2), 1);
+        let keys = vec![K2(7, 9); 4]; // ids 1..=3 all hold the key
+        let t = ShardedTable::new(4, 16);
+        assert_eq!(t.get_or_insert_with(K2(7, 9), &keys, || 1), 1);
+        assert_eq!(t.get_or_insert_with(K2(7, 9), &keys, || 2), 1);
         assert_eq!(t.len(), 1);
         t.clear();
         assert!(t.is_empty());
-        assert_eq!(t.get_or_insert_with(K2(7, 9), || 3), 3);
+        assert_eq!(t.get_or_insert_with(K2(7, 9), &keys, || 3), 3);
     }
 
     #[test]
     fn sharded_spreads_and_enumerates() {
-        let t: ShardedTable<K2> = ShardedTable::new(8, 16);
+        let keys: Vec<K2> = (0..2000u32).map(|i| K2(i, i ^ 0xABCD)).collect();
+        let t = ShardedTable::new(8, 16);
         for i in 0..2000u32 {
-            assert_eq!(t.get_or_insert_with(K2(i, i ^ 0xABCD), || i), i);
+            assert_eq!(t.get_or_insert_with(keys[i as usize], &keys, || i), i);
         }
         assert_eq!(t.len(), 2000);
         let stats = t.shard_stats();
@@ -873,8 +915,8 @@ mod tests {
         let populated = stats.iter().filter(|s| s.len > 0).count();
         assert!(populated >= 4, "only {populated} of 8 shards populated");
         let mut seen = 0usize;
-        t.for_each(|k, v| {
-            assert_eq!(k.0, v);
+        t.for_each(|id| {
+            assert_eq!(keys[id as usize].0, id);
             seen += 1;
         });
         assert_eq!(seen, 2000);
@@ -882,13 +924,18 @@ mod tests {
 
     #[test]
     fn sharded_concurrent_inserts_agree() {
-        let t: ShardedTable<K2> = ShardedTable::new(8, 16);
+        // Id `3i` holds key `(i, 1)`.
+        let mut keys = vec![K2(u32::MAX, 0); 4500];
+        for i in 0..1500u32 {
+            keys[3 * i as usize] = K2(i, 1);
+        }
+        let t = ShardedTable::new(8, 16);
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
                     for i in 0..1500u32 {
-                        let v = t.get_or_insert_with(K2(i, 1), || i * 3);
-                        assert_eq!(v, i * 3, "value is a function of the key");
+                        let v = t.get_or_insert_with(K2(i, 1), &keys, || i * 3);
+                        assert_eq!(v, i * 3, "the id is a function of the key");
                     }
                 });
             }
@@ -1059,9 +1106,11 @@ mod tests {
         // worker into an opaque "shard lock poisoned" abort. Poison a shard
         // deliberately, then check (a) the pool reports ONE clean error at
         // join time and (b) `clear()` heals the table.
-        let t: ShardedTable<K2> = ShardedTable::new(1, 16); // 1 shard: every key hits it
+        let mut keys: Vec<K2> = (0..100u32).map(|i| K2(i, 7)).collect();
+        keys[99] = K2(5, 7);
+        let t = ShardedTable::new(1, 16); // 1 shard: every key hits it
         let err = try_fork_join(4, 32, |i| {
-            let _ = t.get_or_insert_with(K2(i as u32, 7), || {
+            let _ = t.get_or_insert_with(K2(i as u32, 7), &keys, || {
                 if i == 0 {
                     panic!("worker died mid-insert");
                 }
@@ -1079,7 +1128,7 @@ mod tests {
         let _ = t.shard_stats();
         // …and clear() un-poisons the shard so the table is usable again.
         t.clear();
-        assert_eq!(t.get_or_insert_with(K2(5, 7), || 99), 99);
+        assert_eq!(t.get_or_insert_with(K2(5, 7), &keys, || 99), 99);
         assert_eq!(t.len(), 1);
     }
 

@@ -46,11 +46,11 @@ use crate::boolop::{BoolOp, Unary};
 use crate::dvo::{DvoPolicy, DvoStrategy};
 use crate::fxhash::FxHashMap;
 use crate::govern::{OpAbort, OpBudget};
-use crate::obs::{self, MetricsSnapshot, Op};
+use crate::obs::{self, MemBytes, MetricsSnapshot, Op};
 use crate::optag;
 use crate::roots::{RootGuard, RootSet};
 use crate::session::SessionBackend;
-use crate::table::TableKey;
+use crate::table::{KeyStore, TableKey};
 use crate::walk::{self, NodeGraph};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -117,7 +117,7 @@ pub trait PackedEdge:
 pub trait NodeShape: RawManager<Edge: PackedEdge> + NodeGraph + Sync {
     /// Overlay unique-table key: a node's top plus its per-top table key,
     /// one key space across all tops.
-    type Key: TableKey + Send + std::fmt::Debug;
+    type Key: TableKey + std::fmt::Debug;
     /// The sequential manager's counters ([`Par::stats`]).
     type Stats;
     /// Backend label of the parallel front-end's metrics and stats line.
@@ -125,6 +125,9 @@ pub trait NodeShape: RawManager<Edge: PackedEdge> + NodeGraph + Sync {
     /// Do apply/ite (and the resolve of their combine tree) recurse into
     /// the second cofactor before the first?
     const APPLY_SECOND_FIRST: bool;
+
+    /// The overlay key of a node, from its words.
+    fn overlay_key(words: (u32, u32, u32)) -> Self::Key;
 
     /// Read-only lookup of an overlay key in the base unique tables.
     fn peek(&self, key: &Self::Key) -> Option<u32>;
@@ -185,8 +188,9 @@ pub trait NodeShape: RawManager<Edge: PackedEdge> + NodeGraph + Sync {
     fn stats(&self) -> Self::Stats;
 
     /// Fill `m` with the sequential manager's sections, folding the
-    /// concurrent cache's counters into `cache.*`.
-    fn fill_par_metrics(&self, m: &mut MetricsSnapshot, cache: AtomicCacheStats);
+    /// concurrent cache's counters into `cache.*` and the overlay's heap
+    /// bytes into `mem.*`.
+    fn fill_par_metrics(&self, m: &mut MetricsSnapshot, cache: AtomicCacheStats, overlay: MemBytes);
 }
 
 /// A quantification context (see [`NodeShape::quant_cube`]).
@@ -207,8 +211,17 @@ pub struct Overlay<'a, M: NodeShape> {
     base: &'a M,
     /// Arena length at freeze time; ids `>= base_len` live in the overlay.
     base_len: u32,
-    table: &'a ShardedTable<M::Key>,
+    table: &'a ShardedTable,
     arena: &'a OverlayArena,
+}
+
+/// The overlay table's key store: an overlay id's key comes from its
+/// record's words.
+impl<M: NodeShape> KeyStore<M::Key> for Overlay<'_, M> {
+    #[inline]
+    fn key_of(&self, id: u32) -> M::Key {
+        M::overlay_key(self.words(id))
+    }
 }
 
 impl<M: NodeShape> Overlay<'_, M> {
@@ -229,7 +242,8 @@ impl<M: NodeShape> Overlay<'_, M> {
     /// miss. This is what guarantees one edge representation per Boolean
     /// function — the cornerstone of the determinism argument.
     #[inline]
-    pub fn find_or_insert(&self, key: M::Key, words: (u32, u32, u32)) -> u32 {
+    pub fn find_or_insert(&self, words: (u32, u32, u32)) -> u32 {
+        let key = M::overlay_key(words);
         // A frozen base node has only base children, so a key with an
         // overlay child can never hit the base tables.
         let in_base = |w: u32| M::Edge::from_bits(w).node() < self.base_len;
@@ -238,7 +252,7 @@ impl<M: NodeShape> Overlay<'_, M> {
                 return id;
             }
         }
-        self.table.get_or_insert_with(key, || {
+        self.table.get_or_insert_with(key, self, || {
             self.base_len + self.arena.alloc(words.0, words.1, words.2)
         })
     }
@@ -291,9 +305,9 @@ fn unary<E: PackedEdge>(u: Unary, x: E) -> E {
 /// the append-only node arena and the lossy atomic computed cache, plus
 /// the base GC generation the cache epoch was last synchronized to.
 #[derive(Debug)]
-struct OverlayFrame<K> {
+struct OverlayFrame {
     /// Overlay unique table (consulted after the frozen base's tables).
-    table: ShardedTable<K>,
+    table: ShardedTable,
     /// Append-only overlay node records.
     arena: OverlayArena,
     /// Lossy concurrent computed cache, invalidated by epoch bump.
@@ -311,7 +325,7 @@ struct OverlayFrame<K> {
 /// import always yields a regular edge, so no result packs to it.
 const NOT_IMPORTED: u32 = u32::MAX;
 
-impl<K: TableKey> OverlayFrame<K> {
+impl OverlayFrame {
     fn new(cfg: &ParConfig) -> Self {
         OverlayFrame {
             table: ShardedTable::new(cfg.shards, 64),
@@ -906,7 +920,7 @@ fn import<M: NodeShape>(
 pub struct Par<M: NodeShape> {
     inner: M,
     cfg: ParConfig,
-    frame: OverlayFrame<M::Key>,
+    frame: OverlayFrame,
     stats: ParStats,
 }
 
@@ -1545,7 +1559,13 @@ impl<M: NodeShape> RawManager for Par<M> {
         let p = self.par_stats();
         // One unified cache.* section: the lock-free concurrent cache's
         // counters are folded into the inner sequential cache's.
-        self.inner.fill_par_metrics(&mut m, p.cache);
+        let f = &self.frame;
+        let overlay = MemBytes {
+            arena: f.arena.heap_bytes() + f.memo.capacity() * std::mem::size_of::<u32>(),
+            table: f.table.heap_bytes(),
+            cache: f.cache.heap_bytes(),
+        };
+        self.inner.fill_par_metrics(&mut m, p.cache, overlay);
         m.counter("par.ops_parallel", p.ops_parallel);
         m.counter("par.ops_sequential", p.ops_sequential);
         m.counter("par.tasks_executed", p.tasks_executed);
@@ -1562,10 +1582,7 @@ impl<M: NodeShape> RawManager for Par<M> {
     }
 }
 
-impl<M: NodeShape + SessionBackend> SessionBackend for Par<M>
-where
-    M::Key: 'static,
-{
+impl<M: NodeShape + SessionBackend> SessionBackend for Par<M> {
     /// A private copy for the session layer: the sequential manager's node
     /// store is forked, the overlay frame starts fresh (it is per-op
     /// scratch, recycled at every parallel phase anyway).
@@ -1580,7 +1597,7 @@ mod tests {
 
     #[test]
     fn overlay_frame_lifecycle() {
-        #[derive(Clone, Copy, PartialEq, Eq, Default)]
+        #[derive(Clone, Copy, PartialEq, Eq)]
         struct K(u64);
         impl TableKey for K {
             fn table_hash(&self, _h: &crate::cantor::CantorHasher) -> u64 {
@@ -1592,10 +1609,10 @@ mod tests {
             cache_ways: 1 << 10,
             ..ParConfig::default()
         };
-        let mut f: OverlayFrame<K> = OverlayFrame::new(&cfg);
+        let mut f = OverlayFrame::new(&cfg);
         assert_eq!(f.arena.len(), 0);
         let i = f.arena.alloc(1, 2, 3);
-        f.table.get_or_insert_with(K(7), || i);
+        f.table.get_or_insert_with(K(7), &vec![K(7)], || i);
         assert_eq!(f.arena.len(), 1);
         f.recycle();
         assert_eq!(f.arena.len(), 0);

@@ -77,7 +77,7 @@ pub struct Robdd {
     pub(crate) nodes: Vec<Node>,
     free: Vec<u32>,
     /// One subtable per *variable* (indices never move during reordering).
-    pub(crate) subtables: Vec<UniqueTable<BddKey>>,
+    pub(crate) subtables: Vec<UniqueTable>,
     /// Stored nodes over all subtables, kept current by creation, GC and
     /// sift-time reclamation.
     live: usize,
@@ -257,18 +257,20 @@ impl Robdd {
     #[must_use]
     pub fn metrics_snapshot(&self) -> ddcore::MetricsSnapshot {
         let mut m = ddcore::MetricsSnapshot::new("robdd");
-        self.fill_metrics(&mut m, None);
+        self.fill_metrics(&mut m, None, ddcore::MemBytes::default());
         m
     }
 
     /// Fill `m` with this manager's sections. The Par front-end passes its
     /// lock-free cache counters as `par_cache` so the `cache.*` section
     /// stays one unified tree (sequential + concurrent lookups summed,
-    /// tear misses appearing only when a concurrent cache exists).
+    /// tear misses appearing only when a concurrent cache exists), and its
+    /// overlay's heap bytes as `overlay`, summed into `mem.*`.
     pub(crate) fn fill_metrics(
         &self,
         m: &mut ddcore::MetricsSnapshot,
         par_cache: Option<ddcore::AtomicCacheStats>,
+        overlay: ddcore::MemBytes,
     ) {
         let s = self.stats();
         let c = self.cache.stats();
@@ -307,6 +309,18 @@ impl Robdd {
         m.counter("roots.released", released);
         m.counter("dvo.reorders", self.dvo.reorders());
         self.govern.fill(m);
+        (self.mem_bytes() + overlay).fill(m);
+    }
+
+    /// Heap bytes of the node arena, the unique tables and the computed
+    /// cache (the `mem.*` gauges).
+    fn mem_bytes(&self) -> ddcore::MemBytes {
+        ddcore::MemBytes {
+            arena: self.nodes.capacity() * std::mem::size_of::<Node>()
+                + self.free.capacity() * std::mem::size_of::<u32>(),
+            table: self.subtables.iter().map(UniqueTable::heap_bytes).sum(),
+            cache: self.cache.heap_bytes(),
+        }
     }
 
     /// A stable identifier of the node an edge points to (`None` for the
@@ -367,10 +381,10 @@ impl Robdd {
         }
         debug_assert!(self.child_below(then_, var) && self.child_below(else_, var));
         let key = BddKey::new(then_, else_);
-        let nodes = &mut self.nodes;
         let free = &mut self.free;
         let mut created = false;
-        let id = self.subtables[var as usize].get_or_insert_with(key, || {
+        let table = &mut self.subtables[var as usize];
+        let id = table.get_or_insert_with(key, &mut self.nodes, |nodes| {
             created = true;
             let node = Node::new(var, then_, else_);
             match free.pop() {
@@ -574,11 +588,10 @@ impl Robdd {
         }
         // Sweep; survivors drop their mark bit in the same pass (the
         // tables call the closure exactly once per stored entry).
-        let nodes = &mut self.nodes;
         let free = &mut self.free;
         let mut freed = 0usize;
         for table in &mut self.subtables {
-            table.retain(|_, id| {
+            table.retain(&mut self.nodes, |nodes, id| {
                 let n = &mut nodes[id as usize];
                 if n.is_marked() {
                     n.set_mark(false);
@@ -605,7 +618,7 @@ impl Robdd {
         self.gc_keeping(&[]);
         let mut refs = ddcore::dvo::SiftRefs::new(self.nodes.len());
         for table in &self.subtables {
-            table.for_each(|_, id| {
+            table.for_each(|id| {
                 let n = &self.nodes[id as usize];
                 refs.inc(n.then_());
                 refs.inc(n.else_());
@@ -638,8 +651,8 @@ impl Robdd {
             if n.is_free() {
                 continue;
             }
-            let removed = self.subtables[n.var() as usize].remove(&n.key());
-            debug_assert_eq!(removed, Some(id), "dead node missing from its subtable");
+            let removed = self.subtables[n.var() as usize].remove(id, &self.nodes);
+            debug_assert!(removed, "dead node missing from its subtable");
             self.nodes[id as usize].set_free(true);
             self.free.push(id);
             freed += 1;
@@ -672,7 +685,7 @@ impl Robdd {
         let mut present: HashSet<u32> = HashSet::new();
         for (var, table) in self.subtables.iter().enumerate() {
             let mut err: Option<String> = None;
-            table.for_each(|key, id| {
+            table.for_each(|id| {
                 if err.is_some() {
                     return;
                 }
@@ -689,8 +702,8 @@ impl Robdd {
                     err = Some(format!("node {id} in wrong subtable"));
                     return;
                 }
-                if n.key() != *key {
-                    err = Some(format!("node {id} key mismatch"));
+                if table.peek(&n.key(), &self.nodes) != Some(id) {
+                    err = Some(format!("node {id} not found under its own key"));
                     return;
                 }
                 if n.then_().is_complemented() {
@@ -714,7 +727,7 @@ impl Robdd {
         }
         for table in &self.subtables {
             let mut err: Option<String> = None;
-            table.for_each(|_, id| {
+            table.for_each(|id| {
                 if err.is_some() {
                     return;
                 }

@@ -4,12 +4,13 @@
 //! words (two child edge words with the complement attribute folded into
 //! bit 0, plus a meta word carrying the 16-bit variable index and the
 //! mark/free flags), and a [`BddKey`] is one `u64` — the *then*-edge word
-//! in the high half and the *else*-edge word in the low half — stored
-//! inline in the open-addressed unique table.
+//! in the high half and the *else*-edge word in the low half. The key is
+//! never stored: the unique tables hold `(cached hash, id)` slots and read
+//! a stored node's key from the arena.
 
 use crate::edge::Edge;
 use ddcore::cantor::CantorHasher;
-use ddcore::table::TableKey;
+use ddcore::table::{KeyStore, TableKey};
 
 pub(crate) const TERMINAL_VAR: u16 = u16::MAX;
 
@@ -99,6 +100,15 @@ impl Node {
     #[inline]
     pub(crate) fn key(&self) -> BddKey {
         BddKey::new(self.then_(), self.else_())
+    }
+}
+
+/// The node arena is the unique tables' key store: a stored id's key is
+/// its node's key.
+impl KeyStore<BddKey> for Vec<Node> {
+    #[inline]
+    fn key_of(&self, id: u32) -> BddKey {
+        self[id as usize].key()
     }
 }
 

@@ -12,7 +12,7 @@ use crate::edge::Edge;
 use crate::manager::{Robdd, RobddStats};
 use crate::node::BddKey;
 use ddcore::cantor::CantorHasher;
-use ddcore::obs::MetricsSnapshot;
+use ddcore::obs::{MemBytes, MetricsSnapshot};
 use ddcore::par::{AtomicCacheStats, NodeShape, Overlay, PackedEdge, Par, QuantCube};
 pub use ddcore::par::{ParConfig, ParStats};
 use ddcore::table::TableKey;
@@ -37,7 +37,7 @@ pub type ParRobdd = Par<Robdd>;
 /// Sharded-overlay key: the per-variable [`BddKey`] contents plus the
 /// variable itself (the base keeps one table per variable; the overlay is
 /// one key space).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VarKey {
     var: u16,
     then_bits: u32,
@@ -76,12 +76,21 @@ impl NodeShape for Robdd {
     const APPLY_SECOND_FIRST: bool = false;
 
     #[inline]
+    fn overlay_key((then_bits, else_bits, meta): (u32, u32, u32)) -> VarKey {
+        VarKey {
+            var: meta as u16,
+            then_bits,
+            else_bits,
+        }
+    }
+
+    #[inline]
     fn peek(&self, key: &VarKey) -> Option<u32> {
         let k = BddKey::new(
             Edge::from_bits(key.then_bits),
             Edge::from_bits(key.else_bits),
         );
-        self.subtables[key.var as usize].peek(&k)
+        self.subtables[key.var as usize].peek(&k, &self.nodes)
     }
 
     /// Positions count from the root, so the height is their complement.
@@ -155,12 +164,7 @@ impl NodeShape for Robdd {
             else_ = !else_;
             out_c = true;
         }
-        let key = VarKey {
-            var,
-            then_bits: then_.bits(),
-            else_bits: else_.bits(),
-        };
-        let id = ov.find_or_insert(key, (then_.bits(), else_.bits(), u32::from(var)));
+        let id = ov.find_or_insert((then_.bits(), else_.bits(), u32::from(var)));
         Edge::new(id, out_c)
     }
 
@@ -176,7 +180,12 @@ impl NodeShape for Robdd {
         Robdd::stats(self)
     }
 
-    fn fill_par_metrics(&self, m: &mut MetricsSnapshot, cache: AtomicCacheStats) {
-        self.fill_metrics(m, Some(cache));
+    fn fill_par_metrics(
+        &self,
+        m: &mut MetricsSnapshot,
+        cache: AtomicCacheStats,
+        overlay: MemBytes,
+    ) {
+        self.fill_metrics(m, Some(cache), overlay);
     }
 }

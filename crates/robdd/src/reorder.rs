@@ -71,7 +71,7 @@ impl ReorderBackend for Robdd {
             return 0.0;
         }
         let coupled = table
-            .values()
+            .ids()
             .into_iter()
             .filter(|&id| {
                 let nd = self.node(id);
@@ -304,7 +304,7 @@ impl Robdd {
     /// Rewrite the `x`-nodes with a `y`-child to test `y` first (`x` sits
     /// directly above `y`), then reclaim what the rewrite left dead.
     fn rewrite_pair(&mut self, x: u16, y: u16) {
-        let ids = self.subtables[x as usize].values();
+        let ids = self.subtables[x as usize].ids();
         for id in ids {
             let nd = *self.node(id);
             let (t, e) = (nd.then_(), nd.else_());
@@ -334,13 +334,13 @@ impl Robdd {
             let new_e = self.make_swap_node(x, t0, e0); // f_{y=0}
             debug_assert_ne!(new_t, new_e, "swap produced a redundant node");
             debug_assert!(!new_t.is_complemented(), "polarity flip in swap");
-            let old_key = nd.key();
-            let removed = self.subtables[x as usize].remove(&old_key);
-            debug_assert_eq!(removed, Some(id));
+            let removed = self.subtables[x as usize].remove(id, &self.nodes);
+            debug_assert!(removed);
             self.nodes[id as usize] = Node::new(y, new_t, new_e);
-            let new_key = self.node(id).key();
-            debug_assert!(self.subtables[y as usize].get(&new_key).is_none());
-            self.subtables[y as usize].insert(new_key, id);
+            debug_assert!(self.subtables[y as usize]
+                .peek(&self.node(id).key(), &self.nodes)
+                .is_none());
+            self.subtables[y as usize].insert(id, &self.nodes);
             // Inside a reorder, the rewritten node trades its references
             // to the old children for the new ones.
             if let Some(refs) = self.sift_refs.as_mut() {
@@ -562,7 +562,7 @@ mod tests {
     }
 
     fn stored(mgr: &Robdd) -> HashSet<u32> {
-        mgr.subtables.iter().flat_map(|t| t.values()).collect()
+        mgr.subtables.iter().flat_map(|t| t.ids()).collect()
     }
 
     /// Runs a strategy on the wrapped manager and, after every swap,

@@ -10,6 +10,7 @@
 //! invocation at the bottom.
 
 use bbdd::prelude::*;
+use cnf::ClauseSchedule;
 use ddcore::api::RawManager;
 use ddcore::dvo::{DvoPolicy, DvoStrategy};
 use ddcore::govern::{CancelToken, OpAbort, OpBudget};
@@ -736,4 +737,44 @@ fn derived_contract_par_bbdd() {
 #[test]
 fn derived_contract_par_robdd() {
     derived_contract(|n| ParRobddManager::new(ParRobdd::new(n, 4)));
+}
+
+// ───────────────────────── unique-table memory ──────────────────────────
+
+/// The unique tables cost at most 24 bytes per stored node: a key-less
+/// slot array (8-byte slots at 37.5–75 % load) or chained `{id, next}`
+/// entries, and no rebuild buffer kept beside them. A collection that
+/// empties the manager hands the tables' memory back.
+fn table_memory_contract<M: FunctionManager>(mgr: &M) {
+    let inst = benchgen::cnf::parity_chain(14);
+    let plan = cnf::Schedule::Bucket.plan(&inst);
+    let (f, _) = cnf::try_build_cnf(mgr, &inst, &plan, &mut OpBudget::unlimited())
+        .expect("unlimited budget");
+    let m = mgr.metrics();
+    let live = m.get("nodes.live").expect("nodes.live");
+    let peak = m.get("mem.table_bytes").expect("mem.table_bytes");
+    assert!(live > 1000, "{}: parity-14 keeps {live} nodes", m.backend());
+    assert!(
+        peak <= 24 * live,
+        "{}: {peak} table bytes for {live} nodes",
+        m.backend()
+    );
+    drop(f);
+    mgr.collect();
+    let after = mgr.metrics().get("mem.table_bytes").unwrap();
+    assert!(
+        after * 4 < peak,
+        "{}: {after} table bytes kept of {peak} after a full collection",
+        m.backend()
+    );
+}
+
+#[test]
+fn table_memory_bbdd() {
+    table_memory_contract(&BbddManager::with_vars(27));
+}
+
+#[test]
+fn table_memory_robdd() {
+    table_memory_contract(&RobddManager::with_vars(27));
 }
