@@ -17,9 +17,10 @@
 //! ```
 //! Node id 0 is the 1-sink.
 
-use crate::edge::Edge;
-use crate::manager::Bbdd;
+use crate::{Bbdd, BbddShape};
+use ddcore::manager::ChainShape;
 use ddcore::walk;
+use ddcore::Edge;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -66,20 +67,9 @@ fn err(line: usize, message: &str) -> LoadError {
     }
 }
 
-impl Bbdd {
-    /// Serialize the diagrams rooted at `roots` (named per `names`, or
-    /// `f{i}`) into the textual format above.
-    ///
-    /// # Panics
-    /// Panics if a root is a stale edge (its node was freed by GC). Use
-    /// [`Bbdd::try_save`] to handle that case as an error instead.
-    #[must_use]
-    pub fn save(&self, roots: &[Edge], names: &[&str]) -> String {
-        match self.try_save(roots, names) {
-            Ok(text) => text,
-            Err(e) => panic!("{e}"),
-        }
-    }
+impl ChainShape for BbddShape {
+    type SaveError = SaveError;
+    type LoadError = LoadError;
 
     /// [`Bbdd::save`], rejecting stale roots instead of panicking.
     ///
@@ -90,10 +80,10 @@ impl Bbdd {
     ///
     /// # Errors
     /// [`SaveError`] naming the first root that is not stored.
-    pub fn try_save(&self, roots: &[Edge], names: &[&str]) -> Result<String, SaveError> {
+    fn try_save(m: &Bbdd, roots: &[Edge], names: &[&str]) -> Result<String, SaveError> {
         use std::fmt::Write as _;
         for (i, e) in roots.iter().enumerate() {
-            if !self.edge_is_stored(*e) {
+            if !m.edge_is_stored(*e) {
                 return Err(SaveError {
                     root: i,
                     message: format!(
@@ -106,24 +96,24 @@ impl Bbdd {
         }
         let mut out = String::new();
         let _ = writeln!(out, "bbdd 1");
-        let _ = writeln!(out, "vars {}", self.num_vars());
-        let order: Vec<String> = self.order().iter().map(ToString::to_string).collect();
+        let _ = writeln!(out, "vars {}", m.num_vars());
+        let order: Vec<String> = m.order().iter().map(ToString::to_string).collect();
         let _ = writeln!(out, "order {}", order.join(" "));
 
         // Collect reachable nodes, emitted bottom-up (children first).
         let mut nodes: Vec<u32> = Vec::new();
-        walk::visit(self, roots, usize::MAX, |id, _| nodes.push(id));
-        nodes.sort_by_key(|&id| self.node_info(Edge::new(id, false)).expect("node").level);
+        walk::visit(m, roots, usize::MAX, |id, _| nodes.push(id));
+        nodes.sort_by_key(|&id| m.node_info(Edge::new(id, false)).expect("node").level);
         let fmt_edge = |e: Edge| -> String {
             // `edge_id` is `None` exactly for constants, which the format
             // encodes as the sink id 0; every non-constant edge written
             // here hangs under a validated root, so its id is live.
-            debug_assert!(self.edge_is_stored(e));
-            let id = self.edge_id(e).unwrap_or(0);
+            debug_assert!(m.edge_is_stored(e));
+            let id = m.edge_id(e).unwrap_or(0);
             format!("{}:{}", id, u8::from(e.is_complemented()))
         };
         for &id in &nodes {
-            let info = self.node_info(Edge::new(id, false)).expect("node");
+            let info = m.node_info(Edge::new(id, false)).expect("node");
             let _ = writeln!(
                 out,
                 "node {} {} {} {} {}",
@@ -147,40 +137,13 @@ impl Bbdd {
         Ok(out)
     }
 
-    /// [`Bbdd::save`] over owned handles — the GC-safe spelling for
-    /// callers living in the handle world.
-    #[must_use]
-    pub fn save_fns(&self, roots: &[crate::BbddFn], names: &[&str]) -> String {
-        let edges: Vec<Edge> = roots.iter().map(crate::BbddFn::edge).collect();
-        self.save(&edges, names)
-    }
-
-    /// [`Bbdd::load`], returning a trait-level manager with the named
-    /// roots as owned handles already registered — the forest is pinned
-    /// from the first instant, so no collection point can strand it.
-    ///
-    /// # Errors
-    /// Returns a [`LoadError`] for malformed input, out-of-range levels or
-    /// forward references.
-    pub fn load_fns(
-        text: &str,
-    ) -> Result<(crate::BbddManager, Vec<(String, crate::BbddFn)>), LoadError> {
-        let (mgr, roots) = Bbdd::load(text)?;
-        let mgr = crate::BbddManager::new(mgr);
-        let handles = roots
-            .into_iter()
-            .map(|(name, e)| (name, mgr.lift(e)))
-            .collect();
-        Ok((mgr, handles))
-    }
-
     /// Reconstruct a forest saved by [`Bbdd::save`] into a fresh manager.
     /// Returns the manager plus the named root edges in file order.
     ///
     /// # Errors
     /// Returns a [`LoadError`] for malformed input, out-of-range levels or
     /// forward references.
-    pub fn load(text: &str) -> Result<(Bbdd, Vec<(String, Edge)>), LoadError> {
+    fn load(text: &str) -> Result<(Bbdd, Vec<(String, Edge)>), LoadError> {
         let mut mgr: Option<Bbdd> = None;
         let mut saw_magic = false;
         let mut vars: Option<usize> = None;

@@ -40,10 +40,11 @@
 //!   rebuilt from that spine, so a claimed tuple always carries a regular
 //!   `=`-edge.
 
-use crate::edge::Edge;
-use crate::manager::Bbdd;
-use crate::node::{Node, NodeKey};
+use crate::shape::edge_level;
+use crate::Bbdd;
 use ddcore::fxhash::FxHashMap;
+use ddcore::manager::Node;
+use ddcore::Edge;
 
 /// Reference to either a committed arena node or a staged node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,7 +134,7 @@ enum VEdge {
 /// Per-swap scratch, kept on the manager between swaps so no swap
 /// allocates once the buffers have grown.
 #[derive(Debug, Default)]
-pub(crate) struct SwapCtx {
+pub struct SwapCtx {
     staged: Vec<StagedNode>,
     tab: FxHashMap<u128, u32>,
     /// Bottom level of the swap window (`L0`); final nodes may only be
@@ -175,478 +176,458 @@ impl SwapCtx {
     }
 }
 
-impl Bbdd {
-    /// Swap the variables at adjacent top-based order positions `pos` and
-    /// `pos + 1`, updating the CVO and rewriting the (up to) three affected
-    /// levels in place. All existing [`Edge`]s keep denoting the same
-    /// Boolean functions.
-    ///
-    /// # Panics
-    /// Panics if `pos + 1 >= num_vars()`.
-    pub fn swap_adjacent(&mut self, pos: usize) {
-        let n = self.num_vars();
-        assert!(pos + 1 < n, "swap position out of range");
-        let hi = (n - 1 - pos) as u16; // bottom-based level of π_pos
-        self.swap_levels(hi - 1);
+/// Swap the PVs of bottom-based levels `lo+1` and `lo`.
+pub(crate) fn swap_levels(m: &mut Bbdd, lo: u16) {
+    let l0 = lo;
+    let l1 = lo + 1;
+    assert!((l1 as usize) < m.num_vars());
+    let l2 = if (l1 as usize) + 1 < m.num_vars() {
+        Some(lo + 2)
+    } else {
+        None
+    };
+
+    let mut ctx = take_swap_scratch(m, l0);
+    let mut ids = std::mem::take(&mut ctx.window);
+    for l in [l0, l1].into_iter().chain(l2) {
+        m.subtables[l as usize].for_each(|id| ids.push(id));
+    }
+    let n0 = m.subtables[l0 as usize].len();
+    let n01 = n0 + m.subtables[l1 as usize].len();
+    // Inside a reorder, drop the window's outgoing references now; the
+    // commit adds back those of the rebuilt nodes.
+    if let Some(refs) = m.sift_refs.as_mut() {
+        for &id in &ids {
+            let n = &m.nodes[id as usize];
+            refs.dec(n.first());
+            refs.dec(n.second());
+        }
     }
 
-    /// Swap the PVs of bottom-based levels `lo+1` and `lo`.
-    pub(crate) fn swap_levels(&mut self, lo: u16) {
-        let timer = ddcore::obs::prof_timer();
-        let l0 = lo;
-        let l1 = lo + 1;
-        assert!((l1 as usize) < self.num_vars());
-        let l2 = if (l1 as usize) + 1 < self.num_vars() {
-            Some(lo + 2)
-        } else {
-            None
-        };
-
-        let mut ctx = self.take_swap_scratch(l0);
-        let mut ids = std::mem::take(&mut ctx.window);
-        for l in [l0, l1].into_iter().chain(l2) {
-            self.subtables[l as usize].for_each(|id| ids.push(id));
+    for &id in &ids[..n0] {
+        rebuild_l0(m, &mut ctx, id, l0, l1);
+    }
+    for &id in &ids[n0..n01] {
+        rebuild_l1(m, &mut ctx, id, l0, l1);
+    }
+    if let Some(l2) = l2 {
+        for &id in &ids[n01..] {
+            rebuild_l2(m, &mut ctx, id, l0, l1, l2);
         }
-        let n0 = self.subtables[l0 as usize].len();
-        let n01 = n0 + self.subtables[l1 as usize].len();
-        // Inside a reorder, drop the window's outgoing references now; the
-        // commit adds back those of the rebuilt nodes.
-        if let Some(refs) = self.sift_refs.as_mut() {
-            for &id in &ids {
-                let n = &self.nodes[id as usize];
-                refs.dec(n.neq());
-                refs.dec(n.eq());
+    }
+    debug_assert_eq!(
+        ctx.staged.iter().filter(|s| s.owner.is_some()).count(),
+        ids.len(),
+        "every old node must adopt exactly one new tuple"
+    );
+    ctx.window = ids;
+
+    commit(m, &mut ctx, l0, l1, l2);
+    put_swap_scratch(m, ctx);
+    if let Some(refs) = m.sift_refs.as_mut() {
+        // Cofactoring through the window may have materialised the
+        // literal of the level below it with no rebuilt node using it.
+        if l0 > 0 {
+            let lit = Node::new(l0 - 1, true, Edge::ZERO, Edge::ONE).key();
+            if let Some(id) = m.subtables[l0 as usize - 1].peek(&lit, &m.nodes) {
+                refs.queue_if_dead(id);
             }
         }
+        m.reclaim_dead();
+    }
+    m.swap_order(m.num_vars() - 1 - usize::from(l1));
+}
 
-        for &id in &ids[..n0] {
-            self.rebuild_l0(&mut ctx, id, l0, l1);
-        }
-        for &id in &ids[n0..n01] {
-            self.rebuild_l1(&mut ctx, id, l0, l1);
-        }
-        if let Some(l2) = l2 {
-            for &id in &ids[n01..] {
-                self.rebuild_l2(&mut ctx, id, l0, l1, l2);
-            }
-        }
-        debug_assert_eq!(
-            ctx.staged.iter().filter(|s| s.owner.is_some()).count(),
-            ids.len(),
-            "every old node must adopt exactly one new tuple"
+/// Old level-`i` node `p` (pair `(y, z)`): its variable `y` moves up, so
+/// `p` re-roots at `L1` over the new pair `(y, x)` with children over
+/// `(x, z)` whose branches swap (Fig. 2c):
+/// `p(y:=x') = node(L0, ≠: P_E, =: P_D)`,
+/// `p(y:=x)  = node(L0, ≠: P_D, =: P_E)`.
+fn rebuild_l0(m: &mut Bbdd, ctx: &mut SwapCtx, id: u32, l0: u16, l1: u16) {
+    let nd = m.node(id);
+    if nd.is_shannon() {
+        claim(m, ctx, id, l1, true, SEdge::ZERO, SEdge::ONE);
+        return;
+    }
+    let pd = SEdge::from_edge(nd.first());
+    let pe = SEdge::from_edge(nd.second());
+    let c_neq = stage(m, ctx, l0, pe, pd);
+    let c_eq = stage(m, ctx, l0, pd, pe);
+    claim(m, ctx, id, l1, false, c_neq, c_eq);
+}
+
+/// Old level-`i+1` node `m` (pair `(x, y)`): expand to the four
+/// grand-cofactors `m_{b,c}` and reassemble under the remap
+/// `m'_{b',c'} = m_{b', b'⊕c'}` (Fig. 2b). If the two new children
+/// coincide, `m` does not depend on `y` and migrates down to `L0`.
+fn rebuild_l1(m: &mut Bbdd, ctx: &mut SwapCtx, id: u32, l0: u16, l1: u16) {
+    let nd = m.node(id);
+    if nd.is_shannon() {
+        claim(m, ctx, id, l0, true, SEdge::ZERO, SEdge::ONE);
+        return;
+    }
+    // Fast path: both children below the window. The node's condition
+    // [x ⊕ y] is symmetric in the swapped pair, so the tuple is
+    // invariant — re-claim it unchanged.
+    if below_window(m, nd.first(), l0) && below_window(m, nd.second(), l0) {
+        claim(
+            m,
+            ctx,
+            id,
+            l1,
+            false,
+            SEdge::from_edge(nd.first()),
+            SEdge::from_edge(nd.second()),
         );
-        ctx.window = ids;
+        return;
+    }
+    // (m_{b,1}, m_{b,0}) for b = 1 (≠-child) and b = 0 (=-child).
+    let (m11, m10) = m.cofactors(nd.first(), l0);
+    let (m01, m00) = m.cofactors(nd.second(), l0);
+    let child1 = stage(m, ctx, l0, SEdge::from_edge(m10), SEdge::from_edge(m11));
+    let child0 = stage(m, ctx, l0, SEdge::from_edge(m01), SEdge::from_edge(m00));
+    claim(m, ctx, id, l1, false, child1, child0);
+}
 
-        self.commit(&mut ctx, l0, l1, l2);
-        self.put_swap_scratch(ctx);
-        if let Some(refs) = self.sift_refs.as_mut() {
-            // Cofactoring through the window may have materialised the
-            // literal of the level below it with no rebuilt node using it.
-            if l0 > 0 {
-                let lit = NodeKey::new(true, Edge::ZERO, Edge::ONE);
-                if let Some(id) = self.subtables[l0 as usize - 1].peek(&lit, &self.nodes) {
-                    refs.queue_if_dead(id);
+/// Old level-`i+2` node `N` (pair `(w, x)`): expand to the eight
+/// grand-cofactors `N_{a,b,c}` (Fig. 2a) and reassemble under
+/// `N'_{a',b',c'} = N_{a'⊕b', b', b'⊕c'}`. Uses virtual literals so
+/// that cofactoring through the window never materializes nodes with
+/// stale (pre-swap) semantics.
+fn rebuild_l2(m: &mut Bbdd, ctx: &mut SwapCtx, id: u32, l0: u16, l1: u16, l2: u16) {
+    let nd = m.node(id);
+    if nd.is_shannon() {
+        claim(m, ctx, id, l2, true, SEdge::ZERO, SEdge::ONE);
+        return;
+    }
+    // Fast path: both children below the window. Only the SV of the
+    // node's condition changes (x → y), which re-roots the children
+    // one level down with swapped branches and no grand-cofactoring:
+    //   f_{w≠y} = node(L1, ≠: E, =: D),  f_{w=y} = node(L1, ≠: D, =: E).
+    if below_window(m, nd.first(), l0) && below_window(m, nd.second(), l0) {
+        let d = SEdge::from_edge(nd.first());
+        let e = SEdge::from_edge(nd.second());
+        let mid1 = stage(m, ctx, l1, e, d);
+        let mid0 = stage(m, ctx, l1, d, e);
+        claim(m, ctx, id, l2, false, mid1, mid0);
+        return;
+    }
+    // First expansion: condition b over the old pair (x, y) at L1.
+    let (n1_1, n1_0) = vcof(m, ctx, VEdge::Real(nd.first()), l1);
+    let (n0_1, n0_0) = vcof(m, ctx, VEdge::Real(nd.second()), l1);
+    // Second expansion: condition c over the old pair (y, z) at L0.
+    let mut nabc = [[[SEdge::ZERO; 2]; 2]; 2];
+    for (a, b, v) in [
+        (1usize, 1usize, n1_1),
+        (1, 0, n1_0),
+        (0, 1, n0_1),
+        (0, 0, n0_0),
+    ] {
+        let (c1, c0) = vcof(m, ctx, v, l0);
+        nabc[a][b][1] = SEdge::from_edge(as_real(c1));
+        nabc[a][b][0] = SEdge::from_edge(as_real(c0));
+    }
+    // Remap and reassemble bottom-up.
+    let inner = |mgr: &mut Bbdd, ctx: &mut SwapCtx, ap: usize, bp: usize| {
+        let neq = nabc[ap ^ bp][bp][bp ^ 1];
+        let eq = nabc[ap ^ bp][bp][bp];
+        stage(mgr, ctx, l0, neq, eq)
+    };
+    let i11 = inner(m, ctx, 1, 1);
+    let i10 = inner(m, ctx, 1, 0);
+    let i01 = inner(m, ctx, 0, 1);
+    let i00 = inner(m, ctx, 0, 0);
+    let mid1 = stage(m, ctx, l1, i11, i10);
+    let mid0 = stage(m, ctx, l1, i01, i00);
+    claim(m, ctx, id, l2, false, mid1, mid0);
+}
+
+fn as_real(v: VEdge) -> Edge {
+    match v {
+        VEdge::Real(e) => e,
+        VEdge::OldLit { .. } => {
+            unreachable!("BBDD swap: virtual literal survived below the window")
+        }
+    }
+}
+
+/// Old-semantics biconditional cofactors of a possibly-virtual edge at
+/// `level`.
+fn vcof(m: &mut Bbdd, ctx: &SwapCtx, v: VEdge, level: u16) -> (VEdge, VEdge) {
+    match v {
+        VEdge::Real(e) => {
+            if e.is_constant() {
+                return (v, v);
+            }
+            let n = m.node(e.node());
+            if n.top() < level {
+                return (v, v);
+            }
+            debug_assert_eq!(n.top(), level);
+            let c = e.is_complemented();
+            if n.is_shannon() {
+                old_lit_pair(m, ctx, level, c)
+            } else {
+                (
+                    VEdge::Real(n.first().complement_if(c)),
+                    VEdge::Real(n.second().complement_if(c)),
+                )
+            }
+        }
+        VEdge::OldLit { level: k, c } => {
+            if k < level {
+                (v, v)
+            } else {
+                debug_assert_eq!(k, level);
+                old_lit_pair(m, ctx, level, c)
+            }
+        }
+    }
+}
+
+/// Cofactors of the (old) positive literal of `level`'s PV:
+/// `(SV', SV)`, where the SV literal is virtual while it lies inside
+/// the swap window.
+fn old_lit_pair(m: &mut Bbdd, ctx: &SwapCtx, level: u16, c: bool) -> (VEdge, VEdge) {
+    if level == 0 {
+        return (
+            VEdge::Real(Edge::ZERO.complement_if(c)),
+            VEdge::Real(Edge::ONE.complement_if(c)),
+        );
+    }
+    let k = level - 1;
+    if k < ctx.l0 {
+        let lit = m.literal(k); // stable region: safe to create
+        (
+            VEdge::Real((!lit).complement_if(c)),
+            VEdge::Real(lit.complement_if(c)),
+        )
+    } else {
+        (
+            VEdge::OldLit { level: k, c: !c },
+            VEdge::OldLit { level: k, c },
+        )
+    }
+}
+
+/// Stage the biconditional tuple `(level, neq, eq)` applying R2, the
+/// complement normalization and R4 in *new* semantics.
+fn stage(m: &mut Bbdd, ctx: &mut SwapCtx, level: u16, mut neq: SEdge, mut eq: SEdge) -> SEdge {
+    if neq == eq {
+        return eq; // R2
+    }
+    let out_c = eq.c();
+    if out_c {
+        neq = neq.flip();
+        eq = eq.flip();
+    }
+    if neq == eq.flip() && is_new_lit_below(m, ctx, eq, level) {
+        let lit = stage_shannon(ctx, level);
+        return lit.complement_if(out_c); // R4
+    }
+    let k = ctx.intern(StagedNode {
+        level,
+        shannon: false,
+        neq,
+        eq,
+        owner: None,
+    });
+    SEdge::staged(k).complement_if(out_c)
+}
+
+fn stage_shannon(ctx: &mut SwapCtx, level: u16) -> SEdge {
+    SEdge::staged(ctx.intern(StagedNode {
+        level,
+        shannon: true,
+        neq: SEdge::ZERO,
+        eq: SEdge::ONE,
+        owner: None,
+    }))
+}
+
+/// Is `e` the regular positive literal of the level below `level`, in
+/// post-swap semantics?
+fn is_new_lit_below(m: &Bbdd, ctx: &SwapCtx, e: SEdge, level: u16) -> bool {
+    if e.c() {
+        return false;
+    }
+    if level == 0 {
+        return e == SEdge::ONE;
+    }
+    let below = level - 1;
+    match e.r() {
+        SRef::Final(id) => {
+            if id == 0 {
+                return false;
+            }
+            // Final nodes keep their semantics only below the window.
+            below < ctx.l0 && {
+                let n = m.node(id);
+                n.is_shannon() && n.top() == below
+            }
+        }
+        SRef::Staged(k) => {
+            let s = &ctx.staged[k as usize];
+            s.shannon && s.level == below
+        }
+    }
+}
+
+/// Register the new tuple of surviving old node `id` (pointer-
+/// preserving adoption), handling the level-migration (R2) case.
+fn claim(
+    m: &mut Bbdd,
+    ctx: &mut SwapCtx,
+    id: u32,
+    level: u16,
+    shannon: bool,
+    neq: SEdge,
+    eq: SEdge,
+) {
+    if neq == eq {
+        // The node's function does not depend on the new PV of `level`:
+        // it migrates to the root of its (single) child, which is
+        // always a regular staged node — see the module docs.
+        match (neq.r(), neq.c()) {
+            (SRef::Staged(k), false) => {
+                assert!(
+                    ctx.staged[k as usize].owner.is_none(),
+                    "BBDD swap: migrated node collides with an owned tuple"
+                );
+                ctx.staged[k as usize].owner = Some(id);
+            }
+            _ => panic!("BBDD swap: migrated node collapsed outside the staging area"),
+        }
+        return;
+    }
+    assert!(
+        !eq.c(),
+        "BBDD swap: claim with complemented =-edge (polarity flip)"
+    );
+    debug_assert!(
+        shannon || !(neq == eq.flip() && is_new_lit_below(m, ctx, eq, level)),
+        "BBDD swap: surviving biconditional node degenerated to a literal"
+    );
+    ctx.intern(StagedNode {
+        level,
+        shannon,
+        neq,
+        eq,
+        owner: Some(id),
+    });
+}
+
+/// Is the edge's target strictly below the swap window?
+#[inline]
+fn below_window(m: &Bbdd, e: Edge, l0: u16) -> bool {
+    match edge_level(m, e) {
+        None => true,
+        Some(l) => l < l0,
+    }
+}
+
+fn take_swap_scratch(m: &mut Bbdd, l0: u16) -> SwapCtx {
+    let mut ctx = m.scratch.take().unwrap_or_default();
+    ctx.reset(l0);
+    ctx
+}
+
+fn put_swap_scratch(m: &mut Bbdd, ctx: SwapCtx) {
+    m.scratch = Some(ctx);
+}
+
+/// Write the staged forest back: reuse owned slots, allocate fresh ones
+/// for reachable unowned nodes, refill the three subtables.
+fn commit(m: &mut Bbdd, ctx: &mut SwapCtx, l0: u16, l1: u16, l2: Option<u16>) {
+    let SwapCtx {
+        staged,
+        used,
+        stack,
+        final_id,
+        ..
+    } = ctx;
+    // Reachability from owned (adopted) nodes; unreferenced fresh
+    // intermediates are dropped instead of becoming instant garbage.
+    used.clear();
+    used.resize(staged.len(), false);
+    stack.clear();
+    stack.extend((0..staged.len() as u32).filter(|&k| staged[k as usize].owner.is_some()));
+    while let Some(k) = stack.pop() {
+        if used[k as usize] {
+            continue;
+        }
+        used[k as usize] = true;
+        for e in [staged[k as usize].neq, staged[k as usize].eq] {
+            if let SRef::Staged(j) = e.r() {
+                stack.push(j);
+            }
+        }
+    }
+
+    m.live -= m.subtables[l0 as usize].len() + m.subtables[l1 as usize].len();
+    m.subtables[l0 as usize].clear();
+    m.subtables[l1 as usize].clear();
+    if let Some(l2) = l2 {
+        m.live -= m.subtables[l2 as usize].len();
+        m.subtables[l2 as usize].clear();
+    }
+
+    final_id.clear();
+    final_id.resize(staged.len(), u32::MAX);
+    for (k, s) in staged.iter().enumerate() {
+        if !used[k] {
+            continue;
+        }
+        final_id[k] = match s.owner {
+            Some(id) => id,
+            None => {
+                // Fresh slot for a genuinely new node.
+                if let Some(id) = free_slot(m) {
+                    id
+                } else {
+                    m.nodes.push(Node::terminal());
+                    (m.nodes.len() - 1) as u32
                 }
             }
-            self.reclaim_dead();
-        }
-        self.var_at_level.swap(l0 as usize, l1 as usize);
-        self.level_of_var[self.var_at_level[l0 as usize] as usize] = l0 as u32;
-        self.level_of_var[self.var_at_level[l1 as usize] as usize] = l1 as u32;
-        self.stats.swaps += 1;
-        ddcore::obs::prof_record(ddcore::obs::Op::Swap, timer);
-    }
-
-    /// Old level-`i` node `p` (pair `(y, z)`): its variable `y` moves up, so
-    /// `p` re-roots at `L1` over the new pair `(y, x)` with children over
-    /// `(x, z)` whose branches swap (Fig. 2c):
-    /// `p(y:=x') = node(L0, ≠: P_E, =: P_D)`,
-    /// `p(y:=x)  = node(L0, ≠: P_D, =: P_E)`.
-    fn rebuild_l0(&mut self, ctx: &mut SwapCtx, id: u32, l0: u16, l1: u16) {
-        let nd = *self.node(id);
-        if nd.is_shannon() {
-            self.claim(ctx, id, l1, true, SEdge::ZERO, SEdge::ONE);
-            return;
-        }
-        let pd = SEdge::from_edge(nd.neq());
-        let pe = SEdge::from_edge(nd.eq());
-        let c_neq = self.stage(ctx, l0, pe, pd);
-        let c_eq = self.stage(ctx, l0, pd, pe);
-        self.claim(ctx, id, l1, false, c_neq, c_eq);
-    }
-
-    /// Old level-`i+1` node `m` (pair `(x, y)`): expand to the four
-    /// grand-cofactors `m_{b,c}` and reassemble under the remap
-    /// `m'_{b',c'} = m_{b', b'⊕c'}` (Fig. 2b). If the two new children
-    /// coincide, `m` does not depend on `y` and migrates down to `L0`.
-    fn rebuild_l1(&mut self, ctx: &mut SwapCtx, id: u32, l0: u16, l1: u16) {
-        let nd = *self.node(id);
-        if nd.is_shannon() {
-            self.claim(ctx, id, l0, true, SEdge::ZERO, SEdge::ONE);
-            return;
-        }
-        // Fast path: both children below the window. The node's condition
-        // [x ⊕ y] is symmetric in the swapped pair, so the tuple is
-        // invariant — re-claim it unchanged.
-        if self.below_window(nd.neq(), l0) && self.below_window(nd.eq(), l0) {
-            self.claim(
-                ctx,
-                id,
-                l1,
-                false,
-                SEdge::from_edge(nd.neq()),
-                SEdge::from_edge(nd.eq()),
-            );
-            return;
-        }
-        // (m_{b,1}, m_{b,0}) for b = 1 (≠-child) and b = 0 (=-child).
-        let (m11, m10) = self.cofactors(nd.neq(), l0);
-        let (m01, m00) = self.cofactors(nd.eq(), l0);
-        let child1 = self.stage(ctx, l0, SEdge::from_edge(m10), SEdge::from_edge(m11));
-        let child0 = self.stage(ctx, l0, SEdge::from_edge(m01), SEdge::from_edge(m00));
-        self.claim(ctx, id, l1, false, child1, child0);
-    }
-
-    /// Old level-`i+2` node `N` (pair `(w, x)`): expand to the eight
-    /// grand-cofactors `N_{a,b,c}` (Fig. 2a) and reassemble under
-    /// `N'_{a',b',c'} = N_{a'⊕b', b', b'⊕c'}`. Uses virtual literals so
-    /// that cofactoring through the window never materializes nodes with
-    /// stale (pre-swap) semantics.
-    fn rebuild_l2(&mut self, ctx: &mut SwapCtx, id: u32, l0: u16, l1: u16, l2: u16) {
-        let nd = *self.node(id);
-        if nd.is_shannon() {
-            self.claim(ctx, id, l2, true, SEdge::ZERO, SEdge::ONE);
-            return;
-        }
-        // Fast path: both children below the window. Only the SV of the
-        // node's condition changes (x → y), which re-roots the children
-        // one level down with swapped branches and no grand-cofactoring:
-        //   f_{w≠y} = node(L1, ≠: E, =: D),  f_{w=y} = node(L1, ≠: D, =: E).
-        if self.below_window(nd.neq(), l0) && self.below_window(nd.eq(), l0) {
-            let d = SEdge::from_edge(nd.neq());
-            let e = SEdge::from_edge(nd.eq());
-            let mid1 = self.stage(ctx, l1, e, d);
-            let mid0 = self.stage(ctx, l1, d, e);
-            self.claim(ctx, id, l2, false, mid1, mid0);
-            return;
-        }
-        // First expansion: condition b over the old pair (x, y) at L1.
-        let (n1_1, n1_0) = self.vcof(ctx, VEdge::Real(nd.neq()), l1);
-        let (n0_1, n0_0) = self.vcof(ctx, VEdge::Real(nd.eq()), l1);
-        // Second expansion: condition c over the old pair (y, z) at L0.
-        let mut nabc = [[[SEdge::ZERO; 2]; 2]; 2];
-        for (a, b, v) in [
-            (1usize, 1usize, n1_1),
-            (1, 0, n1_0),
-            (0, 1, n0_1),
-            (0, 0, n0_0),
-        ] {
-            let (c1, c0) = self.vcof(ctx, v, l0);
-            nabc[a][b][1] = SEdge::from_edge(Self::as_real(c1));
-            nabc[a][b][0] = SEdge::from_edge(Self::as_real(c0));
-        }
-        // Remap and reassemble bottom-up.
-        let inner = |mgr: &mut Self, ctx: &mut SwapCtx, ap: usize, bp: usize| {
-            let neq = nabc[ap ^ bp][bp][bp ^ 1];
-            let eq = nabc[ap ^ bp][bp][bp];
-            mgr.stage(ctx, l0, neq, eq)
         };
-        let i11 = inner(self, ctx, 1, 1);
-        let i10 = inner(self, ctx, 1, 0);
-        let i01 = inner(self, ctx, 0, 1);
-        let i00 = inner(self, ctx, 0, 0);
-        let mid1 = self.stage(ctx, l1, i11, i10);
-        let mid0 = self.stage(ctx, l1, i01, i00);
-        self.claim(ctx, id, l2, false, mid1, mid0);
     }
 
-    fn as_real(v: VEdge) -> Edge {
-        match v {
-            VEdge::Real(e) => e,
-            VEdge::OldLit { .. } => {
-                unreachable!("BBDD swap: virtual literal survived below the window")
-            }
-        }
-    }
-
-    /// Old-semantics biconditional cofactors of a possibly-virtual edge at
-    /// `level`.
-    fn vcof(&mut self, ctx: &SwapCtx, v: VEdge, level: u16) -> (VEdge, VEdge) {
-        match v {
-            VEdge::Real(e) => {
-                if e.is_constant() {
-                    return (v, v);
-                }
-                let n = *self.node(e.node());
-                if n.level() < level {
-                    return (v, v);
-                }
-                debug_assert_eq!(n.level(), level);
-                let c = e.is_complemented();
-                if n.is_shannon() {
-                    self.old_lit_pair(ctx, level, c)
-                } else {
-                    (
-                        VEdge::Real(n.neq().complement_if(c)),
-                        VEdge::Real(n.eq().complement_if(c)),
-                    )
-                }
-            }
-            VEdge::OldLit { level: k, c } => {
-                if k < level {
-                    (v, v)
-                } else {
-                    debug_assert_eq!(k, level);
-                    self.old_lit_pair(ctx, level, c)
-                }
-            }
-        }
-    }
-
-    /// Cofactors of the (old) positive literal of `level`'s PV:
-    /// `(SV', SV)`, where the SV literal is virtual while it lies inside
-    /// the swap window.
-    fn old_lit_pair(&mut self, ctx: &SwapCtx, level: u16, c: bool) -> (VEdge, VEdge) {
-        if level == 0 {
-            return (
-                VEdge::Real(Edge::ZERO.complement_if(c)),
-                VEdge::Real(Edge::ONE.complement_if(c)),
-            );
-        }
-        let k = level - 1;
-        if k < ctx.l0 {
-            let lit = self.shannon_node(k); // stable region: safe to create
-            (
-                VEdge::Real((!lit).complement_if(c)),
-                VEdge::Real(lit.complement_if(c)),
-            )
-        } else {
-            (
-                VEdge::OldLit { level: k, c: !c },
-                VEdge::OldLit { level: k, c },
-            )
-        }
-    }
-
-    /// Stage the biconditional tuple `(level, neq, eq)` applying R2, the
-    /// complement normalization and R4 in *new* semantics.
-    fn stage(&mut self, ctx: &mut SwapCtx, level: u16, mut neq: SEdge, mut eq: SEdge) -> SEdge {
-        if neq == eq {
-            return eq; // R2
-        }
-        let out_c = eq.c();
-        if out_c {
-            neq = neq.flip();
-            eq = eq.flip();
-        }
-        if neq == eq.flip() && self.is_new_lit_below(ctx, eq, level) {
-            let lit = Self::stage_shannon(ctx, level);
-            return lit.complement_if(out_c); // R4
-        }
-        let k = ctx.intern(StagedNode {
-            level,
-            shannon: false,
-            neq,
-            eq,
-            owner: None,
-        });
-        SEdge::staged(k).complement_if(out_c)
-    }
-
-    fn stage_shannon(ctx: &mut SwapCtx, level: u16) -> SEdge {
-        SEdge::staged(ctx.intern(StagedNode {
-            level,
-            shannon: true,
-            neq: SEdge::ZERO,
-            eq: SEdge::ONE,
-            owner: None,
-        }))
-    }
-
-    /// Is `e` the regular positive literal of the level below `level`, in
-    /// post-swap semantics?
-    fn is_new_lit_below(&self, ctx: &SwapCtx, e: SEdge, level: u16) -> bool {
-        if e.c() {
-            return false;
-        }
-        if level == 0 {
-            return e == SEdge::ONE;
-        }
-        let below = level - 1;
+    let resolve = |e: SEdge| -> Edge {
         match e.r() {
-            SRef::Final(id) => {
-                if id == 0 {
-                    return false;
-                }
-                // Final nodes keep their semantics only below the window.
-                below < ctx.l0 && {
-                    let n = self.node(id);
-                    n.is_shannon() && n.level() == below
-                }
-            }
+            SRef::Final(id) => Edge::new(id, e.c()),
             SRef::Staged(k) => {
-                let s = &ctx.staged[k as usize];
-                s.shannon && s.level == below
+                debug_assert_ne!(final_id[k as usize], u32::MAX);
+                Edge::new(final_id[k as usize], e.c())
             }
         }
-    }
+    };
 
-    /// Register the new tuple of surviving old node `id` (pointer-
-    /// preserving adoption), handling the level-migration (R2) case.
-    fn claim(
-        &mut self,
-        ctx: &mut SwapCtx,
-        id: u32,
-        level: u16,
-        shannon: bool,
-        neq: SEdge,
-        eq: SEdge,
-    ) {
-        if neq == eq {
-            // The node's function does not depend on the new PV of `level`:
-            // it migrates to the root of its (single) child, which is
-            // always a regular staged node — see the module docs.
-            match (neq.r(), neq.c()) {
-                (SRef::Staged(k), false) => {
-                    assert!(
-                        ctx.staged[k as usize].owner.is_none(),
-                        "BBDD swap: migrated node collides with an owned tuple"
-                    );
-                    ctx.staged[k as usize].owner = Some(id);
-                }
-                _ => panic!("BBDD swap: migrated node collapsed outside the staging area"),
-            }
-            return;
+    for (k, s) in staged.iter().enumerate() {
+        if !used[k] {
+            continue;
         }
-        assert!(
-            !eq.c(),
-            "BBDD swap: claim with complemented =-edge (polarity flip)"
-        );
+        let id = final_id[k];
+        let neq = resolve(s.neq);
+        let eq = resolve(s.eq);
+        m.nodes[id as usize] = Node::new(s.level, s.shannon, neq, eq);
         debug_assert!(
-            shannon || !(neq == eq.flip() && self.is_new_lit_below(ctx, eq, level)),
-            "BBDD swap: surviving biconditional node degenerated to a literal"
+            m.subtables[s.level as usize]
+                .peek(&m.nodes[id as usize].key(), &m.nodes)
+                .is_none(),
+            "BBDD swap: duplicate canonical tuple after commit"
         );
-        ctx.intern(StagedNode {
-            level,
-            shannon,
-            neq,
-            eq,
-            owner: Some(id),
-        });
-    }
-
-    /// Is the edge's target strictly below the swap window?
-    #[inline]
-    fn below_window(&self, e: Edge, l0: u16) -> bool {
-        match self.edge_level(e) {
-            None => true,
-            Some(l) => l < l0,
+        m.subtables[s.level as usize].insert(id, &m.nodes);
+        m.live += 1;
+        m.stats.nodes_created += u64::from(s.owner.is_none());
+        if let Some(refs) = m.sift_refs.as_mut() {
+            refs.inc(neq);
+            refs.inc(eq);
         }
     }
+}
 
-    fn take_swap_scratch(&mut self, l0: u16) -> SwapCtx {
-        let mut ctx = self.swap_scratch.take().unwrap_or_default();
-        ctx.reset(l0);
-        ctx
-    }
-
-    fn put_swap_scratch(&mut self, ctx: SwapCtx) {
-        self.swap_scratch = Some(ctx);
-    }
-
-    /// Write the staged forest back: reuse owned slots, allocate fresh ones
-    /// for reachable unowned nodes, refill the three subtables.
-    fn commit(&mut self, ctx: &mut SwapCtx, l0: u16, l1: u16, l2: Option<u16>) {
-        let SwapCtx {
-            staged,
-            used,
-            stack,
-            final_id,
-            ..
-        } = ctx;
-        // Reachability from owned (adopted) nodes; unreferenced fresh
-        // intermediates are dropped instead of becoming instant garbage.
-        used.clear();
-        used.resize(staged.len(), false);
-        stack.clear();
-        stack.extend((0..staged.len() as u32).filter(|&k| staged[k as usize].owner.is_some()));
-        while let Some(k) = stack.pop() {
-            if used[k as usize] {
-                continue;
-            }
-            used[k as usize] = true;
-            for e in [staged[k as usize].neq, staged[k as usize].eq] {
-                if let SRef::Staged(j) = e.r() {
-                    stack.push(j);
-                }
-            }
-        }
-
-        self.live -= self.subtables[l0 as usize].len() + self.subtables[l1 as usize].len();
-        self.subtables[l0 as usize].clear();
-        self.subtables[l1 as usize].clear();
-        if let Some(l2) = l2 {
-            self.live -= self.subtables[l2 as usize].len();
-            self.subtables[l2 as usize].clear();
-        }
-
-        final_id.clear();
-        final_id.resize(staged.len(), u32::MAX);
-        for (k, s) in staged.iter().enumerate() {
-            if !used[k] {
-                continue;
-            }
-            final_id[k] = match s.owner {
-                Some(id) => id,
-                None => {
-                    // Fresh slot for a genuinely new node.
-                    if let Some(id) = self.free_slot() {
-                        id
-                    } else {
-                        self.nodes.push(Node::terminal());
-                        (self.nodes.len() - 1) as u32
-                    }
-                }
-            };
-        }
-
-        let resolve = |e: SEdge| -> Edge {
-            match e.r() {
-                SRef::Final(id) => Edge::new(id, e.c()),
-                SRef::Staged(k) => {
-                    debug_assert_ne!(final_id[k as usize], u32::MAX);
-                    Edge::new(final_id[k as usize], e.c())
-                }
-            }
-        };
-
-        for (k, s) in staged.iter().enumerate() {
-            if !used[k] {
-                continue;
-            }
-            let id = final_id[k];
-            let neq = resolve(s.neq);
-            let eq = resolve(s.eq);
-            self.nodes[id as usize] = Node::new(s.level, s.shannon, neq, eq);
-            debug_assert!(
-                self.subtables[s.level as usize]
-                    .peek(&self.nodes[id as usize].key(), &self.nodes)
-                    .is_none(),
-                "BBDD swap: duplicate canonical tuple after commit"
-            );
-            self.subtables[s.level as usize].insert(id, &self.nodes);
-            self.live += 1;
-            self.stats.nodes_created += u64::from(s.owner.is_none());
-            if let Some(refs) = self.sift_refs.as_mut() {
-                refs.inc(neq);
-                refs.inc(eq);
-            }
-        }
-    }
-
-    fn free_slot(&mut self) -> Option<u32> {
-        self.pop_free()
-    }
+fn free_slot(m: &mut Bbdd) -> Option<u32> {
+    m.free.pop()
 }
 
 #[cfg(test)]

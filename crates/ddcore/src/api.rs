@@ -182,11 +182,29 @@ pub trait RawManager: Sized {
         budget: &mut OpBudget,
     ) -> Result<Self::Edge, OpAbort>;
 
-    /// Restriction `f|_{var = value}`.
-    fn restrict_edge(&mut self, f: Self::Edge, var: usize, value: bool) -> Self::Edge;
+    /// Restriction `f|_{var = value}` under a resource budget.
+    ///
+    /// # Errors
+    /// The budget's abort reason.
+    fn try_restrict_edge(
+        &mut self,
+        f: Self::Edge,
+        var: usize,
+        value: bool,
+        budget: &mut OpBudget,
+    ) -> Result<Self::Edge, OpAbort>;
 
-    /// Simultaneous substitution (`subs[v]` replaces variable `v`).
-    fn vector_compose_edge(&mut self, f: Self::Edge, subs: &[Option<Self::Edge>]) -> Self::Edge;
+    /// Simultaneous substitution (`subs[v]` replaces variable `v`) under
+    /// a resource budget.
+    ///
+    /// # Errors
+    /// The budget's abort reason.
+    fn try_vector_compose_edge(
+        &mut self,
+        f: Self::Edge,
+        subs: &[Option<Self::Edge>],
+        budget: &mut OpBudget,
+    ) -> Result<Self::Edge, OpAbort>;
 
     /// [`RawManager::try_apply_edge`] without a budget.
     fn apply_edge(&mut self, op: BoolOp, f: Self::Edge, g: Self::Edge) -> Self::Edge {
@@ -221,6 +239,18 @@ pub trait RawManager: Sized {
     /// [`RawManager::try_compose_edge`] without a budget.
     fn compose_edge(&mut self, f: Self::Edge, var: usize, g: Self::Edge) -> Self::Edge {
         self.try_compose_edge(f, var, g, &mut OpBudget::unlimited())
+            .expect(UNLIMITED)
+    }
+
+    /// [`RawManager::try_restrict_edge`] without a budget.
+    fn restrict_edge(&mut self, f: Self::Edge, var: usize, value: bool) -> Self::Edge {
+        self.try_restrict_edge(f, var, value, &mut OpBudget::unlimited())
+            .expect(UNLIMITED)
+    }
+
+    /// [`RawManager::try_vector_compose_edge`] without a budget.
+    fn vector_compose_edge(&mut self, f: Self::Edge, subs: &[Option<Self::Edge>]) -> Self::Edge {
+        self.try_vector_compose_edge(f, subs, &mut OpBudget::unlimited())
             .expect(UNLIMITED)
     }
 
@@ -955,6 +985,16 @@ pub trait BooleanFunction: Clone + PartialEq + std::fmt::Debug + Sized {
     /// Panics if `var` is out of range.
     fn restrict(&self, var: usize, value: bool) -> Self;
 
+    /// Budgeted restriction.
+    ///
+    /// # Errors
+    /// The budget's abort reason.
+    ///
+    /// # Panics
+    /// Panics if `var` is out of range.
+    fn try_restrict(&self, var: usize, value: bool, budget: &mut OpBudget)
+        -> Result<Self, OpAbort>;
+
     /// Substitution `self[var := g]`.
     ///
     /// # Panics
@@ -976,6 +1016,19 @@ pub trait BooleanFunction: Clone + PartialEq + std::fmt::Debug + Sized {
     /// # Panics
     /// Panics if `subs` is longer than `num_vars()`.
     fn vector_compose(&self, subs: &[Option<Self>]) -> Self;
+
+    /// Budgeted simultaneous substitution.
+    ///
+    /// # Errors
+    /// The budget's abort reason.
+    ///
+    /// # Panics
+    /// Panics if `subs` is longer than `num_vars()`.
+    fn try_vector_compose(
+        &self,
+        subs: &[Option<Self>],
+        budget: &mut OpBudget,
+    ) -> Result<Self, OpAbort>;
 
     /// The Shannon cofactor pair `(self|_{var=1}, self|_{var=0})`.
     ///
@@ -1233,6 +1286,17 @@ impl<B: RawManager> BooleanFunction for Function<B> {
         })
     }
 
+    fn try_restrict(
+        &self,
+        var: usize,
+        value: bool,
+        budget: &mut OpBudget,
+    ) -> Result<Self, OpAbort> {
+        self.run_try(&[], obs::Op::Restrict, budget, |b, budget| {
+            b.try_restrict_edge(self.edge, var, value, budget)
+        })
+    }
+
     fn compose(&self, var: usize, g: &Self) -> Self {
         self.run_op(&[g], obs::Op::Compose, |b| {
             b.compose_edge(self.edge, var, g.edge)
@@ -1252,6 +1316,20 @@ impl<B: RawManager> BooleanFunction for Function<B> {
             .collect();
         self.run_op(&[], obs::Op::VectorCompose, |b| {
             b.vector_compose_edge(self.edge, &edges)
+        })
+    }
+
+    fn try_vector_compose(
+        &self,
+        subs: &[Option<Self>],
+        budget: &mut OpBudget,
+    ) -> Result<Self, OpAbort> {
+        let edges: Vec<Option<B::Edge>> = subs
+            .iter()
+            .map(|s| s.as_ref().map(Function::edge))
+            .collect();
+        self.run_try(&[], obs::Op::VectorCompose, budget, |b, budget| {
+            b.try_vector_compose_edge(self.edge, &edges, budget)
         })
     }
 
@@ -1530,11 +1608,22 @@ mod tests {
             Ok(Tt((g.0 & hi) | (!g.0 & lo)))
         }
 
-        fn restrict_edge(&mut self, f: Tt, var: usize, value: bool) -> Tt {
-            Tt(restrict_table(f.0, var, value))
+        fn try_restrict_edge(
+            &mut self,
+            f: Tt,
+            var: usize,
+            value: bool,
+            _budget: &mut OpBudget,
+        ) -> Result<Tt, OpAbort> {
+            Ok(Tt(restrict_table(f.0, var, value)))
         }
 
-        fn vector_compose_edge(&mut self, f: Tt, subs: &[Option<Tt>]) -> Tt {
+        fn try_vector_compose_edge(
+            &mut self,
+            f: Tt,
+            subs: &[Option<Tt>],
+            _budget: &mut OpBudget,
+        ) -> Result<Tt, OpAbort> {
             // Simultaneous: evaluate row-by-row against the substituted
             // inputs.
             let mut out = 0u64;
@@ -1553,7 +1642,7 @@ mod tests {
                     out |= 1 << m;
                 }
             }
-            Tt(out)
+            Ok(Tt(out))
         }
 
         fn eval_edge(&self, f: Tt, assignment: &[bool]) -> bool {

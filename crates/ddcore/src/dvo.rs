@@ -56,8 +56,8 @@
 //! `RawManager::reorder_with` documents and the scheduled-reorder hooks
 //! in `try_build_network` rely on.
 
+use crate::edge::Edge;
 use crate::govern::{OpAbort, OpBudget};
-use crate::par::PackedEdge;
 
 /// The reordering primitives a manager exposes to the generic engine.
 ///
@@ -180,7 +180,7 @@ impl SiftRefs {
 
     /// Add one reference to the node `e` points to (constants are not
     /// counted).
-    pub fn inc<E: PackedEdge>(&mut self, e: E) {
+    pub fn inc(&mut self, e: Edge) {
         if e.is_constant() {
             return;
         }
@@ -197,7 +197,7 @@ impl SiftRefs {
     /// # Panics
     /// Panics if the node holds no reference (a count underflow is a
     /// backend bookkeeping bug).
-    pub fn dec<E: PackedEdge>(&mut self, e: E) {
+    pub fn dec(&mut self, e: Edge) {
         if e.is_constant() {
             return;
         }

@@ -1,23 +1,20 @@
-//! Edges with complement attributes.
+//! Edges with complement attributes, shared by both node shapes.
 //!
-//! A BBDD function is referenced by an [`Edge`]: a node id plus a
-//! *complement attribute*. The paper's canonicity rule (§III-D) admits only
-//! the 1 sink node and allows the attribute on `PV≠SV` edges; constant 0 is
-//! therefore the complemented edge to the 1 sink, and negation is a free,
-//! O(1) bit flip.
+//! A function is referenced by an [`Edge`]: a node id plus a *complement
+//! attribute*. Only the 1 sink exists (node 0); constant 0 is the
+//! complemented edge to it, and negation is a free, O(1) bit flip. The
+//! packing — node id shifted left by one, the low bit the attribute — is
+//! also the word the computed tables, the root registry and the parallel
+//! overlay store.
 
-/// Index of a node in the manager's arena.
-pub(crate) type NodeIndex = u32;
-
-/// A directed edge to a BBDD node, carrying the complement attribute.
+/// A directed edge to a node, carrying the complement attribute.
 ///
-/// `Edge` is the public handle for Boolean functions: every manager
-/// operation consumes and produces edges. Edges are plain 32-bit values and
-/// are only meaningful together with the [`Bbdd`](crate::Bbdd) manager that
-/// created them.
+/// Edges are plain 32-bit values and are only meaningful together with
+/// the manager that created them (`bbdd::Edge` and `robdd::Edge` are this
+/// type).
 ///
 /// ```
-/// use bbdd::Edge;
+/// use ddcore::Edge;
 /// assert_eq!(!Edge::ONE, Edge::ZERO);
 /// assert_eq!(!Edge::ZERO, Edge::ONE);
 /// assert!(Edge::ZERO.is_complemented());
@@ -31,14 +28,17 @@ impl Edge {
     /// The constant-false function: the complemented edge to the 1 sink.
     pub const ZERO: Edge = Edge(1);
 
+    /// The edge to node `node`, complemented when `complemented` holds.
     #[inline]
-    pub(crate) fn new(node: NodeIndex, complemented: bool) -> Self {
-        Edge((node << 1) | complemented as u32)
+    #[must_use]
+    pub fn new(node: u32, complemented: bool) -> Self {
+        Edge((node << 1) | u32::from(complemented))
     }
 
     /// Arena index of the target node.
     #[inline]
-    pub(crate) fn node(self) -> NodeIndex {
+    #[must_use]
+    pub fn node(self) -> u32 {
         self.0 >> 1
     }
 
@@ -60,7 +60,7 @@ impl Edge {
     #[inline]
     #[must_use]
     pub fn complement_if(self, c: bool) -> Self {
-        Edge(self.0 ^ c as u32)
+        Edge(self.0 ^ u32::from(c))
     }
 
     /// `true` when this edge points at the 1 sink (constant function).
@@ -70,14 +70,17 @@ impl Edge {
         self.0 <= 1
     }
 
-    /// The raw packed representation, used as a computed-table key.
+    /// The packed word (computed-table keys, root registry, overlay).
     #[inline]
-    pub(crate) fn bits(self) -> u32 {
+    #[must_use]
+    pub fn bits(self) -> u32 {
         self.0
     }
 
+    /// Rebuild an edge from its packed word.
     #[inline]
-    pub(crate) fn from_bits(bits: u32) -> Self {
+    #[must_use]
+    pub fn from_bits(bits: u32) -> Self {
         Edge(bits)
     }
 }
@@ -107,7 +110,7 @@ mod tests {
 
     #[test]
     fn pack_unpack_roundtrip() {
-        for id in [0u32, 1, 2, 1000, (1 << 30) - 1] {
+        for id in [0u32, 1, 2, 77, 1000, 1 << 20, (1 << 30) - 1] {
             for c in [false, true] {
                 let e = Edge::new(id, c);
                 assert_eq!(e.node(), id);
@@ -116,8 +119,22 @@ mod tests {
                 assert!(!e.regular().is_complemented());
                 assert_eq!(e.complement_if(true), !e);
                 assert_eq!(e.complement_if(false), e);
+                assert_eq!(Edge::from_bits(e.bits()), e);
             }
         }
+    }
+
+    #[test]
+    fn packing_roundtrip() {
+        for id in [0u32, 1, 77, 1 << 20] {
+            for c in [false, true] {
+                let e = Edge::new(id, c);
+                assert_eq!((e.node(), e.is_complemented()), (id, c));
+                assert_eq!(!!e, e);
+            }
+        }
+        assert!(Edge::ONE.is_constant());
+        assert_eq!(!Edge::ONE, Edge::ZERO);
     }
 
     #[test]

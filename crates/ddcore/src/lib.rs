@@ -33,9 +33,15 @@
 //! `roots: &[Edge]` lists, making the forgotten-root bug class
 //! unrepresentable.
 //!
+//! The [`manager`] module is the sequential manager kernel,
+//! [`Manager<S>`](Manager): arena, unique tables, cache, GC, sifting
+//! scope, metrics and every recursive operation, written once over a
+//! [`Shape`] that supplies the node rules (`bbdd::Bbdd` and
+//! `robdd::Robdd` are its two instances). [`Edge`] is the one edge type.
+//!
 //! The [`par`] module holds the one generic parallel pipeline, [`Par`]
 //! (`bbdd::ParBbdd` and `robdd::ParRobdd` are its instances over the two
-//! managers' [`NodeShape`] impls), and the multi-core primitives it is
+//! kernel managers), and the multi-core primitives it is
 //! built from: a sharded concurrent unique table, a lossy lock-free
 //! computed cache, an append-only overlay arena and a std-only fork-join
 //! helper — all safe Rust (this crate forbids `unsafe`).
@@ -71,8 +77,10 @@ pub mod boolop;
 pub mod cache;
 pub mod cantor;
 pub mod dvo;
+pub mod edge;
 pub mod fxhash;
 pub mod govern;
+pub mod manager;
 pub mod nary;
 pub mod obs;
 pub mod optag;
@@ -97,8 +105,10 @@ pub use dvo::{
     DvoPolicy, DvoState, DvoStrategy, FullSift, PairSift, ReorderBackend, ReorderSchedule,
     ReorderStrategy, SiftParams, WindowSift,
 };
+pub use edge::Edge;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use govern::{Admission, CancelToken, OpAbort, OpBudget};
+pub use manager::{ChainShape, Manager, Shape, Stats};
 pub use nary::NaryOp;
 pub use obs::{
     GovernCounters, MemBytes, Metric, MetricKind, MetricsSnapshot, ProfileSnapshot, TraceEvent,

@@ -6,7 +6,8 @@
 //! [`Par`] (module [`pipeline`]) is the one split → frozen-base parallel
 //! phase → deterministic commit pipeline; `bbdd::ParBbdd` and
 //! `robdd::ParRobdd` are its instances over the two sequential managers,
-//! which describe their node shape through [`NodeShape`]. The design
+//! kernel [`Manager`](crate::Manager)s whose node shapes supply the node
+//! rules ([`Shape`](crate::Shape)). The design
 //! follows HermesBDD's recipe — recursive `apply` parallelizes naturally
 //! once node *uniqueness* is protected by a concurrent table and the
 //! computed table is allowed to be *lossy* — with one twist that keeps
@@ -45,7 +46,8 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 
 pub mod pipeline;
 
-pub use pipeline::{NodeShape, Overlay, PackedEdge, Par, QuantCube};
+pub use crate::manager::ops::QuantCube;
+pub use pipeline::{NodeShape, Overlay, Par};
 
 // ─────────────────────── shared manager-facing types ─────────────────────
 

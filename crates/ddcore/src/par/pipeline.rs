@@ -31,21 +31,26 @@
 //! count**. The parallel/sequential decision below the node-count cutoff
 //! depends only on operand sizes, never on the thread count.
 //!
-//! Everything backend-specific — how a node decomposes, how the overlay
-//! and the base build one, and the BBDD chain's extra quantification case
-//! — sits behind [`NodeShape`]; the phases, the recursions and the budget
-//! handling exist once, here. Every operation takes an [`OpBudget`]; the
+//! Everything backend-specific — how a node decomposes, how a node is
+//! built (the same [`Shape`] rules run on the base and on the overlay, a
+//! [`NodeStore`] each), and the BBDD chain's extra quantification case —
+//! is a hook of the wrapped manager's shape; the phases, the recursions
+//! and the budget handling exist once, here. Every operation takes an [`OpBudget`]; the
 //! infallible forms pass [`OpBudget::unlimited`].
 
 use super::{
-    threads_from_env, try_fork_join_governed, AtomicCache, AtomicCacheStats, OverlayArena,
-    ParConfig, ParStats, ShardedTable,
+    threads_from_env, try_fork_join_governed, AtomicCache, OverlayArena, ParConfig, ParStats,
+    ShardedTable,
 };
 use crate::api::RawManager;
-use crate::boolop::{BoolOp, Unary};
+use crate::boolop::BoolOp;
+use crate::cantor::CantorHasher;
 use crate::dvo::{DvoPolicy, DvoStrategy};
+use crate::edge::Edge;
 use crate::fxhash::FxHashMap;
 use crate::govern::{OpAbort, OpBudget};
+use crate::manager::ops::unary;
+use crate::manager::{Key, Manager, Node, NodeStore, Shape, Stats};
 use crate::obs::{self, MemBytes, MetricsSnapshot, Op};
 use crate::optag;
 use crate::roots::{RootGuard, RootSet};
@@ -56,159 +61,66 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 // ───────────────────────────── node shape ─────────────────────────────────
 
-/// A backend edge packed into one `u32`: node id shifted left by one, the
-/// low bit the complement attribute, node 0 the 1 sink (so `ONE` packs to
-/// 0 and `ZERO` to 1). Both managers' `Edge` types use this packing.
-pub trait PackedEdge:
-    Copy + Eq + std::fmt::Debug + std::ops::Not<Output = Self> + Send + Sync
-{
-    /// The constant-true edge.
-    const ONE: Self;
-    /// The constant-false edge.
-    const ZERO: Self;
+/// A sequential manager [`Par`] can wrap: a kernel [`Manager`] of some
+/// [`Shape`]. Implemented once, for every `Manager<S>`; everything that
+/// differs between the node shapes is a [`Shape`] hook. Apply and ite,
+/// their split and the combine-tree resolve follow
+/// [`Shape::APPLY_SECOND_FIRST`], the quantifying recursions take the
+/// first cofactor first — each backend's sequential order, so every node
+/// id the pipeline commits is the one the sequential recursion creates.
+pub trait NodeShape: RawManager<Edge = Edge> + NodeGraph + Sync {
+    /// The node shape.
+    type Shape: Shape;
 
-    /// The packed word.
-    fn bits(self) -> u32;
+    /// This manager as the kernel it is.
+    fn kernel(&self) -> &Manager<Self::Shape>;
 
-    /// Rebuild an edge from its packed word.
-    fn from_bits(bits: u32) -> Self;
+    /// This manager as the kernel it is (mutable).
+    fn kernel_mut(&mut self) -> &mut Manager<Self::Shape>;
+}
 
-    /// Id of the target node.
-    #[inline]
-    fn node(self) -> u32 {
-        self.bits() >> 1
+impl<S: Shape> NodeShape for Manager<S> {
+    type Shape = S;
+
+    fn kernel(&self) -> &Self {
+        self
     }
 
-    /// `true` for the two constants.
-    #[inline]
-    fn is_constant(self) -> bool {
-        self.bits() <= 1
-    }
-
-    /// Whether the complement attribute is set.
-    #[inline]
-    fn is_complemented(self) -> bool {
-        self.bits() & 1 == 1
-    }
-
-    /// The edge with its attribute flipped when `c` holds.
-    #[inline]
-    #[must_use]
-    fn complement_if(self, c: bool) -> Self {
-        Self::from_bits(self.bits() ^ u32::from(c))
+    fn kernel_mut(&mut self) -> &mut Self {
+        self
     }
 }
 
-/// What [`Par`] needs from a sequential manager: how its nodes decompose
-/// and how the overlay and the base build them.
-///
-/// A node is the three [`NodeGraph`] words `(first, second, meta)`: the
-/// packed child edges in `make_node` argument order and a meta word whose
-/// low 16 bits are the node's *top* — the index the manager's per-level
-/// unique tables use (the BBDD level, the ROBDD variable). Overlay records
-/// use the same words, so the pipeline reads base and overlay nodes alike;
-/// node ids at or above [`NodeGraph::node_slots`] live in the overlay.
-///
-/// Cofactor pairs are returned in `make_node` order too. The quantifying
-/// recursions evaluate the first before the second; apply and ite, their
-/// split and the combine-tree resolve follow
-/// [`NodeShape::APPLY_SECOND_FIRST`]. Keeping each backend's order keeps
-/// every node id it produced before the pipeline was shared.
-pub trait NodeShape: RawManager<Edge: PackedEdge> + NodeGraph + Sync {
-    /// Overlay unique-table key: a node's top plus its per-top table key,
-    /// one key space across all tops.
-    type Key: TableKey + std::fmt::Debug;
-    /// The sequential manager's counters ([`Par::stats`]).
-    type Stats;
-    /// Backend label of the parallel front-end's metrics and stats line.
-    const PAR_NAME: &'static str;
-    /// Do apply/ite (and the resolve of their combine tree) recurse into
-    /// the second cofactor before the first?
-    const APPLY_SECOND_FIRST: bool;
+/// Overlay unique-table key: a node's top plus its per-top key, one key
+/// space across all tops.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct OverlayKey<S> {
+    top: u16,
+    key: Key<S>,
+}
 
-    /// The overlay key of a node, from its words.
-    fn overlay_key(words: (u32, u32, u32)) -> Self::Key;
-
-    /// Read-only lookup of an overlay key in the base unique tables.
-    fn peek(&self, key: &Self::Key) -> Option<u32>;
-
-    /// Distance of `top` from the bottom of the order: the larger of two
-    /// tops is the one nearer the root, where the recursion expands.
-    fn height(&self, top: u16) -> u32;
-
-    /// Cofactors of a base edge at `top` (the split phase; may create the
-    /// base nodes a lazy expansion needs).
-    fn base_cofactors(&mut self, e: Self::Edge, top: u16) -> (Self::Edge, Self::Edge);
-
-    /// `make_node` in the base manager (the combine-tree joins).
-    fn base_node(&mut self, top: u16, first: Self::Edge, second: Self::Edge) -> Self::Edge;
-
-    /// Rebuild one overlay node, given its meta word and its already
-    /// imported children, through the base `make_node` (the commit).
-    fn import_node(&mut self, meta: u32, first: Self::Edge, second: Self::Edge) -> Self::Edge;
-
-    /// The quantification context of a variable set, built in the base
-    /// manager before the freeze; `None` for an empty set.
-    ///
-    /// # Panics
-    /// Implementations panic if a variable is out of range.
-    fn quant_cube(&mut self, vars: &[usize]) -> Option<QuantCube<Self::Edge>>;
-
-    /// Cofactors of an edge at `top` over the frozen base plus overlay.
-    fn overlay_cofactors(
-        ov: &Overlay<'_, Self>,
-        e: Self::Edge,
-        top: u16,
-    ) -> (Self::Edge, Self::Edge);
-
-    /// `make_node` in the overlay: the base's reduction rules, with the
-    /// node found or created through [`Overlay::find_or_insert`].
-    fn overlay_node(
-        ov: &Overlay<'_, Self>,
-        top: u16,
-        first: Self::Edge,
-        second: Self::Edge,
-    ) -> Self::Edge;
-
-    /// The positive literal of the variable at `top`, in the overlay.
-    fn overlay_literal(ov: &Overlay<'_, Self>, top: u16) -> Self::Edge;
-
-    /// The quantification case beyond "top quantified" and "rebuild the
-    /// node": when the node at an unquantified `top` must instead be
-    /// re-expanded through the literal of a quantified partner top (the
-    /// BBDD chain's SV-quantified case), that partner. Default: never.
-    fn chain_partner(_top: u16, _in_cube: &[bool]) -> Option<u16> {
-        None
+impl<S> OverlayKey<S> {
+    #[inline]
+    fn of(words: (u32, u32, u32)) -> Self {
+        let node = Node::from_words(words);
+        OverlayKey {
+            top: node.top(),
+            key: node.key(),
+        }
     }
-
-    /// The collection counter; a change invalidates the concurrent cache.
-    fn gc_generation(&self) -> u64;
-
-    /// The sequential manager's counters.
-    fn stats(&self) -> Self::Stats;
-
-    /// Fill `m` with the sequential manager's sections, folding the
-    /// concurrent cache's counters into `cache.*` and the overlay's heap
-    /// bytes into `mem.*`.
-    fn fill_par_metrics(&self, m: &mut MetricsSnapshot, cache: AtomicCacheStats, overlay: MemBytes);
 }
 
-/// A quantification context (see [`NodeShape::quant_cube`]).
-#[derive(Debug, Clone)]
-pub struct QuantCube<E> {
-    /// Indexed by top: is that top's variable quantified?
-    pub in_cube: Vec<bool>,
-    /// The lowest [`NodeShape::height`] of a quantified top; nodes below
-    /// it are left as they are.
-    pub floor: u32,
-    /// The conjunction of the quantified literals (a cache key word).
-    pub cube: E,
+impl<S: Shape> TableKey for OverlayKey<S> {
+    #[inline]
+    fn table_hash(&self, h: &CantorHasher) -> u64 {
+        S::overlay_hash(self.key.bits(), self.top, h)
+    }
 }
 
-/// The frozen base manager plus the overlay storage, as the node-shape
-/// hooks see it during the parallel phase.
-pub struct Overlay<'a, M: NodeShape> {
-    base: &'a M,
+/// The frozen base manager plus the overlay storage, as the shape's node
+/// rules see it during the parallel phase (a [`NodeStore`]).
+pub struct Overlay<'a, S: Shape> {
+    base: &'a Manager<S>,
     /// Arena length at freeze time; ids `>= base_len` live in the overlay.
     base_len: u32,
     table: &'a ShardedTable,
@@ -217,14 +129,14 @@ pub struct Overlay<'a, M: NodeShape> {
 
 /// The overlay table's key store: an overlay id's key comes from its
 /// record's words.
-impl<M: NodeShape> KeyStore<M::Key> for Overlay<'_, M> {
+impl<S: Shape> KeyStore<OverlayKey<S>> for Overlay<'_, S> {
     #[inline]
-    fn key_of(&self, id: u32) -> M::Key {
-        M::overlay_key(self.words(id))
+    fn key_of(&self, id: u32) -> OverlayKey<S> {
+        OverlayKey::of(self.words(id))
     }
 }
 
-impl<M: NodeShape> Overlay<'_, M> {
+impl<S: Shape> Overlay<'_, S> {
     /// The words of node `id`, base or overlay.
     #[inline]
     #[must_use]
@@ -243,12 +155,12 @@ impl<M: NodeShape> Overlay<'_, M> {
     /// function — the cornerstone of the determinism argument.
     #[inline]
     pub fn find_or_insert(&self, words: (u32, u32, u32)) -> u32 {
-        let key = M::overlay_key(words);
+        let key = OverlayKey::of(words);
         // A frozen base node has only base children, so a key with an
         // overlay child can never hit the base tables.
-        let in_base = |w: u32| M::Edge::from_bits(w).node() < self.base_len;
+        let in_base = |w: u32| Edge::from_bits(w).node() < self.base_len;
         if in_base(words.0) && in_base(words.1) {
-            if let Some(id) = self.base.peek(&key) {
+            if let Some(id) = self.base.peek(key.top, key.key) {
                 return id;
             }
         }
@@ -258,44 +170,37 @@ impl<M: NodeShape> Overlay<'_, M> {
     }
 }
 
+impl<S: Shape> NodeStore for &Overlay<'_, S> {
+    #[inline]
+    fn words(&self, id: u32) -> (u32, u32, u32) {
+        Overlay::words(self, id)
+    }
+
+    #[inline]
+    fn find_or_insert(&mut self, words: (u32, u32, u32)) -> u32 {
+        Overlay::find_or_insert(self, words)
+    }
+}
+
 #[inline]
 fn top_of(words: (u32, u32, u32)) -> u16 {
     words.2 as u16
 }
 
-/// The one of two tops nearer the root.
+/// Run the two cofactor subproblems in the shape's apply order and return
+/// their results in `make_node` order.
 #[inline]
-fn upper<M: NodeShape>(base: &M, a: u16, b: u16) -> u16 {
-    if base.height(b) > base.height(a) {
-        b
-    } else {
-        a
-    }
-}
-
-/// Run the two cofactor subproblems in the backend's apply order and
-/// return their results in `make_node` order.
-#[inline]
-fn in_apply_order<M: NodeShape, S, T>(
-    s: &mut S,
-    first: impl FnOnce(&mut S) -> T,
-    second: impl FnOnce(&mut S) -> T,
+fn in_apply_order<S: Shape, C, T>(
+    c: &mut C,
+    first: impl FnOnce(&mut C) -> T,
+    second: impl FnOnce(&mut C) -> T,
 ) -> (T, T) {
-    if M::APPLY_SECOND_FIRST {
-        let b = second(s);
-        (first(s), b)
+    if S::APPLY_SECOND_FIRST {
+        let b = second(c);
+        (first(c), b)
     } else {
-        let a = first(s);
-        (a, second(s))
-    }
-}
-
-fn unary<E: PackedEdge>(u: Unary, x: E) -> E {
-    match u {
-        Unary::Zero => E::ZERO,
-        Unary::One => E::ONE,
-        Unary::Identity => x,
-        Unary::Complement => !x,
+        let a = first(c);
+        (a, second(c))
     }
 }
 
@@ -419,18 +324,18 @@ fn join<E>(how: Combine, (first, second): (Plan<E>, Plan<E>)) -> Plan<E> {
 
 /// The split phase: cofactors the operands in the base manager down to
 /// `depth`, interning the leaves.
-struct Splitter<'a, M: NodeShape> {
-    base: &'a mut M,
-    tasks: Vec<Task<M::Edge>>,
+struct Splitter<'a, S: Shape> {
+    base: &'a mut Manager<S>,
+    tasks: Vec<Task<Edge>>,
     dedup: FxHashMap<(u32, u64, u64), usize>,
 }
 
-impl<M: NodeShape> Splitter<'_, M> {
-    fn top(&self, e: M::Edge) -> u16 {
+impl<S: Shape> Splitter<'_, S> {
+    fn top(&self, e: Edge) -> u16 {
         top_of(self.base.node_words(e.node()))
     }
 
-    fn leaf(&mut self, key: (u32, u64, u64), task: Task<M::Edge>) -> Plan<M::Edge> {
+    fn leaf(&mut self, key: (u32, u64, u64), task: Task<Edge>) -> Plan<Edge> {
         let tasks = &mut self.tasks;
         let idx = *self.dedup.entry(key).or_insert_with(|| {
             tasks.push(task);
@@ -439,7 +344,7 @@ impl<M: NodeShape> Splitter<'_, M> {
         Plan::Leaf(idx)
     }
 
-    fn apply(&mut self, op: BoolOp, f: M::Edge, g: M::Edge, depth: u16) -> Plan<M::Edge> {
+    fn apply(&mut self, op: BoolOp, f: Edge, g: Edge, depth: u16) -> Plan<Edge> {
         if f == g {
             return Plan::Done(unary(op.on_equal_operands(), f));
         }
@@ -447,10 +352,10 @@ impl<M: NodeShape> Splitter<'_, M> {
             return Plan::Done(unary(op.on_complement_operands(), f));
         }
         if f.is_constant() {
-            return Plan::Done(unary(op.on_first_const(f == M::Edge::ONE), g));
+            return Plan::Done(unary(op.on_first_const(f == Edge::ONE), g));
         }
         if g.is_constant() {
-            return Plan::Done(unary(op.on_second_const(g == M::Edge::ONE), f));
+            return Plan::Done(unary(op.on_second_const(g == Edge::ONE), f));
         }
         if depth == 0 {
             let key = (
@@ -460,10 +365,10 @@ impl<M: NodeShape> Splitter<'_, M> {
             );
             return self.leaf(key, Task::Apply(op, f, g));
         }
-        let top = upper(&*self.base, self.top(f), self.top(g));
-        let (fa, fb) = self.base.base_cofactors(f, top);
-        let (ga, gb) = self.base.base_cofactors(g, top);
-        let children = in_apply_order::<M, _, _>(
+        let top = self.base.upper(self.top(f), self.top(g));
+        let (fa, fb) = self.base.cofactors(f, top);
+        let (ga, gb) = self.base.cofactors(g, top);
+        let children = in_apply_order::<S, _, _>(
             self,
             |s| s.apply(op, fa, ga, depth - 1),
             |s| s.apply(op, fb, gb, depth - 1),
@@ -471,8 +376,8 @@ impl<M: NodeShape> Splitter<'_, M> {
         join(Combine::Node(top), children)
     }
 
-    fn ite(&mut self, f: M::Edge, g: M::Edge, h: M::Edge, depth: u16) -> Plan<M::Edge> {
-        let (one, zero) = (M::Edge::ONE, M::Edge::ZERO);
+    fn ite(&mut self, f: Edge, g: Edge, h: Edge, depth: u16) -> Plan<Edge> {
+        let (one, zero) = (Edge::ONE, Edge::ZERO);
         if f == one {
             return Plan::Done(g);
         }
@@ -511,13 +416,13 @@ impl<M: NodeShape> Splitter<'_, M> {
         let mut top = self.top(f);
         for e in [g, h] {
             if !e.is_constant() {
-                top = upper(&*self.base, top, self.top(e));
+                top = self.base.upper(top, self.top(e));
             }
         }
-        let (fa, fb) = self.base.base_cofactors(f, top);
-        let (ga, gb) = self.base.base_cofactors(g, top);
-        let (ha, hb) = self.base.base_cofactors(h, top);
-        let children = in_apply_order::<M, _, _>(
+        let (fa, fb) = self.base.cofactors(f, top);
+        let (ga, gb) = self.base.cofactors(g, top);
+        let (ha, hb) = self.base.cofactors(h, top);
+        let children = in_apply_order::<S, _, _>(
             self,
             |s| s.ite(fa, ga, ha, depth - 1),
             |s| s.ite(fb, gb, hb, depth - 1),
@@ -525,7 +430,7 @@ impl<M: NodeShape> Splitter<'_, M> {
         join(Combine::Node(top), children)
     }
 
-    fn quant(&mut self, f: M::Edge, q: &PQuant, depth: u16) -> Plan<M::Edge> {
+    fn quant(&mut self, f: Edge, q: &PQuant, depth: u16) -> Plan<Edge> {
         if f.is_constant() {
             return Plan::Done(f);
         }
@@ -541,7 +446,7 @@ impl<M: NodeShape> Splitter<'_, M> {
             // The top is quantified away; children join with the combine
             // operator (a full parallel apply at resolve time).
             Combine::Op(q.combine)
-        } else if M::chain_partner(top, &q.in_cube).is_some() {
+        } else if S::chain_partner(top, &q.in_cube).is_some() {
             // The chain case re-expands through `ite`; splitting through
             // it would need base mutations mid-split, so the whole
             // subproblem becomes a leaf.
@@ -549,24 +454,24 @@ impl<M: NodeShape> Splitter<'_, M> {
         } else {
             Combine::Node(top)
         };
-        let (fa, fb) = self.base.base_cofactors(f, top);
+        let (fa, fb) = self.base.cofactors(f, top);
         let first = self.quant(fa, q, depth - 1);
         let second = self.quant(fb, q, depth - 1);
         join(how, (first, second))
     }
 
-    fn and_exists(&mut self, f: M::Edge, g: M::Edge, q: &PQuant, depth: u16) -> Plan<M::Edge> {
-        if f == M::Edge::ZERO || g == M::Edge::ZERO || f == !g {
-            return Plan::Done(M::Edge::ZERO);
+    fn and_exists(&mut self, f: Edge, g: Edge, q: &PQuant, depth: u16) -> Plan<Edge> {
+        if f == Edge::ZERO || g == Edge::ZERO || f == !g {
+            return Plan::Done(Edge::ZERO);
         }
-        if f == M::Edge::ONE {
+        if f == Edge::ONE {
             return self.quant(g, q, depth);
         }
-        if g == M::Edge::ONE || f == g {
+        if g == Edge::ONE || f == g {
             return self.quant(f, q, depth);
         }
         let (f, g) = if f.bits() <= g.bits() { (f, g) } else { (g, f) };
-        let top = upper(&*self.base, self.top(f), self.top(g));
+        let top = self.base.upper(self.top(f), self.top(g));
         if self.base.height(top) < q.floor {
             return self.apply(BoolOp::AND, f, g, depth);
         }
@@ -580,13 +485,13 @@ impl<M: NodeShape> Splitter<'_, M> {
         }
         let how = if q.in_cube[top as usize] {
             Combine::Op(BoolOp::OR)
-        } else if M::chain_partner(top, &q.in_cube).is_some() {
+        } else if S::chain_partner(top, &q.in_cube).is_some() {
             return self.leaf(leaf_key, Task::AndExists(f, g));
         } else {
             Combine::Node(top)
         };
-        let (fa, fb) = self.base.base_cofactors(f, top);
-        let (ga, gb) = self.base.base_cofactors(g, top);
+        let (fa, fb) = self.base.cofactors(f, top);
+        let (ga, gb) = self.base.cofactors(g, top);
         let first = self.and_exists(fa, ga, q, depth - 1);
         let second = self.and_exists(fb, gb, q, depth - 1);
         join(how, (first, second))
@@ -597,31 +502,25 @@ impl<M: NodeShape> Splitter<'_, M> {
 
 /// The read-only context workers run in, shared by reference across the
 /// fork-join scope.
-struct Engine<'a, M: NodeShape> {
-    ov: Overlay<'a, M>,
+struct Engine<'a, S: Shape> {
+    ov: Overlay<'a, S>,
     cache: &'a AtomicCache,
     quant: Option<&'a PQuant>,
 }
 
-impl<M: NodeShape> Engine<'_, M> {
+impl<S: Shape> Engine<'_, S> {
     #[inline]
-    fn top(&self, e: M::Edge) -> u16 {
+    fn top(&self, e: Edge) -> u16 {
         top_of(self.ov.words(e.node()))
     }
 
     #[inline]
-    fn cofactors(&self, e: M::Edge, top: u16) -> (M::Edge, M::Edge) {
-        M::overlay_cofactors(&self.ov, e, top)
+    fn cofactors(&self, e: Edge, top: u16) -> (Edge, Edge) {
+        S::cofactors(&mut &self.ov, e, top)
     }
 
     /// Algorithm 1 in the overlay space.
-    fn apply_rec(
-        &self,
-        mut op: BoolOp,
-        mut f: M::Edge,
-        mut g: M::Edge,
-        calls: &mut u64,
-    ) -> M::Edge {
+    fn apply_rec(&self, mut op: BoolOp, mut f: Edge, mut g: Edge, calls: &mut u64) -> Edge {
         *calls += 1;
         if f == g {
             return unary(op.on_equal_operands(), f);
@@ -630,10 +529,10 @@ impl<M: NodeShape> Engine<'_, M> {
             return unary(op.on_complement_operands(), f);
         }
         if f.is_constant() {
-            return unary(op.on_first_const(f == M::Edge::ONE), g);
+            return unary(op.on_first_const(f == Edge::ONE), g);
         }
         if g.is_constant() {
-            return unary(op.on_second_const(g == M::Edge::ONE), f);
+            return unary(op.on_second_const(g == Edge::ONE), f);
         }
         if f.is_complemented() {
             f = !f;
@@ -653,7 +552,7 @@ impl<M: NodeShape> Engine<'_, M> {
             out_c = true;
         }
         if op == BoolOp::FALSE {
-            return M::Edge::ZERO.complement_if(out_c);
+            return Edge::ZERO.complement_if(out_c);
         }
         if op == BoolOp::FIRST {
             return f.complement_if(out_c);
@@ -667,24 +566,24 @@ impl<M: NodeShape> Engine<'_, M> {
             u32::from(op.table()),
         );
         if let Some(r) = self.cache.get(k1, k2, tag) {
-            return M::Edge::from_bits(r).complement_if(out_c);
+            return Edge::from_bits(r).complement_if(out_c);
         }
-        let top = upper(self.ov.base, self.top(f), self.top(g));
+        let top = self.ov.base.upper(self.top(f), self.top(g));
         let (fa, fb) = self.cofactors(f, top);
         let (ga, gb) = self.cofactors(g, top);
-        let (a, b) = in_apply_order::<M, _, _>(
+        let (a, b) = in_apply_order::<S, _, _>(
             calls,
             |c| self.apply_rec(op, fa, ga, c),
             |c| self.apply_rec(op, fb, gb, c),
         );
-        let r = M::overlay_node(&self.ov, top, a, b);
+        let r = S::make_node(&mut &self.ov, top, a, b);
         self.cache.insert(k1, k2, tag, r.bits());
         r.complement_if(out_c)
     }
 
-    fn ite_rec(&self, mut f: M::Edge, mut g: M::Edge, mut h: M::Edge, calls: &mut u64) -> M::Edge {
+    fn ite_rec(&self, mut f: Edge, mut g: Edge, mut h: Edge, calls: &mut u64) -> Edge {
         *calls += 1;
-        let (one, zero) = (M::Edge::ONE, M::Edge::ZERO);
+        let (one, zero) = (Edge::ONE, Edge::ZERO);
         if f == one {
             return g;
         }
@@ -725,23 +624,23 @@ impl<M: NodeShape> Engine<'_, M> {
         let k1 = u64::from(f.bits());
         let k2 = (u64::from(g.bits()) << 32) | u64::from(h.bits());
         if let Some(r) = self.cache.get(k1, k2, optag::ITE) {
-            return M::Edge::from_bits(r).complement_if(out_c);
+            return Edge::from_bits(r).complement_if(out_c);
         }
         let mut top = self.top(f);
         for e in [g, h] {
             if !e.is_constant() {
-                top = upper(self.ov.base, top, self.top(e));
+                top = self.ov.base.upper(top, self.top(e));
             }
         }
         let (fa, fb) = self.cofactors(f, top);
         let (ga, gb) = self.cofactors(g, top);
         let (ha, hb) = self.cofactors(h, top);
-        let (a, b) = in_apply_order::<M, _, _>(
+        let (a, b) = in_apply_order::<S, _, _>(
             calls,
             |c| self.ite_rec(fa, ga, ha, c),
             |c| self.ite_rec(fb, gb, hb, c),
         );
-        let r = M::overlay_node(&self.ov, top, a, b);
+        let r = S::make_node(&mut &self.ov, top, a, b);
         self.cache.insert(k1, k2, optag::ITE, r.bits());
         r.complement_if(out_c)
     }
@@ -753,11 +652,11 @@ impl<M: NodeShape> Engine<'_, M> {
         &self,
         top: u16,
         partner: u16,
-        pairs: &[(M::Edge, M::Edge)],
+        pairs: &[(Edge, Edge)],
         calls: &mut u64,
-        rec: impl Fn(&[M::Edge], &mut u64) -> M::Edge,
-    ) -> M::Edge {
-        let w = M::overlay_literal(&self.ov, partner);
+        rec: impl Fn(&[Edge], &mut u64) -> Edge,
+    ) -> Edge {
+        let w = S::literal(&mut &self.ov, partner);
         let mut ones = Vec::with_capacity(pairs.len());
         let mut zeros = Vec::with_capacity(pairs.len());
         for &(a, b) in pairs {
@@ -766,11 +665,11 @@ impl<M: NodeShape> Engine<'_, M> {
         }
         let r1 = rec(&ones, calls);
         let r0 = rec(&zeros, calls);
-        let v = M::overlay_literal(&self.ov, top);
+        let v = S::literal(&mut &self.ov, top);
         self.ite_rec(v, r1, r0, calls)
     }
 
-    fn quant_rec(&self, f: M::Edge, q: &PQuant, calls: &mut u64) -> M::Edge {
+    fn quant_rec(&self, f: Edge, q: &PQuant, calls: &mut u64) -> Edge {
         if f.is_constant() {
             return f;
         }
@@ -781,15 +680,15 @@ impl<M: NodeShape> Engine<'_, M> {
         *calls += 1;
         let (k1, k2) = (u64::from(f.bits()), q.cube_bits);
         if let Some(r) = self.cache.get(k1, k2, q.tag) {
-            return M::Edge::from_bits(r);
+            return Edge::from_bits(r);
         }
         let (fa, fb) = self.cofactors(f, top);
         let r = if q.in_cube[top as usize] {
             let a = self.quant_rec(fa, q, calls);
             let absorbing = if q.tag == optag::EXISTS {
-                M::Edge::ONE
+                Edge::ONE
             } else {
-                M::Edge::ZERO
+                Edge::ZERO
             };
             if a == absorbing {
                 absorbing
@@ -797,31 +696,31 @@ impl<M: NodeShape> Engine<'_, M> {
                 let b = self.quant_rec(fb, q, calls);
                 self.apply_rec(q.combine, a, b, calls)
             }
-        } else if let Some(partner) = M::chain_partner(top, &q.in_cube) {
+        } else if let Some(partner) = S::chain_partner(top, &q.in_cube) {
             self.chain_rec(top, partner, &[(fa, fb)], calls, |x, c| {
                 self.quant_rec(x[0], q, c)
             })
         } else {
             let a = self.quant_rec(fa, q, calls);
             let b = self.quant_rec(fb, q, calls);
-            M::overlay_node(&self.ov, top, a, b)
+            S::make_node(&mut &self.ov, top, a, b)
         };
         self.cache.insert(k1, k2, q.tag, r.bits());
         r
     }
 
-    fn and_exists_rec(&self, f: M::Edge, g: M::Edge, q: &PQuant, calls: &mut u64) -> M::Edge {
-        if f == M::Edge::ZERO || g == M::Edge::ZERO || f == !g {
-            return M::Edge::ZERO;
+    fn and_exists_rec(&self, f: Edge, g: Edge, q: &PQuant, calls: &mut u64) -> Edge {
+        if f == Edge::ZERO || g == Edge::ZERO || f == !g {
+            return Edge::ZERO;
         }
-        if f == M::Edge::ONE {
+        if f == Edge::ONE {
             return self.quant_rec(g, q, calls);
         }
-        if g == M::Edge::ONE || f == g {
+        if g == Edge::ONE || f == g {
             return self.quant_rec(f, q, calls);
         }
         let (f, g) = if f.bits() <= g.bits() { (f, g) } else { (g, f) };
-        let top = upper(self.ov.base, self.top(f), self.top(g));
+        let top = self.ov.base.upper(self.top(f), self.top(g));
         if self.ov.base.height(top) < q.floor {
             return self.apply_rec(BoolOp::AND, f, g, calls);
         }
@@ -829,32 +728,32 @@ impl<M: NodeShape> Engine<'_, M> {
         let k1 = u64::from(f.bits());
         let k2 = (u64::from(g.bits()) << 32) | q.cube_bits;
         if let Some(r) = self.cache.get(k1, k2, optag::AND_EXISTS) {
-            return M::Edge::from_bits(r);
+            return Edge::from_bits(r);
         }
         let (fa, fb) = self.cofactors(f, top);
         let (ga, gb) = self.cofactors(g, top);
         let r = if q.in_cube[top as usize] {
             let a = self.and_exists_rec(fa, ga, q, calls);
-            if a == M::Edge::ONE {
-                M::Edge::ONE
+            if a == Edge::ONE {
+                Edge::ONE
             } else {
                 let b = self.and_exists_rec(fb, gb, q, calls);
                 self.apply_rec(BoolOp::OR, a, b, calls)
             }
-        } else if let Some(partner) = M::chain_partner(top, &q.in_cube) {
+        } else if let Some(partner) = S::chain_partner(top, &q.in_cube) {
             self.chain_rec(top, partner, &[(fa, fb), (ga, gb)], calls, |x, c| {
                 self.and_exists_rec(x[0], x[1], q, c)
             })
         } else {
             let a = self.and_exists_rec(fa, ga, q, calls);
             let b = self.and_exists_rec(fb, gb, q, calls);
-            M::overlay_node(&self.ov, top, a, b)
+            S::make_node(&mut &self.ov, top, a, b)
         };
         self.cache.insert(k1, k2, optag::AND_EXISTS, r.bits());
         r
     }
 
-    fn run_task(&self, t: &Task<M::Edge>) -> (M::Edge, u64) {
+    fn run_task(&self, t: &Task<Edge>) -> (Edge, u64) {
         let mut calls = 0u64;
         let r = match *t {
             Task::Apply(op, f, g) => self.apply_rec(op, f, g, &mut calls),
@@ -873,27 +772,27 @@ impl<M: NodeShape> Engine<'_, M> {
 }
 
 /// Commit one overlay edge into the base manager (memoized depth-first
-/// rebuild, first child before second, through
-/// [`NodeShape::import_node`]). `memo` holds one entry per overlay slot;
+/// rebuild, first child before second, through the base `make_node`).
+/// `memo` holds one entry per overlay slot;
 /// `imported` counts the slots this call filled.
-fn import<M: NodeShape>(
-    base: &mut M,
+fn import<S: Shape>(
+    base: &mut Manager<S>,
     arena: &OverlayArena,
     base_len: u32,
     memo: &mut [u32],
     imported: &mut u64,
-    e: M::Edge,
-) -> M::Edge {
+    e: Edge,
+) -> Edge {
     if e.is_constant() || e.node() < base_len {
         return e;
     }
     let slot = (e.node() - base_len) as usize;
     if memo[slot] != NOT_IMPORTED {
-        return M::Edge::from_bits(memo[slot]).complement_if(e.is_complemented());
+        return Edge::from_bits(memo[slot]).complement_if(e.is_complemented());
     }
     let (a, b, meta) = arena.get(slot as u32);
-    let first = import(base, arena, base_len, memo, imported, M::Edge::from_bits(a));
-    let second = import(base, arena, base_len, memo, imported, M::Edge::from_bits(b));
+    let first = import(base, arena, base_len, memo, imported, Edge::from_bits(a));
+    let second = import(base, arena, base_len, memo, imported, Edge::from_bits(b));
     let r = base.import_node(meta, first, second);
     debug_assert!(
         !r.is_complemented(),
@@ -1018,15 +917,15 @@ impl<M: NodeShape> Par<M> {
 
     /// Counters of the wrapped sequential manager.
     #[must_use]
-    pub fn stats(&self) -> M::Stats {
-        self.inner.stats()
+    pub fn stats(&self) -> Stats {
+        self.inner.kernel().stats()
     }
 
     /// Pin a raw edge as a GC root until the returned guard drops — the
     /// edge-level liveness primitive (handles are registered roots by
     /// construction).
     #[must_use]
-    pub fn pin(&self, e: M::Edge) -> RootGuard {
+    pub fn pin(&self, e: Edge) -> RootGuard {
         self.inner.root_registry().guard(M::edge_bits(e))
     }
 
@@ -1035,7 +934,7 @@ impl<M: NodeShape> Par<M> {
     /// denotes survives.
     pub fn collect(&mut self) -> usize {
         let freed = self.inner.gc();
-        self.frame.invalidate(self.inner.gc_generation());
+        self.frame.invalidate(self.inner.kernel().gc_generation());
         freed
     }
 
@@ -1045,7 +944,8 @@ impl<M: NodeShape> Par<M> {
     /// even collections triggered through `inner_mut()` cannot leave
     /// stale id-keyed entries behind.
     fn sync_cache_epoch(&mut self) {
-        self.frame.sync_generation(self.inner.gc_generation());
+        self.frame
+            .sync_generation(self.inner.kernel().gc_generation());
     }
 
     // ── operations ────────────────────────────────────────────────────
@@ -1061,10 +961,10 @@ impl<M: NodeShape> Par<M> {
     fn apply_op(
         &mut self,
         op: BoolOp,
-        f: M::Edge,
-        g: M::Edge,
+        f: Edge,
+        g: Edge,
         budget: &mut OpBudget,
-    ) -> Result<M::Edge, OpAbort> {
+    ) -> Result<Edge, OpAbort> {
         if !self.worth_splitting(&[f, g]) {
             self.stats.ops_sequential += 1;
             return self.inner.try_apply_edge(op, f, g, budget);
@@ -1074,11 +974,11 @@ impl<M: NodeShape> Par<M> {
 
     fn ite_op(
         &mut self,
-        f: M::Edge,
-        g: M::Edge,
-        h: M::Edge,
+        f: Edge,
+        g: Edge,
+        h: Edge,
         budget: &mut OpBudget,
-    ) -> Result<M::Edge, OpAbort> {
+    ) -> Result<Edge, OpAbort> {
         if !self.worth_splitting(&[f, g, h]) {
             self.stats.ops_sequential += 1;
             return self.inner.try_ite_edge(f, g, h, budget);
@@ -1088,12 +988,12 @@ impl<M: NodeShape> Par<M> {
 
     fn quant_op(
         &mut self,
-        f: M::Edge,
+        f: Edge,
         vars: &[usize],
         combine: BoolOp,
         tag: u32,
         budget: &mut OpBudget,
-    ) -> Result<M::Edge, OpAbort> {
+    ) -> Result<Edge, OpAbort> {
         if !self.worth_splitting(&[f]) {
             self.stats.ops_sequential += 1;
             return if tag == optag::EXISTS {
@@ -1110,11 +1010,11 @@ impl<M: NodeShape> Par<M> {
 
     fn and_exists_op(
         &mut self,
-        f: M::Edge,
-        g: M::Edge,
+        f: Edge,
+        g: Edge,
         vars: &[usize],
         budget: &mut OpBudget,
-    ) -> Result<M::Edge, OpAbort> {
+    ) -> Result<Edge, OpAbort> {
         if !self.worth_splitting(&[f, g]) {
             self.stats.ops_sequential += 1;
             return self.inner.try_and_exists_edge(f, g, vars, budget);
@@ -1131,7 +1031,7 @@ impl<M: NodeShape> Par<M> {
     /// cutoff. Walks at most `cutoff` nodes (early exit), so the probe
     /// costs a bounded fraction of the operation it gates; crucially it
     /// depends only on the operands, never on the thread count.
-    fn worth_splitting(&self, roots: &[M::Edge]) -> bool {
+    fn worth_splitting(&self, roots: &[Edge]) -> bool {
         if self.cfg.cutoff == 0 {
             return true;
         }
@@ -1152,7 +1052,7 @@ impl<M: NodeShape> Par<M> {
     /// The quantification context, built in the inner manager *before*
     /// the freeze (a deterministic prologue).
     fn quant_ctx(&mut self, vars: &[usize], combine: BoolOp, tag: u32) -> Option<PQuant> {
-        self.inner.quant_cube(vars).map(|c| PQuant {
+        self.inner.kernel_mut().quant_cube(vars).map(|c| PQuant {
             in_cube: c.in_cube,
             floor: c.floor,
             cube_bits: u64::from(c.cube.bits()),
@@ -1166,11 +1066,11 @@ impl<M: NodeShape> Par<M> {
         &mut self,
         quant: Option<&PQuant>,
         budget: &mut OpBudget,
-        split: impl FnOnce(&mut Splitter<'_, M>, u16) -> Plan<M::Edge>,
-    ) -> Result<M::Edge, OpAbort> {
+        split: impl FnOnce(&mut Splitter<'_, M::Shape>, u16) -> Plan<Edge>,
+    ) -> Result<Edge, OpAbort> {
         let depth = self.split_depth();
         let mut sp = Splitter {
-            base: &mut self.inner,
+            base: self.inner.kernel_mut(),
             tasks: Vec::new(),
             dedup: FxHashMap::default(),
         };
@@ -1191,11 +1091,11 @@ impl<M: NodeShape> Par<M> {
     /// against the budget (per leaf, in bulk).
     fn execute(
         &mut self,
-        plan: &Plan<M::Edge>,
-        tasks: &[Task<M::Edge>],
+        plan: &Plan<Edge>,
+        tasks: &[Task<Edge>],
         quant: Option<&PQuant>,
         budget: &mut OpBudget,
-    ) -> Result<M::Edge, OpAbort> {
+    ) -> Result<Edge, OpAbort> {
         // Catch any inner-manager collection this wrapper did not perform
         // itself before trusting id-keyed cache entries.
         self.sync_cache_epoch();
@@ -1223,7 +1123,7 @@ impl<M: NodeShape> Par<M> {
             phase.set_arg("tasks", tasks.len() as u64);
             let engine = Engine {
                 ov: Overlay {
-                    base: &self.inner,
+                    base: self.inner.kernel(),
                     base_len,
                     table: &self.frame.table,
                     arena: &self.frame.arena,
@@ -1280,10 +1180,10 @@ impl<M: NodeShape> Par<M> {
         let mut leaf_edges = Vec::with_capacity(results.len());
         let mut abort = None;
         for slot in &results {
-            let e = M::Edge::from_bits(slot.load(Ordering::Acquire) as u32);
+            let e = Edge::from_bits(slot.load(Ordering::Acquire) as u32);
             let before = imported;
             leaf_edges.push(import(
-                &mut self.inner,
+                self.inner.kernel_mut(),
                 &self.frame.arena,
                 base_len,
                 memo,
@@ -1308,15 +1208,15 @@ impl<M: NodeShape> Par<M> {
     /// joins run the full (possibly parallel) apply.
     fn resolve(
         &mut self,
-        plan: &Plan<M::Edge>,
-        leaf_edges: &[M::Edge],
+        plan: &Plan<Edge>,
+        leaf_edges: &[Edge],
         budget: &mut OpBudget,
-    ) -> Result<M::Edge, OpAbort> {
+    ) -> Result<Edge, OpAbort> {
         match plan {
             Plan::Done(e) => Ok(*e),
             Plan::Leaf(i) => Ok(leaf_edges[*i]),
             Plan::Join { how, first, second } => {
-                let (a, b) = if M::APPLY_SECOND_FIRST {
+                let (a, b) = if M::Shape::APPLY_SECOND_FIRST {
                     let b = self.resolve(second, leaf_edges, budget)?;
                     (self.resolve(first, leaf_edges, budget)?, b)
                 } else {
@@ -1326,7 +1226,7 @@ impl<M: NodeShape> Par<M> {
                 match how {
                     Combine::Node(top) => {
                         budget.checkpoint()?;
-                        Ok(self.inner.base_node(*top, a, b))
+                        Ok(self.inner.kernel_mut().make_node(*top, a, b))
                     }
                     Combine::Op(op) => self.apply_op(*op, a, b, budget),
                 }
@@ -1338,7 +1238,7 @@ impl<M: NodeShape> Par<M> {
 // ───────────────────────────── backend traits ─────────────────────────────
 
 impl<M: NodeShape> RawManager for Par<M> {
-    type Edge = M::Edge;
+    type Edge = Edge;
 
     /// Default-configured parallel backend; the thread count comes from
     /// `BBDD_THREADS` (falling back to 4).
@@ -1354,116 +1254,127 @@ impl<M: NodeShape> RawManager for Par<M> {
         self.inner.root_registry()
     }
 
-    fn edge_bits(e: M::Edge) -> u64 {
+    fn edge_bits(e: Edge) -> u64 {
         M::edge_bits(e)
     }
 
-    fn constant_edge(&self, value: bool) -> M::Edge {
+    fn constant_edge(&self, value: bool) -> Edge {
         self.inner.constant_edge(value)
     }
 
-    fn var_edge(&mut self, var: usize) -> M::Edge {
+    fn var_edge(&mut self, var: usize) -> Edge {
         self.inner.var_edge(var)
     }
 
     fn try_apply_edge(
         &mut self,
         op: BoolOp,
-        f: M::Edge,
-        g: M::Edge,
+        f: Edge,
+        g: Edge,
         budget: &mut OpBudget,
-    ) -> Result<M::Edge, OpAbort> {
+    ) -> Result<Edge, OpAbort> {
         self.apply_op(op, f, g, budget)
     }
 
     fn try_ite_edge(
         &mut self,
-        f: M::Edge,
-        g: M::Edge,
-        h: M::Edge,
+        f: Edge,
+        g: Edge,
+        h: Edge,
         budget: &mut OpBudget,
-    ) -> Result<M::Edge, OpAbort> {
+    ) -> Result<Edge, OpAbort> {
         self.ite_op(f, g, h, budget)
     }
 
     fn try_exists_edge(
         &mut self,
-        f: M::Edge,
+        f: Edge,
         vars: &[usize],
         budget: &mut OpBudget,
-    ) -> Result<M::Edge, OpAbort> {
+    ) -> Result<Edge, OpAbort> {
         self.quant_op(f, vars, BoolOp::OR, optag::EXISTS, budget)
     }
 
     fn try_forall_edge(
         &mut self,
-        f: M::Edge,
+        f: Edge,
         vars: &[usize],
         budget: &mut OpBudget,
-    ) -> Result<M::Edge, OpAbort> {
+    ) -> Result<Edge, OpAbort> {
         self.quant_op(f, vars, BoolOp::AND, optag::FORALL, budget)
     }
 
     fn try_and_exists_edge(
         &mut self,
-        f: M::Edge,
-        g: M::Edge,
+        f: Edge,
+        g: Edge,
         vars: &[usize],
         budget: &mut OpBudget,
-    ) -> Result<M::Edge, OpAbort> {
+    ) -> Result<Edge, OpAbort> {
         self.and_exists_op(f, g, vars, budget)
     }
 
     // The remaining ops have no parallel phase; they run on the wrapped
     // sequential manager and are part of the same deterministic history.
 
-    fn restrict_edge(&mut self, f: M::Edge, var: usize, value: bool) -> M::Edge {
-        self.inner.restrict_edge(f, var, value)
+    fn try_restrict_edge(
+        &mut self,
+        f: Edge,
+        var: usize,
+        value: bool,
+        budget: &mut OpBudget,
+    ) -> Result<Edge, OpAbort> {
+        self.inner.try_restrict_edge(f, var, value, budget)
     }
 
     fn try_compose_edge(
         &mut self,
-        f: M::Edge,
+        f: Edge,
         var: usize,
-        g: M::Edge,
+        g: Edge,
         budget: &mut OpBudget,
-    ) -> Result<M::Edge, OpAbort> {
+    ) -> Result<Edge, OpAbort> {
         self.inner.try_compose_edge(f, var, g, budget)
     }
 
-    fn vector_compose_edge(&mut self, f: M::Edge, subs: &[Option<M::Edge>]) -> M::Edge {
-        self.inner.vector_compose_edge(f, subs)
+    fn try_vector_compose_edge(
+        &mut self,
+        f: Edge,
+        subs: &[Option<Edge>],
+        budget: &mut OpBudget,
+    ) -> Result<Edge, OpAbort> {
+        self.inner.try_vector_compose_edge(f, subs, budget)
     }
 
-    fn eval_edge(&self, f: M::Edge, assignment: &[bool]) -> bool {
+    fn eval_edge(&self, f: Edge, assignment: &[bool]) -> bool {
         self.inner.eval_edge(f, assignment)
     }
 
-    fn try_sat_count_edge(&self, f: M::Edge, budget: &mut OpBudget) -> Result<u128, OpAbort> {
+    fn try_sat_count_edge(&self, f: Edge, budget: &mut OpBudget) -> Result<u128, OpAbort> {
         self.inner.try_sat_count_edge(f, budget)
     }
 
-    fn any_sat_edge(&self, f: M::Edge) -> Option<Vec<bool>> {
+    fn any_sat_edge(&self, f: Edge) -> Option<Vec<bool>> {
         self.inner.any_sat_edge(f)
     }
 
-    fn all_sat_edge(&self, f: M::Edge, limit: usize) -> Vec<Vec<bool>> {
+    fn all_sat_edge(&self, f: Edge, limit: usize) -> Vec<Vec<bool>> {
         self.inner.all_sat_edge(f, limit)
     }
 
-    fn shared_node_count_edges(&self, roots: &[M::Edge]) -> usize {
+    fn shared_node_count_edges(&self, roots: &[Edge]) -> usize {
         self.inner.shared_node_count_edges(roots)
     }
 
-    fn support_edge(&mut self, f: M::Edge) -> Vec<usize> {
+    fn support_edge(&mut self, f: Edge) -> Vec<usize> {
         self.inner.support_edge(f)
     }
 
-    fn to_dot_edges(&self, roots: &[M::Edge], names: &[&str]) -> String {
+    fn to_dot_edges(&self, roots: &[Edge], names: &[&str]) -> String {
         self.inner.to_dot_edges(roots, names)
     }
 
-    fn level_profile_edges(&self, roots: &[M::Edge]) -> Option<Vec<usize>> {
+    fn level_profile_edges(&self, roots: &[Edge]) -> Option<Vec<usize>> {
         self.inner.level_profile_edges(roots)
     }
 
@@ -1544,7 +1455,7 @@ impl<M: NodeShape> RawManager for Par<M> {
         format!(
             "{}: {} apply calls, {} nodes created, {} GCs, {} parallel ops \
              ({} sequential fallback), {} leaf tasks",
-            M::PAR_NAME,
+            M::Shape::PAR_NAME,
             count("ops.apply"),
             count("nodes.created"),
             count("gc.runs"),
@@ -1555,7 +1466,7 @@ impl<M: NodeShape> RawManager for Par<M> {
     }
 
     fn observe(&self) -> MetricsSnapshot {
-        let mut m = MetricsSnapshot::new(M::PAR_NAME);
+        let mut m = MetricsSnapshot::new(M::Shape::PAR_NAME);
         let p = self.par_stats();
         // One unified cache.* section: the lock-free concurrent cache's
         // counters are folded into the inner sequential cache's.
@@ -1565,7 +1476,9 @@ impl<M: NodeShape> RawManager for Par<M> {
             table: f.table.heap_bytes(),
             cache: f.cache.heap_bytes(),
         };
-        self.inner.fill_par_metrics(&mut m, p.cache, overlay);
+        self.inner
+            .kernel()
+            .fill_metrics(&mut m, Some(p.cache), overlay);
         m.counter("par.ops_parallel", p.ops_parallel);
         m.counter("par.ops_sequential", p.ops_sequential);
         m.counter("par.tasks_executed", p.tasks_executed);

@@ -8,8 +8,8 @@
 //! DESIGN.md, *Diagram walks*, has the contract, the wrap-around, the
 //! memory bound and why the state sits behind a `Mutex`.
 
+use crate::edge::Edge;
 use crate::govern::{OpAbort, OpBudget};
-use crate::par::PackedEdge;
 use std::fmt::Write as _;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -133,9 +133,9 @@ impl Drop for Walk<'_> {
 /// then children pushed in order, popped last-first), calling
 /// `f(id, words)` on each; stop after `limit` nodes. Returns the number
 /// visited.
-pub fn visit<E: PackedEdge>(
+pub fn visit(
     m: &impl NodeGraph,
-    roots: &[E],
+    roots: &[Edge],
     limit: usize,
     mut f: impl FnMut(u32, (u32, u32, u32)),
 ) -> usize {
@@ -152,7 +152,7 @@ pub fn visit<E: PackedEdge>(
         }
         let words = m.node_words(id);
         f(id, words);
-        for child in [E::from_bits(words.0), E::from_bits(words.1)] {
+        for child in [Edge::from_bits(words.0), Edge::from_bits(words.1)] {
             if !child.is_constant() {
                 walk.marks.stack.push(child.node());
             }
@@ -162,7 +162,7 @@ pub fn visit<E: PackedEdge>(
 }
 
 /// Distinct internal nodes reachable from any of `roots`.
-pub fn shared_node_count(m: &impl NodeGraph, roots: &[impl PackedEdge]) -> usize {
+pub fn shared_node_count(m: &impl NodeGraph, roots: &[Edge]) -> usize {
     visit(m, roots, usize::MAX, |_, _| {})
 }
 
@@ -171,10 +171,10 @@ pub fn shared_node_count(m: &impl NodeGraph, roots: &[impl PackedEdge]) -> usize
 /// `label(id)` the nodes. Solid arrows go to the second child when
 /// `solid_second` holds, else to the first; dashed arrows to the other;
 /// red marks complement attributes.
-pub fn to_dot<E: PackedEdge>(
+pub fn to_dot(
     m: &impl NodeGraph,
     graph: &str,
-    roots: &[E],
+    roots: &[Edge],
     names: &[&str],
     solid_second: bool,
     label: impl Fn(u32) -> String,
@@ -182,7 +182,7 @@ pub fn to_dot<E: PackedEdge>(
     let mut out =
         format!("digraph {graph} {{\n  rankdir=TB;\n  node [shape=circle, fontsize=10];\n");
     out.push_str("  one [shape=box, label=\"1\"];\n");
-    let target = |e: E| {
+    let target = |e: Edge| {
         if e.is_constant() {
             "one".to_string()
         } else {
@@ -212,7 +212,7 @@ pub fn to_dot<E: PackedEdge>(
             (first, second)
         };
         for (child, attrs) in [(solid, ""), (dashed, "style=dashed")] {
-            let child = E::from_bits(child);
+            let child = Edge::from_bits(child);
             let attrs = match (attrs, child.is_complemented()) {
                 ("", false) => String::new(),
                 ("", true) => " [color=red]".to_string(),
@@ -240,7 +240,7 @@ pub fn to_dot<E: PackedEdge>(
 /// Panics if `n_vars > 127` (the count could overflow `u128`).
 pub fn try_sat_count(
     m: &impl NodeGraph,
-    f: impl PackedEdge,
+    f: Edge,
     n_vars: usize,
     budget: &mut OpBudget,
 ) -> Result<u128, OpAbort> {
@@ -252,7 +252,7 @@ pub fn try_sat_count(
 }
 
 /// The satisfying fraction of `f`'s universe (any variable count).
-pub fn sat_fraction(m: &impl NodeGraph, f: impl PackedEdge) -> f64 {
+pub fn sat_fraction(m: &impl NodeGraph, f: Edge) -> f64 {
     // A fraction needs no universe: every `k` measures the same.
     measure(m, f, u32::MAX, &mut OpBudget::unlimited()).expect("unlimited budget never aborts")
 }
@@ -301,7 +301,7 @@ impl Measure for f64 {
 /// memoized by mark ordinal.
 fn measure<V: Measure>(
     m: &impl NodeGraph,
-    f: impl PackedEdge,
+    f: Edge,
     k: u32,
     budget: &mut OpBudget,
 ) -> Result<V, OpAbort> {
@@ -310,16 +310,16 @@ fn measure<V: Measure>(
     measure_rec(m, &mut walk, &mut memo, f, k, budget)
 }
 
-fn measure_rec<E: PackedEdge, V: Measure>(
+fn measure_rec<V: Measure>(
     m: &impl NodeGraph,
     walk: &mut Walk<'_>,
     memo: &mut Vec<V>,
-    e: E,
+    e: Edge,
     k: u32,
     budget: &mut OpBudget,
 ) -> Result<V, OpAbort> {
     if e.is_constant() {
-        return Ok(V::constant(e == E::ONE, k));
+        return Ok(V::constant(e == Edge::ONE, k));
     }
     let id = e.node();
     let (first, second, meta) = m.node_words(id);
@@ -329,8 +329,8 @@ fn measure_rec<E: PackedEdge, V: Measure>(
         memo[ord as usize]
     } else {
         budget.checkpoint()?;
-        let a = measure_rec(m, walk, memo, E::from_bits(first), u - 1, budget)?;
-        let b = measure_rec(m, walk, memo, E::from_bits(second), u - 1, budget)?;
+        let a = measure_rec(m, walk, memo, Edge::from_bits(first), u - 1, budget)?;
+        let b = measure_rec(m, walk, memo, Edge::from_bits(second), u - 1, budget)?;
         walk.mark(id);
         if memo.len() == 4096 {
             // Past the small counts, reserve for every slot at once: a

@@ -20,7 +20,6 @@
 
 use bbdd::Bbdd;
 use ddcore::api::FunctionManager;
-use ddcore::par::PackedEdge;
 use ddcore::walk;
 use logicnet::build::build_network;
 use logicnet::cec::{check_equivalence_bbdd, CecVerdict};

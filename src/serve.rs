@@ -678,7 +678,7 @@ fn execute<B: SessionBackend>(
                         let r = session.build_raw(&mut b, |m, bb| {
                             let mut g = e;
                             for (i, &v) in split.iter().enumerate() {
-                                g = m.restrict_edge(g, v, (idx >> i) & 1 == 1);
+                                g = m.try_restrict_edge(g, v, (idx >> i) & 1 == 1, bb)?;
                             }
                             m.try_sat_count_over_edge(g, over, bb)
                         });
@@ -1318,6 +1318,29 @@ mod tests {
         assert!(out.cnf.slices_aborted > 0);
         // The session survived: the loaded instance still evaluates.
         assert!(out.responses[2].contains("\"value\":true"));
+    }
+
+    /// A slice's budget also covers the cofactoring that precedes its
+    /// count: with two checkpoints, the count of each one-variable
+    /// cofactor fits, but restricting and counting together does not.
+    #[test]
+    fn sliced_count_budget_covers_the_restrict() {
+        let base = base();
+        let run = |nodes: u64| {
+            let lines: Vec<String> = vec![
+                r#"{"op":"load_cnf","id":1,"name":"inst","text":"p cnf 3 3\n1 -2 0\n2 3 0\n-1 -3 0\n"}"#.into(),
+                format!(r#"{{"op":"count","id":2,"f":"inst","slice":1,"budget":{{"nodes":{nodes}}}}}"#),
+            ];
+            run_batch(&base, &ServeConfig::default(), &lines)
+        };
+        let out = run(2);
+        assert!(out.responses[1].contains("\"status\":\"aborted\""));
+        assert!(out.responses[1].contains("\"reason\":\"node_budget\""));
+        assert_eq!(out.cnf.slices_aborted, 2);
+        // One more checkpoint per slice and both slices complete.
+        let out = run(3);
+        assert!(out.responses[1].contains("\"count\":\"2\""));
+        assert_eq!((out.cnf.slices_completed, out.cnf.slices_aborted), (2, 0));
     }
 
     #[test]

@@ -98,6 +98,23 @@ fn tt_restrict(t: u32, v: usize, value: bool) -> u32 {
     r
 }
 
+/// Simultaneous substitution: row `m` reads `t` at the row the
+/// substituted functions select (`None` keeps the variable).
+fn tt_vector_compose(t: u32, subs: &[Option<u32>]) -> u32 {
+    let mut r = 0u32;
+    for m in 0..ROWS {
+        let mut source = 0;
+        for v in 0..NV {
+            let bit = subs.get(v).copied().flatten().map_or(m >> v, |g| g >> m);
+            source |= (bit & 1) << v;
+        }
+        if (t >> source) & 1 == 1 {
+            r |= 1 << m;
+        }
+    }
+    r
+}
+
 fn tt_exists(t: u32, vars: &[usize]) -> u32 {
     vars.iter().fold(t, |t, &v| {
         tt_restrict(t, v, true) | tt_restrict(t, v, false)
@@ -154,6 +171,14 @@ fn workload<M: FunctionManager>(
     let comp = ite.try_compose(1, &p, budget)?;
     let t_comp = (tp & tt_restrict(t_ite, 1, true)) | (!tp & tt_restrict(t_ite, 1, false));
     survivors.push((comp.clone(), t_comp));
+    // Restriction, and a simultaneous substitution swapping variables 0
+    // and 2 of the composite.
+    let res = ite.try_restrict(3, true, budget)?;
+    survivors.push((res, tt_restrict(t_ite, 3, true)));
+    let swap = [Some(vars[2].0.clone()), None, Some(vars[0].0.clone())];
+    let vc = comp.try_vector_compose(&swap, budget)?;
+    let t_swap = [Some(vars[2].1), None, Some(vars[0].1)];
+    survivors.push((vc, tt_vector_compose(t_comp, &t_swap)));
     // Governed counting over the final composite.
     let count = comp.try_sat_count(budget)?;
     assert_eq!(count, u128::from(t_comp.count_ones()), "sat_count");

@@ -17,7 +17,7 @@ use ddcore::api::RawManager;
 use ddcore::boolop::BoolOp;
 use ddcore::dvo::DvoStrategy;
 use ddcore::govern::{OpAbort, OpBudget};
-use ddcore::par::{NodeShape, PackedEdge, Par, ParConfig};
+use ddcore::par::{NodeShape, Par, ParConfig};
 use ddcore::session::{Library, SharedBase};
 use ddcore::walk::NodeGraph;
 use robdd::{ParRobdd, Robdd};
@@ -55,7 +55,7 @@ struct RefNode<E> {
     var: usize,
 }
 
-trait Reference: RawManager<Edge: PackedEdge> + NodeGraph {
+trait Reference: RawManager<Edge = ddcore::Edge> + NodeGraph {
     fn ref_node(&self, e: Self::Edge) -> RefNode<Self::Edge>;
 }
 
