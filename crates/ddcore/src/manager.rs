@@ -9,7 +9,8 @@
 //! variable), the live count and the variable order, the computed cache,
 //! mark/sweep GC over the handle registry, the sift-scoped reference
 //! counts, metrics, the DVO schedule, validation, the recursive operations
-//! ([`ops`]) and the `RawManager`, `ReorderBackend`, `NodeGraph`,
+//! ([`ops`]; apply, ite and quantification recur in `rec`, shared with the
+//! parallel workers) and the `RawManager`, `ReorderBackend`, `NodeGraph`,
 //! `SessionBackend` and `NodeShape` impls. A [`Shape`] supplies the rest;
 //! `bbdd::Bbdd` and `robdd::Robdd` are `Manager<BbddShape>` and
 //! `Manager<RobddShape>`.
@@ -35,6 +36,7 @@ use crate::walk::{self, NodeGraph, WalkScratch};
 use std::marker::PhantomData;
 
 pub mod ops;
+pub(crate) mod rec;
 
 /// Top value reserved for the 1 sink.
 pub const TERMINAL_TOP: u16 = u16::MAX;
@@ -775,14 +777,7 @@ impl<S: Shape> Manager<S> {
     #[doc(hidden)]
     #[inline]
     pub fn make_node(&mut self, top: u16, first: Edge, second: Edge) -> Edge {
-        debug_assert!(
-            first == second
-                || [first, second]
-                    .iter()
-                    .all(|c| c.is_constant() || self.height(self.top(*c)) < self.height(top)),
-            "make_node child at or above its parent"
-        );
-        S::make_node(self, top, first, second)
+        rec::make_node(self, top, first, second)
     }
 
     /// The positive literal of the variable at `top`.

@@ -1,26 +1,13 @@
-//! The kernel's operations, written once over the [`Shape`] hooks:
-//! Algorithm 1 `apply` and `ite`, cube quantification and the fused
-//! and-exists, simultaneous composition, the n-ary `apply`, evaluation,
-//! counting, support, DOT, reordering entry points and the BBDD-only
-//! surface.
-//!
-//! Each recursion follows one template: terminal cases, the strong
-//! canonical operand form (complement attributes and operand order folded
-//! into the operator, the paper's `updateop`), the computed table, a budget
-//! checkpoint on the miss — before anything is built, and the cache insert
-//! strictly after `make_node`, so an abort leaves only committed nodes —
-//! then the expansion at the operands' upper top: both cofactor pairs in
-//! the shape's recursion order, joined by `make_node`.
-//!
-//! Quantifying a cube needs up to three cases at a node's top: the top's
-//! variable is quantified (join the halves with ∨/∧), the node must be
-//! re-expanded through a quantified partner literal (the BBDD chain's
-//! SV-quantified case, [`Shape::chain_partner`]), or the node is rebuilt
-//! over the quantified children.
+//! The kernel's operations: the public entries of Algorithm 1 `apply`
+//! and `ite`, cube quantification and the fused and-exists (whose
+//! recursions, shared with the parallel workers, are in `manager::rec`),
+//! simultaneous composition, the n-ary `apply`, evaluation, counting,
+//! support, DOT, reordering entry points and the BBDD-only surface.
 
+use super::rec;
 use super::{ChainShape, Manager, Shape};
 use crate::api::{Function, ManagerRef, RawManager};
-use crate::boolop::{BoolOp, Unary};
+use crate::boolop::BoolOp;
 use crate::dvo::{DvoStrategy, PairSift, ReorderStrategy};
 use crate::edge::Edge;
 use crate::fxhash::FxHashMap;
@@ -30,31 +17,6 @@ use crate::optag;
 use crate::walk::{self, NodeGraph};
 
 const UNLIMITED: &str = "unlimited budget never aborts";
-
-/// The quantification context of a variable set, built in the base
-/// manager (also before a parallel freeze).
-#[derive(Debug, Clone)]
-pub struct QuantCube {
-    /// Indexed by top: is that top's variable quantified?
-    pub in_cube: Vec<bool>,
-    /// The lowest height (distance from the bottom of the order) of a
-    /// quantified top; nodes below it are left as they are.
-    pub floor: u32,
-    /// The conjunction of the quantified literals (a cache key word).
-    pub cube: Edge,
-}
-
-/// A unary residue of a binary operator.
-#[inline]
-#[must_use]
-pub(crate) fn unary(u: Unary, x: Edge) -> Edge {
-    match u {
-        Unary::Zero => Edge::ZERO,
-        Unary::One => Edge::ONE,
-        Unary::Identity => x,
-        Unary::Complement => !x,
-    }
-}
 
 impl<S: Shape> Manager<S> {
     /// Compute `f ⊗ g` for an arbitrary two-operand Boolean operator.
@@ -81,75 +43,12 @@ impl<S: Shape> Manager<S> {
     /// The budget's abort reason.
     pub fn try_apply(
         &mut self,
-        mut op: BoolOp,
-        mut f: Edge,
-        mut g: Edge,
+        op: BoolOp,
+        f: Edge,
+        g: Edge,
         budget: &mut OpBudget,
     ) -> Result<Edge, OpAbort> {
-        self.stats.apply_calls += 1;
-        if f == g {
-            return Ok(unary(op.on_equal_operands(), f));
-        }
-        if f == !g {
-            return Ok(unary(op.on_complement_operands(), f));
-        }
-        if f.is_constant() {
-            return Ok(unary(op.on_first_const(f == Edge::ONE), g));
-        }
-        if g.is_constant() {
-            return Ok(unary(op.on_second_const(g == Edge::ONE), f));
-        }
-        if f.is_complemented() {
-            f = !f;
-            op = op.complement_first();
-        }
-        if g.is_complemented() {
-            g = !g;
-            op = op.complement_second();
-        }
-        if f.node() > g.node() {
-            std::mem::swap(&mut f, &mut g);
-            op = op.swap_operands();
-        }
-        let mut out_c = false;
-        if op.eval(false, false) {
-            op = op.complement_output();
-            out_c = true;
-        }
-        // Operators that degenerated to projections under the rewrites.
-        if op == BoolOp::FALSE {
-            return Ok(Edge::ZERO.complement_if(out_c));
-        }
-        if op == BoolOp::FIRST {
-            return Ok(f.complement_if(out_c));
-        }
-        if op == BoolOp::SECOND {
-            return Ok(g.complement_if(out_c));
-        }
-        let (k1, k2, tag) = (
-            u64::from(f.bits()),
-            u64::from(g.bits()),
-            u32::from(op.table()),
-        );
-        if let Some(r) = self.cache.get(k1, k2, tag) {
-            return Ok(Edge::from_bits(r as u32).complement_if(out_c));
-        }
-        budget.checkpoint()?;
-        let top = self.upper(self.top(f), self.top(g));
-        let (fa, fb) = self.cofactors(f, top);
-        let (ga, gb) = self.cofactors(g, top);
-        // The shape's recursion order, written out: routing the two calls
-        // through a closure-taking helper cost ~7 % on apply-bound runs.
-        let (a, b) = if S::APPLY_SECOND_FIRST {
-            let b = self.try_apply(op, fb, gb, budget)?;
-            (self.try_apply(op, fa, ga, budget)?, b)
-        } else {
-            let a = self.try_apply(op, fa, ga, budget)?;
-            (a, self.try_apply(op, fb, gb, budget)?)
-        };
-        let r = self.make_node(top, a, b);
-        self.cache.insert(k1, k2, tag, u64::from(r.bits()));
-        Ok(r.complement_if(out_c))
+        rec::apply(self, budget, op, f, g)
     }
 
     /// `f ∧ g`.
@@ -210,81 +109,12 @@ impl<S: Shape> Manager<S> {
     /// The budget's abort reason.
     pub fn try_ite(
         &mut self,
-        mut f: Edge,
-        mut g: Edge,
-        mut h: Edge,
+        f: Edge,
+        g: Edge,
+        h: Edge,
         budget: &mut OpBudget,
     ) -> Result<Edge, OpAbort> {
-        if S::ITE_COUNTER {
-            self.stats.ite_calls += 1;
-        } else {
-            self.stats.apply_calls += 1;
-        }
-        let (one, zero) = (Edge::ONE, Edge::ZERO);
-        if f == one {
-            return Ok(g);
-        }
-        if f == zero {
-            return Ok(h);
-        }
-        if g == h {
-            return Ok(g);
-        }
-        if g == one && h == zero {
-            return Ok(f);
-        }
-        if g == zero && h == one {
-            return Ok(!f);
-        }
-        if f == g || g == one {
-            return self.try_apply(BoolOp::OR, f, h, budget);
-        }
-        if f == !g || g == zero {
-            return self.try_apply(BoolOp::NOT_AND, f, h, budget);
-        }
-        if f == h || h == zero {
-            return self.try_apply(BoolOp::AND, f, g, budget);
-        }
-        if f == !h || h == one {
-            return self.try_apply(BoolOp::IMPLIES, f, g, budget);
-        }
-        // Canonical form: regular f (swap branches), regular g (complement
-        // the output).
-        if f.is_complemented() {
-            f = !f;
-            std::mem::swap(&mut g, &mut h);
-        }
-        let mut out_c = false;
-        if g.is_complemented() {
-            g = !g;
-            h = !h;
-            out_c = true;
-        }
-        let k1 = u64::from(f.bits());
-        let k2 = (u64::from(g.bits()) << 32) | u64::from(h.bits());
-        if let Some(r) = self.cache.get(k1, k2, optag::ITE) {
-            return Ok(Edge::from_bits(r as u32).complement_if(out_c));
-        }
-        budget.checkpoint()?;
-        let mut top = self.top(f);
-        for e in [g, h] {
-            if !e.is_constant() {
-                top = self.upper(top, self.top(e));
-            }
-        }
-        let (fa, fb) = self.cofactors(f, top);
-        let (ga, gb) = self.cofactors(g, top);
-        let (ha, hb) = self.cofactors(h, top);
-        let (a, b) = if S::APPLY_SECOND_FIRST {
-            let b = self.try_ite(fb, gb, hb, budget)?;
-            (self.try_ite(fa, ga, ha, budget)?, b)
-        } else {
-            let a = self.try_ite(fa, ga, ha, budget)?;
-            (a, self.try_ite(fb, gb, hb, budget)?)
-        };
-        let r = self.make_node(top, a, b);
-        self.cache.insert(k1, k2, optag::ITE, u64::from(r.bits()));
-        Ok(r.complement_if(out_c))
+        rec::ite(self, budget, f, g, h)
     }
 
     /// Existential quantification `∃ vars . f`: the whole cube is
@@ -331,8 +161,8 @@ impl<S: Shape> Manager<S> {
         vars: &[usize],
         budget: &mut OpBudget,
     ) -> Result<Edge, OpAbort> {
-        match self.quant_cube(vars) {
-            Some(q) => self.quant_rec(f, &q, BoolOp::OR, optag::EXISTS, budget),
+        match self.quant_cube(vars, BoolOp::OR, optag::EXISTS) {
+            Some(q) => rec::quant(self, budget, f, &q),
             None => Ok(f),
         }
     }
@@ -377,8 +207,8 @@ impl<S: Shape> Manager<S> {
         vars: &[usize],
         budget: &mut OpBudget,
     ) -> Result<Edge, OpAbort> {
-        match self.quant_cube(vars) {
-            Some(q) => self.quant_rec(f, &q, BoolOp::AND, optag::FORALL, budget),
+        match self.quant_cube(vars, BoolOp::AND, optag::FORALL) {
+            Some(q) => rec::quant(self, budget, f, &q),
             None => Ok(f),
         }
     }
@@ -430,172 +260,10 @@ impl<S: Shape> Manager<S> {
         vars: &[usize],
         budget: &mut OpBudget,
     ) -> Result<Edge, OpAbort> {
-        match self.quant_cube(vars) {
-            Some(q) => self.and_exists_rec(f, g, &q, budget),
+        match self.quant_cube(vars, BoolOp::OR, optag::EXISTS) {
+            Some(q) => rec::and_exists(self, budget, f, g, &q),
             None => self.try_apply(BoolOp::AND, f, g, budget),
         }
-    }
-
-    /// Build the quantification context, or `None` for an empty cube.
-    ///
-    /// # Panics
-    /// Panics if a variable is out of range.
-    pub(crate) fn quant_cube(&mut self, vars: &[usize]) -> Option<QuantCube> {
-        let n = self.num_vars();
-        let mut in_cube = vec![false; n];
-        let mut floor = u32::MAX;
-        for &v in vars {
-            assert!(v < n, "quantified variable {v} out of range");
-            let top = self.top_of_var(v);
-            in_cube[usize::from(top)] = true;
-            floor = floor.min(self.height(top));
-        }
-        if floor == u32::MAX {
-            return None;
-        }
-        // Canonical cube handle for the cache key: the conjunction of the
-        // positive literals, in top order (root first for level tops).
-        let mut cube = Edge::ONE;
-        let tops: Box<dyn Iterator<Item = usize>> = if S::TOP_IS_VAR {
-            Box::new(0..n)
-        } else {
-            Box::new((0..n).rev())
-        };
-        for top in tops.filter(|&t| in_cube[t]) {
-            let lit = self.literal(top as u16);
-            cube = self.and(cube, lit);
-        }
-        Some(QuantCube {
-            in_cube,
-            floor,
-            cube,
-        })
-    }
-
-    /// Re-expand `pairs` (cofactor pairs at `top`) through the quantified
-    /// partner literal, recurse on both halves and recombine with `ite`
-    /// over the literal of `top` (the chain case).
-    fn chain_rec(
-        &mut self,
-        top: u16,
-        partner: u16,
-        pairs: &[(Edge, Edge)],
-        budget: &mut OpBudget,
-        mut rec: impl FnMut(&mut Self, &[Edge], &mut OpBudget) -> Result<Edge, OpAbort>,
-    ) -> Result<Edge, OpAbort> {
-        let w = self.literal(partner);
-        let mut ones = Vec::with_capacity(pairs.len());
-        let mut zeros = Vec::with_capacity(pairs.len());
-        for &(a, b) in pairs {
-            ones.push(self.try_ite(w, b, a, budget)?);
-            zeros.push(self.try_ite(w, a, b, budget)?);
-        }
-        let r1 = rec(self, &ones, budget)?;
-        let r0 = rec(self, &zeros, budget)?;
-        let v = self.literal(top);
-        self.try_ite(v, r1, r0, budget)
-    }
-
-    fn quant_rec(
-        &mut self,
-        f: Edge,
-        q: &QuantCube,
-        combine: BoolOp,
-        tag: u32,
-        budget: &mut OpBudget,
-    ) -> Result<Edge, OpAbort> {
-        if f.is_constant() {
-            return Ok(f);
-        }
-        let top = self.top(f);
-        if self.height(top) < q.floor {
-            return Ok(f); // no quantified variable at or below this node
-        }
-        self.stats.quant_calls += 1;
-        let (k1, k2) = (u64::from(f.bits()), u64::from(q.cube.bits()));
-        if let Some(r) = self.cache.get(k1, k2, tag) {
-            return Ok(Edge::from_bits(r as u32));
-        }
-        budget.checkpoint()?;
-        let (fa, fb) = self.cofactors(f, top);
-        let r = if q.in_cube[usize::from(top)] {
-            let a = self.quant_rec(fa, q, combine, tag, budget)?;
-            let absorbing = Edge::ONE.complement_if(tag != optag::EXISTS);
-            if a == absorbing {
-                absorbing
-            } else {
-                let b = self.quant_rec(fb, q, combine, tag, budget)?;
-                self.try_apply(combine, a, b, budget)?
-            }
-        } else if let Some(partner) = S::chain_partner(top, &q.in_cube) {
-            self.chain_rec(top, partner, &[(fa, fb)], budget, |m, x, budget| {
-                m.quant_rec(x[0], q, combine, tag, budget)
-            })?
-        } else {
-            let a = self.quant_rec(fa, q, combine, tag, budget)?;
-            let b = self.quant_rec(fb, q, combine, tag, budget)?;
-            self.make_node(top, a, b)
-        };
-        self.cache.insert(k1, k2, tag, u64::from(r.bits()));
-        Ok(r)
-    }
-
-    fn and_exists_rec(
-        &mut self,
-        f: Edge,
-        g: Edge,
-        q: &QuantCube,
-        budget: &mut OpBudget,
-    ) -> Result<Edge, OpAbort> {
-        let (or, tag) = (BoolOp::OR, optag::EXISTS);
-        if f == Edge::ZERO || g == Edge::ZERO || f == !g {
-            return Ok(Edge::ZERO);
-        }
-        if f == Edge::ONE {
-            return self.quant_rec(g, q, or, tag, budget);
-        }
-        if g == Edge::ONE || f == g {
-            return self.quant_rec(f, q, or, tag, budget);
-        }
-        // AND is commutative: canonical operand order doubles cache reuse.
-        let (f, g) = if f.bits() <= g.bits() { (f, g) } else { (g, f) };
-        let top = self.upper(self.top(f), self.top(g));
-        if self.height(top) < q.floor {
-            return self.try_apply(BoolOp::AND, f, g, budget);
-        }
-        self.stats.quant_calls += 1;
-        let k1 = u64::from(f.bits());
-        let k2 = (u64::from(g.bits()) << 32) | u64::from(q.cube.bits());
-        if let Some(r) = self.cache.get(k1, k2, optag::AND_EXISTS) {
-            return Ok(Edge::from_bits(r as u32));
-        }
-        budget.checkpoint()?;
-        let (fa, fb) = self.cofactors(f, top);
-        let (ga, gb) = self.cofactors(g, top);
-        let r = if q.in_cube[usize::from(top)] {
-            let a = self.and_exists_rec(fa, ga, q, budget)?;
-            if a == Edge::ONE {
-                Edge::ONE
-            } else {
-                let b = self.and_exists_rec(fb, gb, q, budget)?;
-                self.try_apply(or, a, b, budget)?
-            }
-        } else if let Some(partner) = S::chain_partner(top, &q.in_cube) {
-            self.chain_rec(
-                top,
-                partner,
-                &[(fa, fb), (ga, gb)],
-                budget,
-                |m, x, budget| m.and_exists_rec(x[0], x[1], q, budget),
-            )?
-        } else {
-            let a = self.and_exists_rec(fa, ga, q, budget)?;
-            let b = self.and_exists_rec(fb, gb, q, budget)?;
-            self.make_node(top, a, b)
-        };
-        self.cache
-            .insert(k1, k2, optag::AND_EXISTS, u64::from(r.bits()));
-        Ok(r)
     }
 
     /// The cofactor `f|_{var = value}` (single-variable restriction).

@@ -46,8 +46,7 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 
 pub mod pipeline;
 
-pub use crate::manager::ops::QuantCube;
-pub use pipeline::{NodeShape, Overlay, Par};
+pub use pipeline::{NodeShape, Par};
 
 // ─────────────────────── shared manager-facing types ─────────────────────
 

@@ -31,12 +31,15 @@
 //! count**. The parallel/sequential decision below the node-count cutoff
 //! depends only on operand sizes, never on the thread count.
 //!
-//! Everything backend-specific — how a node decomposes, how a node is
-//! built (the same [`Shape`] rules run on the base and on the overlay, a
-//! [`NodeStore`] each), and the BBDD chain's extra quantification case —
-//! is a hook of the wrapped manager's shape; the phases, the recursions
-//! and the budget handling exist once, here. Every operation takes an [`OpBudget`]; the
-//! infallible forms pass [`OpBudget::unlimited`].
+//! The workers run the kernel's own recursions (apply, ite, quantification
+//! and and-exists, written once in the crate-private `manager::rec`) over
+//! a context whose node store is the frozen base plus overlay (a
+//! [`NodeStore`] on which the same [`Shape`] rules run), whose cache is the
+//! lossy [`AtomicCache`], whose checkpoint never stops (workers stop
+//! between tasks) and whose counters feed `par.recursions`. The split
+//! phase resolves the same terminal cases. What is left here is the
+//! phases and the budget handling. Every operation takes an
+//! [`OpBudget`]; the infallible forms pass [`OpBudget::unlimited`].
 
 use super::{
     threads_from_env, try_fork_join_governed, AtomicCache, OverlayArena, ParConfig, ParStats,
@@ -49,7 +52,7 @@ use crate::dvo::{DvoPolicy, DvoStrategy};
 use crate::edge::Edge;
 use crate::fxhash::FxHashMap;
 use crate::govern::{OpAbort, OpBudget};
-use crate::manager::ops::unary;
+use crate::manager::rec::{self, AndExistsCase, Count, IteCase, QuantCube, Rec};
 use crate::manager::{Key, Manager, Node, NodeStore, Shape, Stats};
 use crate::obs::{self, MemBytes, MetricsSnapshot, Op};
 use crate::optag;
@@ -57,6 +60,7 @@ use crate::roots::{RootGuard, RootSet};
 use crate::session::SessionBackend;
 use crate::table::{KeyStore, TableKey};
 use crate::walk::{self, NodeGraph};
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 // ───────────────────────────── node shape ─────────────────────────────────
@@ -66,8 +70,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// differs between the node shapes is a [`Shape`] hook. Apply and ite,
 /// their split and the combine-tree resolve follow
 /// [`Shape::APPLY_SECOND_FIRST`], the quantifying recursions take the
-/// first cofactor first — each backend's sequential order, so every node
-/// id the pipeline commits is the one the sequential recursion creates.
+/// first cofactor first — each backend's sequential order. The pipeline
+/// still commits node ids of its own: it imports each leaf result first
+/// child first, and it computes quantified halves the sequential
+/// recursion would skip, so its ids may differ from the sequential
+/// manager's (the functions and their sizes do not).
 pub trait NodeShape: RawManager<Edge = Edge> + NodeGraph + Sync {
     /// The node shape.
     type Shape: Shape;
@@ -117,30 +124,37 @@ impl<S: Shape> TableKey for OverlayKey<S> {
     }
 }
 
-/// The frozen base manager plus the overlay storage, as the shape's node
-/// rules see it during the parallel phase (a [`NodeStore`]).
-pub struct Overlay<'a, S: Shape> {
+/// One worker's recursion context in the parallel phase. Its node store
+/// is the frozen base manager plus the overlay storage, where the shape's
+/// node rules read and create nodes. Its cache is the lossy concurrent
+/// one. It has no checkpoint (workers consult the budget between tasks)
+/// and one tally of recursion entries (`par.recursions`). Every task runs
+/// on a fresh copy.
+#[derive(Clone, Copy)]
+struct Worker<'a, S: Shape> {
     base: &'a Manager<S>,
     /// Arena length at freeze time; ids `>= base_len` live in the overlay.
     base_len: u32,
     table: &'a ShardedTable,
     arena: &'a OverlayArena,
+    cache: &'a AtomicCache,
+    quant: Option<&'a QuantCube>,
+    calls: u64,
 }
 
 /// The overlay table's key store: an overlay id's key comes from its
 /// record's words.
-impl<S: Shape> KeyStore<OverlayKey<S>> for Overlay<'_, S> {
+impl<S: Shape> KeyStore<OverlayKey<S>> for Worker<'_, S> {
     #[inline]
     fn key_of(&self, id: u32) -> OverlayKey<S> {
         OverlayKey::of(self.words(id))
     }
 }
 
-impl<S: Shape> Overlay<'_, S> {
+impl<S: Shape> NodeStore for Worker<'_, S> {
     /// The words of node `id`, base or overlay.
     #[inline]
-    #[must_use]
-    pub fn words(&self, id: u32) -> (u32, u32, u32) {
+    fn words(&self, id: u32) -> (u32, u32, u32) {
         if id < self.base_len {
             self.base.node_words(id)
         } else {
@@ -154,7 +168,7 @@ impl<S: Shape> Overlay<'_, S> {
     /// miss. This is what guarantees one edge representation per Boolean
     /// function — the cornerstone of the determinism argument.
     #[inline]
-    pub fn find_or_insert(&self, words: (u32, u32, u32)) -> u32 {
+    fn find_or_insert(&mut self, words: (u32, u32, u32)) -> u32 {
         let key = OverlayKey::of(words);
         // A frozen base node has only base children, so a key with an
         // overlay child can never hit the base tables.
@@ -164,43 +178,56 @@ impl<S: Shape> Overlay<'_, S> {
                 return id;
             }
         }
-        self.table.get_or_insert_with(key, self, || {
+        self.table.get_or_insert_with(key, &*self, || {
             self.base_len + self.arena.alloc(words.0, words.1, words.2)
         })
     }
 }
 
-impl<S: Shape> NodeStore for &Overlay<'_, S> {
+impl<S: Shape> Rec for Worker<'_, S> {
+    type Shape = S;
+    type Budget = ();
+    type Abort = Infallible;
+
     #[inline]
-    fn words(&self, id: u32) -> (u32, u32, u32) {
-        Overlay::words(self, id)
+    fn base(&self) -> &Manager<S> {
+        self.base
     }
 
     #[inline]
-    fn find_or_insert(&mut self, words: (u32, u32, u32)) -> u32 {
-        Overlay::find_or_insert(self, words)
+    fn cache_get(&mut self, k1: u64, k2: u64, tag: u32) -> Option<Edge> {
+        self.cache.get(k1, k2, tag).map(Edge::from_bits)
+    }
+
+    #[inline]
+    fn cache_insert(&mut self, k1: u64, k2: u64, tag: u32, r: Edge) {
+        self.cache.insert(k1, k2, tag, r.bits());
+    }
+
+    #[inline]
+    fn checkpoint((): &mut ()) -> Result<(), Infallible> {
+        Ok(())
+    }
+
+    #[inline]
+    fn count(&mut self, _: Count) {
+        self.calls += 1;
     }
 }
 
-#[inline]
-fn top_of(words: (u32, u32, u32)) -> u16 {
-    words.2 as u16
-}
-
-/// Run the two cofactor subproblems in the shape's apply order and return
-/// their results in `make_node` order.
-#[inline]
-fn in_apply_order<S: Shape, C, T>(
-    c: &mut C,
-    first: impl FnOnce(&mut C) -> T,
-    second: impl FnOnce(&mut C) -> T,
-) -> (T, T) {
-    if S::APPLY_SECOND_FIRST {
-        let b = second(c);
-        (first(c), b)
-    } else {
-        let a = first(c);
-        (a, second(c))
+impl<S: Shape> Worker<'_, S> {
+    /// Run one leaf task on a fresh copy; returns its result and recursion
+    /// count.
+    fn run_task(&self, t: &Task) -> (Edge, u64) {
+        let w = &mut Worker { calls: 0, ..*self };
+        let quant = || self.quant.expect("quantifying task without a cube");
+        let Ok(r) = match *t {
+            Task::Apply(op, f, g) => rec::apply(w, &mut (), op, f, g),
+            Task::Ite(f, g, h) => rec::ite(w, &mut (), f, g, h),
+            Task::Quant(f) => rec::quant(w, &mut (), f, quant()),
+            Task::AndExists(f, g) => rec::and_exists(w, &mut (), f, g, quant()),
+        };
+        (r, w.calls)
     }
 }
 
@@ -267,24 +294,14 @@ impl OverlayFrame {
 
 // ──────────────────────────── plans and tasks ─────────────────────────────
 
-/// Cube-quantification context of one parallel `exists`/`forall`/
-/// `and_exists` (mirror of the sequential managers' `QuantCtx`).
-#[derive(Debug, Clone)]
-struct PQuant {
-    in_cube: Vec<bool>,
-    floor: u32,
-    cube_bits: u64,
-    combine: BoolOp,
-    tag: u32,
-}
-
-/// A deduplicated leaf subproblem of the split phase.
-#[derive(Debug, Clone, Copy)]
-enum Task<E> {
-    Apply(BoolOp, E, E),
-    Ite(E, E, E),
-    Quant(E),
-    AndExists(E, E),
+/// A leaf subproblem of the split phase; equal tasks are interned once
+/// (a quantifying operation's cube is the same for all its tasks).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Task {
+    Apply(BoolOp, Edge, Edge),
+    Ite(Edge, Edge, Edge),
+    Quant(Edge),
+    AndExists(Edge, Edge),
 }
 
 /// How an inner node of the combine tree joins its children.
@@ -299,20 +316,20 @@ enum Combine {
 
 /// The combine tree recorded by the split phase.
 #[derive(Debug)]
-enum Plan<E> {
+enum Plan {
     /// Resolved during the split (terminal case).
-    Done(E),
+    Done(Edge),
     /// Index into the task list.
     Leaf(usize),
     /// Join of two subplans, in `make_node` order.
     Join {
         how: Combine,
-        first: Box<Plan<E>>,
-        second: Box<Plan<E>>,
+        first: Box<Plan>,
+        second: Box<Plan>,
     },
 }
 
-fn join<E>(how: Combine, (first, second): (Plan<E>, Plan<E>)) -> Plan<E> {
+fn join(how: Combine, (first, second): (Plan, Plan)) -> Plan {
     Plan::Join {
         how,
         first: Box::new(first),
@@ -322,137 +339,90 @@ fn join<E>(how: Combine, (first, second): (Plan<E>, Plan<E>)) -> Plan<E> {
 
 // ──────────────────────────────── split ───────────────────────────────────
 
+/// How a quantifying split joins the two halves at `top`, or `None` when
+/// the subproblem stays one leaf: at depth 0, and in the chain case, whose
+/// `ite` re-expansion would mutate the base mid-split. A quantified top
+/// joins with the combine operator (a full parallel apply at resolve
+/// time), any other with `make_node`.
+fn quant_join<S: Shape>(q: &QuantCube, top: u16, depth: u16) -> Option<Combine> {
+    if depth == 0 {
+        None
+    } else if q.in_cube[usize::from(top)] {
+        Some(Combine::Op(q.combine))
+    } else if S::chain_partner(top, &q.in_cube).is_some() {
+        None
+    } else {
+        Some(Combine::Node(top))
+    }
+}
+
 /// The split phase: cofactors the operands in the base manager down to
 /// `depth`, interning the leaves.
 struct Splitter<'a, S: Shape> {
     base: &'a mut Manager<S>,
-    tasks: Vec<Task<Edge>>,
-    dedup: FxHashMap<(u32, u64, u64), usize>,
+    tasks: Vec<Task>,
+    dedup: FxHashMap<Task, usize>,
 }
 
 impl<S: Shape> Splitter<'_, S> {
-    fn top(&self, e: Edge) -> u16 {
-        top_of(self.base.node_words(e.node()))
-    }
-
-    fn leaf(&mut self, key: (u32, u64, u64), task: Task<Edge>) -> Plan<Edge> {
+    fn leaf(&mut self, task: Task) -> Plan {
         let tasks = &mut self.tasks;
-        let idx = *self.dedup.entry(key).or_insert_with(|| {
+        let idx = *self.dedup.entry(task).or_insert_with(|| {
             tasks.push(task);
             tasks.len() - 1
         });
         Plan::Leaf(idx)
     }
 
-    fn apply(&mut self, op: BoolOp, f: Edge, g: Edge, depth: u16) -> Plan<Edge> {
-        if f == g {
-            return Plan::Done(unary(op.on_equal_operands(), f));
-        }
-        if f == !g {
-            return Plan::Done(unary(op.on_complement_operands(), f));
-        }
-        if f.is_constant() {
-            return Plan::Done(unary(op.on_first_const(f == Edge::ONE), g));
-        }
-        if g.is_constant() {
-            return Plan::Done(unary(op.on_second_const(g == Edge::ONE), f));
+    fn apply(&mut self, op: BoolOp, f: Edge, g: Edge, depth: u16) -> Plan {
+        if let Some(r) = rec::apply_terminal(op, f, g) {
+            return Plan::Done(r);
         }
         if depth == 0 {
-            let key = (
-                u32::from(op.table()),
-                u64::from(f.bits()),
-                u64::from(g.bits()),
-            );
-            return self.leaf(key, Task::Apply(op, f, g));
+            return self.leaf(Task::Apply(op, f, g));
         }
-        let top = self.base.upper(self.top(f), self.top(g));
+        let top = self.base.upper(self.base.top(f), self.base.top(g));
         let (fa, fb) = self.base.cofactors(f, top);
         let (ga, gb) = self.base.cofactors(g, top);
-        let children = in_apply_order::<S, _, _>(
-            self,
-            |s| s.apply(op, fa, ga, depth - 1),
-            |s| s.apply(op, fb, gb, depth - 1),
-        );
+        let children = if S::APPLY_SECOND_FIRST {
+            let second = self.apply(op, fb, gb, depth - 1);
+            (self.apply(op, fa, ga, depth - 1), second)
+        } else {
+            let first = self.apply(op, fa, ga, depth - 1);
+            (first, self.apply(op, fb, gb, depth - 1))
+        };
         join(Combine::Node(top), children)
     }
 
-    fn ite(&mut self, f: Edge, g: Edge, h: Edge, depth: u16) -> Plan<Edge> {
-        let (one, zero) = (Edge::ONE, Edge::ZERO);
-        if f == one {
-            return Plan::Done(g);
-        }
-        if f == zero {
-            return Plan::Done(h);
-        }
-        if g == h {
-            return Plan::Done(g);
-        }
-        if g == one && h == zero {
-            return Plan::Done(f);
-        }
-        if g == zero && h == one {
-            return Plan::Done(!f);
-        }
-        if f == g || g == one {
-            return self.apply(BoolOp::OR, f, h, depth);
-        }
-        if f == !g || g == zero {
-            return self.apply(BoolOp::NOT_AND, f, h, depth);
-        }
-        if f == h || h == zero {
-            return self.apply(BoolOp::AND, f, g, depth);
-        }
-        if f == !h || h == one {
-            return self.apply(BoolOp::IMPLIES, f, g, depth);
+    fn ite(&mut self, f: Edge, g: Edge, h: Edge, depth: u16) -> Plan {
+        match rec::ite_terminal(f, g, h) {
+            Some(IteCase::Done(r)) => return Plan::Done(r),
+            Some(IteCase::Apply(op, x, y)) => return self.apply(op, x, y, depth),
+            None => {}
         }
         if depth == 0 {
-            let key = (
-                optag::ITE,
-                u64::from(f.bits()),
-                (u64::from(g.bits()) << 32) | u64::from(h.bits()),
-            );
-            return self.leaf(key, Task::Ite(f, g, h));
+            return self.leaf(Task::Ite(f, g, h));
         }
-        let mut top = self.top(f);
-        for e in [g, h] {
-            if !e.is_constant() {
-                top = self.base.upper(top, self.top(e));
-            }
-        }
+        let top = rec::ite_top(&*self.base, f, g, h);
         let (fa, fb) = self.base.cofactors(f, top);
         let (ga, gb) = self.base.cofactors(g, top);
         let (ha, hb) = self.base.cofactors(h, top);
-        let children = in_apply_order::<S, _, _>(
-            self,
-            |s| s.ite(fa, ga, ha, depth - 1),
-            |s| s.ite(fb, gb, hb, depth - 1),
-        );
+        let children = if S::APPLY_SECOND_FIRST {
+            let second = self.ite(fb, gb, hb, depth - 1);
+            (self.ite(fa, ga, ha, depth - 1), second)
+        } else {
+            let first = self.ite(fa, ga, ha, depth - 1);
+            (first, self.ite(fb, gb, hb, depth - 1))
+        };
         join(Combine::Node(top), children)
     }
 
-    fn quant(&mut self, f: Edge, q: &PQuant, depth: u16) -> Plan<Edge> {
-        if f.is_constant() {
+    fn quant(&mut self, f: Edge, q: &QuantCube, depth: u16) -> Plan {
+        let Some(top) = rec::quant_top(&*self.base, f, q) else {
             return Plan::Done(f);
-        }
-        let top = self.top(f);
-        if self.base.height(top) < q.floor {
-            return Plan::Done(f);
-        }
-        let leaf_key = (q.tag, u64::from(f.bits()), q.cube_bits);
-        if depth == 0 {
-            return self.leaf(leaf_key, Task::Quant(f));
-        }
-        let how = if q.in_cube[top as usize] {
-            // The top is quantified away; children join with the combine
-            // operator (a full parallel apply at resolve time).
-            Combine::Op(q.combine)
-        } else if S::chain_partner(top, &q.in_cube).is_some() {
-            // The chain case re-expands through `ite`; splitting through
-            // it would need base mutations mid-split, so the whole
-            // subproblem becomes a leaf.
-            return self.leaf(leaf_key, Task::Quant(f));
-        } else {
-            Combine::Node(top)
+        };
+        let Some(how) = quant_join::<S>(q, top, depth) else {
+            return self.leaf(Task::Quant(f));
         };
         let (fa, fb) = self.base.cofactors(f, top);
         let first = self.quant(fa, q, depth - 1);
@@ -460,314 +430,21 @@ impl<S: Shape> Splitter<'_, S> {
         join(how, (first, second))
     }
 
-    fn and_exists(&mut self, f: Edge, g: Edge, q: &PQuant, depth: u16) -> Plan<Edge> {
-        if f == Edge::ZERO || g == Edge::ZERO || f == !g {
-            return Plan::Done(Edge::ZERO);
-        }
-        if f == Edge::ONE {
-            return self.quant(g, q, depth);
-        }
-        if g == Edge::ONE || f == g {
-            return self.quant(f, q, depth);
-        }
-        let (f, g) = if f.bits() <= g.bits() { (f, g) } else { (g, f) };
-        let top = self.base.upper(self.top(f), self.top(g));
-        if self.base.height(top) < q.floor {
-            return self.apply(BoolOp::AND, f, g, depth);
-        }
-        let leaf_key = (
-            optag::AND_EXISTS,
-            u64::from(f.bits()),
-            (u64::from(g.bits()) << 32) ^ q.cube_bits,
-        );
-        if depth == 0 {
-            return self.leaf(leaf_key, Task::AndExists(f, g));
-        }
-        let how = if q.in_cube[top as usize] {
-            Combine::Op(BoolOp::OR)
-        } else if S::chain_partner(top, &q.in_cube).is_some() {
-            return self.leaf(leaf_key, Task::AndExists(f, g));
-        } else {
-            Combine::Node(top)
+    fn and_exists(&mut self, f: Edge, g: Edge, q: &QuantCube, depth: u16) -> Plan {
+        let (f, g, top) = match rec::and_exists_case(&*self.base, f, g, q) {
+            AndExistsCase::Zero => return Plan::Done(Edge::ZERO),
+            AndExistsCase::Quant(e) => return self.quant(e, q, depth),
+            AndExistsCase::And(f, g) => return self.apply(BoolOp::AND, f, g, depth),
+            AndExistsCase::Expand(f, g, top) => (f, g, top),
+        };
+        let Some(how) = quant_join::<S>(q, top, depth) else {
+            return self.leaf(Task::AndExists(f, g));
         };
         let (fa, fb) = self.base.cofactors(f, top);
         let (ga, gb) = self.base.cofactors(g, top);
         let first = self.and_exists(fa, ga, q, depth - 1);
         let second = self.and_exists(fb, gb, q, depth - 1);
         join(how, (first, second))
-    }
-}
-
-// ─────────────────────────── parallel recursions ──────────────────────────
-
-/// The read-only context workers run in, shared by reference across the
-/// fork-join scope.
-struct Engine<'a, S: Shape> {
-    ov: Overlay<'a, S>,
-    cache: &'a AtomicCache,
-    quant: Option<&'a PQuant>,
-}
-
-impl<S: Shape> Engine<'_, S> {
-    #[inline]
-    fn top(&self, e: Edge) -> u16 {
-        top_of(self.ov.words(e.node()))
-    }
-
-    #[inline]
-    fn cofactors(&self, e: Edge, top: u16) -> (Edge, Edge) {
-        S::cofactors(&mut &self.ov, e, top)
-    }
-
-    /// Algorithm 1 in the overlay space.
-    fn apply_rec(&self, mut op: BoolOp, mut f: Edge, mut g: Edge, calls: &mut u64) -> Edge {
-        *calls += 1;
-        if f == g {
-            return unary(op.on_equal_operands(), f);
-        }
-        if f == !g {
-            return unary(op.on_complement_operands(), f);
-        }
-        if f.is_constant() {
-            return unary(op.on_first_const(f == Edge::ONE), g);
-        }
-        if g.is_constant() {
-            return unary(op.on_second_const(g == Edge::ONE), f);
-        }
-        if f.is_complemented() {
-            f = !f;
-            op = op.complement_first();
-        }
-        if g.is_complemented() {
-            g = !g;
-            op = op.complement_second();
-        }
-        if f.node() > g.node() {
-            std::mem::swap(&mut f, &mut g);
-            op = op.swap_operands();
-        }
-        let mut out_c = false;
-        if op.eval(false, false) {
-            op = op.complement_output();
-            out_c = true;
-        }
-        if op == BoolOp::FALSE {
-            return Edge::ZERO.complement_if(out_c);
-        }
-        if op == BoolOp::FIRST {
-            return f.complement_if(out_c);
-        }
-        if op == BoolOp::SECOND {
-            return g.complement_if(out_c);
-        }
-        let (k1, k2, tag) = (
-            u64::from(f.bits()),
-            u64::from(g.bits()),
-            u32::from(op.table()),
-        );
-        if let Some(r) = self.cache.get(k1, k2, tag) {
-            return Edge::from_bits(r).complement_if(out_c);
-        }
-        let top = self.ov.base.upper(self.top(f), self.top(g));
-        let (fa, fb) = self.cofactors(f, top);
-        let (ga, gb) = self.cofactors(g, top);
-        let (a, b) = in_apply_order::<S, _, _>(
-            calls,
-            |c| self.apply_rec(op, fa, ga, c),
-            |c| self.apply_rec(op, fb, gb, c),
-        );
-        let r = S::make_node(&mut &self.ov, top, a, b);
-        self.cache.insert(k1, k2, tag, r.bits());
-        r.complement_if(out_c)
-    }
-
-    fn ite_rec(&self, mut f: Edge, mut g: Edge, mut h: Edge, calls: &mut u64) -> Edge {
-        *calls += 1;
-        let (one, zero) = (Edge::ONE, Edge::ZERO);
-        if f == one {
-            return g;
-        }
-        if f == zero {
-            return h;
-        }
-        if g == h {
-            return g;
-        }
-        if g == one && h == zero {
-            return f;
-        }
-        if g == zero && h == one {
-            return !f;
-        }
-        if f == g || g == one {
-            return self.apply_rec(BoolOp::OR, f, h, calls);
-        }
-        if f == !g || g == zero {
-            return self.apply_rec(BoolOp::NOT_AND, f, h, calls);
-        }
-        if f == h || h == zero {
-            return self.apply_rec(BoolOp::AND, f, g, calls);
-        }
-        if f == !h || h == one {
-            return self.apply_rec(BoolOp::IMPLIES, f, g, calls);
-        }
-        if f.is_complemented() {
-            f = !f;
-            std::mem::swap(&mut g, &mut h);
-        }
-        let mut out_c = false;
-        if g.is_complemented() {
-            g = !g;
-            h = !h;
-            out_c = true;
-        }
-        let k1 = u64::from(f.bits());
-        let k2 = (u64::from(g.bits()) << 32) | u64::from(h.bits());
-        if let Some(r) = self.cache.get(k1, k2, optag::ITE) {
-            return Edge::from_bits(r).complement_if(out_c);
-        }
-        let mut top = self.top(f);
-        for e in [g, h] {
-            if !e.is_constant() {
-                top = self.ov.base.upper(top, self.top(e));
-            }
-        }
-        let (fa, fb) = self.cofactors(f, top);
-        let (ga, gb) = self.cofactors(g, top);
-        let (ha, hb) = self.cofactors(h, top);
-        let (a, b) = in_apply_order::<S, _, _>(
-            calls,
-            |c| self.ite_rec(fa, ga, ha, c),
-            |c| self.ite_rec(fb, gb, hb, c),
-        );
-        let r = S::make_node(&mut &self.ov, top, a, b);
-        self.cache.insert(k1, k2, optag::ITE, r.bits());
-        r.complement_if(out_c)
-    }
-
-    /// The chain case of quantification: re-expand every operand through
-    /// the partner literal `w`, recurse on both halves, and recombine with
-    /// `ite` over the literal of `top`.
-    fn chain_rec(
-        &self,
-        top: u16,
-        partner: u16,
-        pairs: &[(Edge, Edge)],
-        calls: &mut u64,
-        rec: impl Fn(&[Edge], &mut u64) -> Edge,
-    ) -> Edge {
-        let w = S::literal(&mut &self.ov, partner);
-        let mut ones = Vec::with_capacity(pairs.len());
-        let mut zeros = Vec::with_capacity(pairs.len());
-        for &(a, b) in pairs {
-            ones.push(self.ite_rec(w, b, a, calls));
-            zeros.push(self.ite_rec(w, a, b, calls));
-        }
-        let r1 = rec(&ones, calls);
-        let r0 = rec(&zeros, calls);
-        let v = S::literal(&mut &self.ov, top);
-        self.ite_rec(v, r1, r0, calls)
-    }
-
-    fn quant_rec(&self, f: Edge, q: &PQuant, calls: &mut u64) -> Edge {
-        if f.is_constant() {
-            return f;
-        }
-        let top = self.top(f);
-        if self.ov.base.height(top) < q.floor {
-            return f;
-        }
-        *calls += 1;
-        let (k1, k2) = (u64::from(f.bits()), q.cube_bits);
-        if let Some(r) = self.cache.get(k1, k2, q.tag) {
-            return Edge::from_bits(r);
-        }
-        let (fa, fb) = self.cofactors(f, top);
-        let r = if q.in_cube[top as usize] {
-            let a = self.quant_rec(fa, q, calls);
-            let absorbing = if q.tag == optag::EXISTS {
-                Edge::ONE
-            } else {
-                Edge::ZERO
-            };
-            if a == absorbing {
-                absorbing
-            } else {
-                let b = self.quant_rec(fb, q, calls);
-                self.apply_rec(q.combine, a, b, calls)
-            }
-        } else if let Some(partner) = S::chain_partner(top, &q.in_cube) {
-            self.chain_rec(top, partner, &[(fa, fb)], calls, |x, c| {
-                self.quant_rec(x[0], q, c)
-            })
-        } else {
-            let a = self.quant_rec(fa, q, calls);
-            let b = self.quant_rec(fb, q, calls);
-            S::make_node(&mut &self.ov, top, a, b)
-        };
-        self.cache.insert(k1, k2, q.tag, r.bits());
-        r
-    }
-
-    fn and_exists_rec(&self, f: Edge, g: Edge, q: &PQuant, calls: &mut u64) -> Edge {
-        if f == Edge::ZERO || g == Edge::ZERO || f == !g {
-            return Edge::ZERO;
-        }
-        if f == Edge::ONE {
-            return self.quant_rec(g, q, calls);
-        }
-        if g == Edge::ONE || f == g {
-            return self.quant_rec(f, q, calls);
-        }
-        let (f, g) = if f.bits() <= g.bits() { (f, g) } else { (g, f) };
-        let top = self.ov.base.upper(self.top(f), self.top(g));
-        if self.ov.base.height(top) < q.floor {
-            return self.apply_rec(BoolOp::AND, f, g, calls);
-        }
-        *calls += 1;
-        let k1 = u64::from(f.bits());
-        let k2 = (u64::from(g.bits()) << 32) | q.cube_bits;
-        if let Some(r) = self.cache.get(k1, k2, optag::AND_EXISTS) {
-            return Edge::from_bits(r);
-        }
-        let (fa, fb) = self.cofactors(f, top);
-        let (ga, gb) = self.cofactors(g, top);
-        let r = if q.in_cube[top as usize] {
-            let a = self.and_exists_rec(fa, ga, q, calls);
-            if a == Edge::ONE {
-                Edge::ONE
-            } else {
-                let b = self.and_exists_rec(fb, gb, q, calls);
-                self.apply_rec(BoolOp::OR, a, b, calls)
-            }
-        } else if let Some(partner) = S::chain_partner(top, &q.in_cube) {
-            self.chain_rec(top, partner, &[(fa, fb), (ga, gb)], calls, |x, c| {
-                self.and_exists_rec(x[0], x[1], q, c)
-            })
-        } else {
-            let a = self.and_exists_rec(fa, ga, q, calls);
-            let b = self.and_exists_rec(fb, gb, q, calls);
-            S::make_node(&mut &self.ov, top, a, b)
-        };
-        self.cache.insert(k1, k2, optag::AND_EXISTS, r.bits());
-        r
-    }
-
-    fn run_task(&self, t: &Task<Edge>) -> (Edge, u64) {
-        let mut calls = 0u64;
-        let r = match *t {
-            Task::Apply(op, f, g) => self.apply_rec(op, f, g, &mut calls),
-            Task::Ite(f, g, h) => self.ite_rec(f, g, h, &mut calls),
-            Task::Quant(f) => {
-                let q = self.quant.expect("quant task without quant context");
-                self.quant_rec(f, q, &mut calls)
-            }
-            Task::AndExists(f, g) => {
-                let q = self.quant.expect("and-exists task without quant context");
-                self.and_exists_rec(f, g, q, &mut calls)
-            }
-        };
-        (r, calls)
     }
 }
 
@@ -810,9 +487,10 @@ fn import<S: Shape>(
 /// `apply`/`ite`/`exists`/`forall`/`and_exists` executed across a
 /// fork-join worker pool when the operands are large enough to pay for it.
 ///
-/// Results are **bit-identical regardless of thread count** — see the
-/// module docs — so a `Par<M>` can replace an `M` anywhere without
-/// changing a single edge a caller observes. The operations are the
+/// Results are **bit-identical regardless of thread count** (see the
+/// module docs). Against `M` itself a `Par<M>` gives the same functions
+/// and the same canonical sizes, but node ids, and so raw edge bits, may
+/// differ from the ones `M` would hand out. The operations are the
 /// [`RawManager`] ones; the backends name their instances `bbdd::ParBbdd`
 /// and `robdd::ParRobdd`.
 #[derive(Debug)]
@@ -950,41 +628,13 @@ impl<M: NodeShape> Par<M> {
 
     // ── operations ────────────────────────────────────────────────────
     //
-    // One path per operation, under an [`OpBudget`]: below the cutoff the
-    // inner manager's governed recursion runs; above it the three-phase
-    // pipeline, whose workers consult the budget's stop view between
-    // tasks and whose commit charges every imported node. Abort safety is
-    // structural — the parallel phase only writes the overlay, which the
-    // next operation recycles, and commit nodes orphaned by a mid-commit
-    // abort are unreferenced, so the next GC reclaims them.
-
-    fn apply_op(
-        &mut self,
-        op: BoolOp,
-        f: Edge,
-        g: Edge,
-        budget: &mut OpBudget,
-    ) -> Result<Edge, OpAbort> {
-        if !self.worth_splitting(&[f, g]) {
-            self.stats.ops_sequential += 1;
-            return self.inner.try_apply_edge(op, f, g, budget);
-        }
-        self.pipeline(None, budget, |sp, depth| sp.apply(op, f, g, depth))
-    }
-
-    fn ite_op(
-        &mut self,
-        f: Edge,
-        g: Edge,
-        h: Edge,
-        budget: &mut OpBudget,
-    ) -> Result<Edge, OpAbort> {
-        if !self.worth_splitting(&[f, g, h]) {
-            self.stats.ops_sequential += 1;
-            return self.inner.try_ite_edge(f, g, h, budget);
-        }
-        self.pipeline(None, budget, |sp, depth| sp.ite(f, g, h, depth))
-    }
+    // `quant_op` and the parallel `RawManager` operations below take one
+    // path each, under an [`OpBudget`]: below the cutoff the inner
+    // manager's governed recursion runs; above it the three-phase pipeline, whose workers consult the budget's stop view
+    // between tasks and whose commit charges every imported node. Abort
+    // safety is structural — the parallel phase only writes the overlay,
+    // which the next operation recycles, and commit nodes orphaned by a
+    // mid-commit abort are unreferenced, so the next GC reclaims them.
 
     fn quant_op(
         &mut self,
@@ -1002,27 +652,10 @@ impl<M: NodeShape> Par<M> {
                 self.inner.try_forall_edge(f, vars, budget)
             };
         }
-        let Some(q) = self.quant_ctx(vars, combine, tag) else {
+        let Some(q) = self.inner.kernel_mut().quant_cube(vars, combine, tag) else {
             return Ok(f);
         };
         self.pipeline(Some(&q), budget, |sp, depth| sp.quant(f, &q, depth))
-    }
-
-    fn and_exists_op(
-        &mut self,
-        f: Edge,
-        g: Edge,
-        vars: &[usize],
-        budget: &mut OpBudget,
-    ) -> Result<Edge, OpAbort> {
-        if !self.worth_splitting(&[f, g]) {
-            self.stats.ops_sequential += 1;
-            return self.inner.try_and_exists_edge(f, g, vars, budget);
-        }
-        let Some(q) = self.quant_ctx(vars, BoolOp::OR, optag::EXISTS) else {
-            return self.apply_op(BoolOp::AND, f, g, budget);
-        };
-        self.pipeline(Some(&q), budget, |sp, depth| sp.and_exists(f, g, &q, depth))
     }
 
     // ── pipeline internals ────────────────────────────────────────────
@@ -1049,24 +682,12 @@ impl<M: NodeShape> Par<M> {
         }
     }
 
-    /// The quantification context, built in the inner manager *before*
-    /// the freeze (a deterministic prologue).
-    fn quant_ctx(&mut self, vars: &[usize], combine: BoolOp, tag: u32) -> Option<PQuant> {
-        self.inner.kernel_mut().quant_cube(vars).map(|c| PQuant {
-            in_cube: c.in_cube,
-            floor: c.floor,
-            cube_bits: u64::from(c.cube.bits()),
-            combine,
-            tag,
-        })
-    }
-
     /// Phase 1 (the split), then phases 2 + 3.
     fn pipeline(
         &mut self,
-        quant: Option<&PQuant>,
+        quant: Option<&QuantCube>,
         budget: &mut OpBudget,
-        split: impl FnOnce(&mut Splitter<'_, M::Shape>, u16) -> Plan<Edge>,
+        split: impl FnOnce(&mut Splitter<'_, M::Shape>, u16) -> Plan,
     ) -> Result<Edge, OpAbort> {
         let depth = self.split_depth();
         let mut sp = Splitter {
@@ -1091,9 +712,9 @@ impl<M: NodeShape> Par<M> {
     /// against the budget (per leaf, in bulk).
     fn execute(
         &mut self,
-        plan: &Plan<Edge>,
-        tasks: &[Task<Edge>],
-        quant: Option<&PQuant>,
+        plan: &Plan,
+        tasks: &[Task],
+        quant: Option<&QuantCube>,
         budget: &mut OpBudget,
     ) -> Result<Edge, OpAbort> {
         // Catch any inner-manager collection this wrapper did not perform
@@ -1121,15 +742,14 @@ impl<M: NodeShape> Par<M> {
         let (fj, stopped) = {
             let mut phase = obs::span(Op::ParPhase);
             phase.set_arg("tasks", tasks.len() as u64);
-            let engine = Engine {
-                ov: Overlay {
-                    base: self.inner.kernel(),
-                    base_len,
-                    table: &self.frame.table,
-                    arena: &self.frame.arena,
-                },
+            let worker = Worker {
+                base: self.inner.kernel(),
+                base_len,
+                table: &self.frame.table,
+                arena: &self.frame.arena,
                 cache: &self.frame.cache,
                 quant,
+                calls: 0,
             };
             let arena = &self.frame.arena;
             match try_fork_join_governed(
@@ -1137,7 +757,7 @@ impl<M: NodeShape> Par<M> {
                 tasks.len(),
                 || limited && view.should_stop(u64::from(arena.len())).is_some(),
                 |i| {
-                    let (r, calls) = engine.run_task(&tasks[i]);
+                    let (r, calls) = worker.run_task(&tasks[i]);
                     results[i].store(u64::from(r.bits()), Ordering::Release);
                     recursions.fetch_add(calls, Ordering::Relaxed);
                 },
@@ -1208,7 +828,7 @@ impl<M: NodeShape> Par<M> {
     /// joins run the full (possibly parallel) apply.
     fn resolve(
         &mut self,
-        plan: &Plan<Edge>,
+        plan: &Plan,
         leaf_edges: &[Edge],
         budget: &mut OpBudget,
     ) -> Result<Edge, OpAbort> {
@@ -1228,7 +848,7 @@ impl<M: NodeShape> Par<M> {
                         budget.checkpoint()?;
                         Ok(self.inner.kernel_mut().make_node(*top, a, b))
                     }
-                    Combine::Op(op) => self.apply_op(*op, a, b, budget),
+                    Combine::Op(op) => self.try_apply_edge(*op, a, b, budget),
                 }
             }
         }
@@ -1273,7 +893,11 @@ impl<M: NodeShape> RawManager for Par<M> {
         g: Edge,
         budget: &mut OpBudget,
     ) -> Result<Edge, OpAbort> {
-        self.apply_op(op, f, g, budget)
+        if !self.worth_splitting(&[f, g]) {
+            self.stats.ops_sequential += 1;
+            return self.inner.try_apply_edge(op, f, g, budget);
+        }
+        self.pipeline(None, budget, |sp, depth| sp.apply(op, f, g, depth))
     }
 
     fn try_ite_edge(
@@ -1283,7 +907,11 @@ impl<M: NodeShape> RawManager for Par<M> {
         h: Edge,
         budget: &mut OpBudget,
     ) -> Result<Edge, OpAbort> {
-        self.ite_op(f, g, h, budget)
+        if !self.worth_splitting(&[f, g, h]) {
+            self.stats.ops_sequential += 1;
+            return self.inner.try_ite_edge(f, g, h, budget);
+        }
+        self.pipeline(None, budget, |sp, depth| sp.ite(f, g, h, depth))
     }
 
     fn try_exists_edge(
@@ -1311,7 +939,18 @@ impl<M: NodeShape> RawManager for Par<M> {
         vars: &[usize],
         budget: &mut OpBudget,
     ) -> Result<Edge, OpAbort> {
-        self.and_exists_op(f, g, vars, budget)
+        if !self.worth_splitting(&[f, g]) {
+            self.stats.ops_sequential += 1;
+            return self.inner.try_and_exists_edge(f, g, vars, budget);
+        }
+        let Some(q) = self
+            .inner
+            .kernel_mut()
+            .quant_cube(vars, BoolOp::OR, optag::EXISTS)
+        else {
+            return self.try_apply_edge(BoolOp::AND, f, g, budget);
+        };
+        self.pipeline(Some(&q), budget, |sp, depth| sp.and_exists(f, g, &q, depth))
     }
 
     // The remaining ops have no parallel phase; they run on the wrapped
