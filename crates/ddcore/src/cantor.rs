@@ -97,7 +97,9 @@ impl HashArrangement {
 #[derive(Debug, Clone, Copy)]
 pub struct CantorHasher {
     prime: u64,
-    prime_idx: usize,
+    /// `⌊(2^64 − 1) / prime⌋`, the reciprocal [`Self::reduce`] multiplies by.
+    recip: u64,
+    prime_idx: u8,
     arrangement: HashArrangement,
 }
 
@@ -113,6 +115,7 @@ impl CantorHasher {
     pub fn new() -> Self {
         Self {
             prime: DEFAULT_PRIME,
+            recip: u64::MAX / DEFAULT_PRIME,
             prime_idx: 0,
             arrangement: HashArrangement::LeftNested,
         }
@@ -135,23 +138,41 @@ impl CantorHasher {
     pub fn rearrange(&mut self) -> (HashArrangement, u64) {
         self.arrangement = self.arrangement.next();
         if self.arrangement == HashArrangement::LeftNested {
-            self.prime_idx = (self.prime_idx + 1) % PRIME_POOL.len();
-            self.prime = PRIME_POOL[self.prime_idx];
+            self.prime_idx = (self.prime_idx + 1) % PRIME_POOL.len() as u8;
+            self.prime = PRIME_POOL[usize::from(self.prime_idx)];
+            self.recip = u64::MAX / self.prime;
         }
         (self.arrangement, self.prime)
+    }
+
+    /// `n mod m` for any 64-bit `n`, without a division. With
+    /// `2^64 − 1 = recip·m + e` (`0 ≤ e < m`), `n·recip / 2^64` equals
+    /// `n/m − n·(1 + e) / (m·2^64)`, and the subtracted term lies in
+    /// `[0, 1)` because `n < 2^64` and `1 + e ≤ m`. So the estimate
+    /// `q̂ = ⌊n·recip / 2^64⌋` is `⌊n/m⌋` or one less, `n − q̂·m` lies in
+    /// `[0, 2m)`, and one conditional subtraction finishes the reduction.
+    #[inline]
+    fn reduce(&self, n: u64) -> u64 {
+        let q = ((u128::from(n) * u128::from(self.recip)) >> 64) as u64;
+        let r = n - q * self.prime;
+        if r >= self.prime {
+            r - self.prime
+        } else {
+            r
+        }
     }
 
     /// Pairing of two *pre-reduced* operands, entirely in 64-bit
     /// arithmetic: every prime in [`PRIME_POOL`] is below 2^27, so
     /// `s = a + b < 2^28` and `s(s+1)/2 + a < 2^56` — no overflow, and the
-    /// final modulo is one hardware division instead of the 128-bit
-    /// software `__umodti3` the naive formulation costs on the hot path.
-    /// Produces bit-identical values to `cantor_pair(a, b) % m`.
+    /// final modulo is one multiply by the prime's reciprocal
+    /// ([`Self::reduce`]). Produces bit-identical values to
+    /// `cantor_pair(a, b) % m`.
     #[inline]
     fn pair_reduced(&self, a: u64, b: u64) -> u64 {
         debug_assert!(a < self.prime && b < self.prime);
         let s = a + b;
-        (s * (s + 1) / 2 + a) % self.prime
+        self.reduce(((s * (s + 1)) >> 1) + a)
     }
 
     /// Pre-reduce an arbitrary 64-bit operand below the prime so that the
@@ -162,7 +183,7 @@ impl CantorHasher {
         if a < self.prime {
             a
         } else {
-            ((a % self.prime) ^ (a >> 32)) % self.prime
+            self.reduce(self.reduce(a) ^ (a >> 32))
         }
     }
 
@@ -370,10 +391,29 @@ mod tests {
         );
     }
 
-    /// Every unique table, computed cache and shard router embeds a hasher;
-    /// growing it from 24 to 32 bytes raised perfbench `cnf_count`
-    /// `peak_rss_mb` from 92.4 to 102.1 MB with identical allocations
-    /// (heap placement), so its size is held here.
+    #[test]
+    fn reduce_is_exact_across_u64() {
+        let mut h = CantorHasher::new();
+        for _ in 0..PRIME_POOL.len() {
+            let p = h.prime();
+            let q_max = u64::MAX / p;
+            let mut ns = vec![u64::MAX, u64::MAX - 1, q_max * p, q_max * p - 1];
+            for k in [0, 1, 2, 1 << 20, 1 << 36, q_max - 1] {
+                ns.extend([k * p, k * p + 1, (k + 1) * p - 1]);
+            }
+            for n in ns.into_iter().chain((0..64).map(|b| 1u64 << b)) {
+                assert_eq!(h.reduce(n), n % p, "{n} mod {p}");
+            }
+            for _ in 0..3 {
+                h.rearrange();
+            }
+        }
+    }
+
+    /// Every unique table, computed cache and shard router embeds a
+    /// hasher, and a change of its size alone moves perfbench's
+    /// `peak_rss_mb` by heap placement (DESIGN.md "Benchmarks"), so the
+    /// size is held here.
     #[test]
     fn hasher_stays_24_bytes() {
         assert_eq!(std::mem::size_of::<CantorHasher>(), 24);

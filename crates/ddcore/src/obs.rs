@@ -123,6 +123,9 @@ pub enum Op {
     Cec,
     /// One output miter inside a CEC run.
     CecOutput,
+    /// The split of a `Par*` operation: the go/no-go size probe and, when
+    /// it says go, the expansion into leaf tasks.
+    ParSplit,
     /// The frozen-base parallel phase of a `Par*` operation.
     ParPhase,
     /// The deterministic commit phase of a `Par*` operation.
@@ -141,7 +144,7 @@ pub enum Op {
 }
 
 /// Number of [`Op`] variants (histogram row count).
-const OP_COUNT: usize = 23;
+const OP_COUNT: usize = 24;
 
 /// Every variant, in histogram-index order.
 const ALL_OPS: [Op; OP_COUNT] = [
@@ -161,6 +164,7 @@ const ALL_OPS: [Op; OP_COUNT] = [
     Op::BuildNetwork,
     Op::Cec,
     Op::CecOutput,
+    Op::ParSplit,
     Op::ParPhase,
     Op::ParCommit,
     Op::ParTask,
@@ -190,6 +194,7 @@ impl Op {
             Op::BuildNetwork => "build_network",
             Op::Cec => "cec",
             Op::CecOutput => "cec_output",
+            Op::ParSplit => "par_split",
             Op::ParPhase => "par_phase",
             Op::ParCommit => "par_commit",
             Op::ParTask => "par_task",
@@ -205,7 +210,7 @@ impl Op {
         match self {
             Op::Gc | Op::Swap | Op::Reorder => "manager",
             Op::BuildNetwork | Op::Cec | Op::CecOutput => "logicnet",
-            Op::ParPhase | Op::ParCommit | Op::ParTask => "par",
+            Op::ParSplit | Op::ParPhase | Op::ParCommit | Op::ParTask => "par",
             Op::Abort => "govern",
             Op::SessionFork | Op::Publish | Op::ServeRequest => "serve",
             _ => "op",

@@ -665,6 +665,7 @@ impl<M: NodeShape> Par<M> {
     /// costs a bounded fraction of the operation it gates; crucially it
     /// depends only on the operands, never on the thread count.
     fn worth_splitting(&self, roots: &[Edge]) -> bool {
+        let _split = obs::span(Op::ParSplit);
         if self.cfg.cutoff == 0 {
             return true;
         }
@@ -690,6 +691,7 @@ impl<M: NodeShape> Par<M> {
         split: impl FnOnce(&mut Splitter<'_, M::Shape>, u16) -> Plan,
     ) -> Result<Edge, OpAbort> {
         let depth = self.split_depth();
+        let span = obs::span(Op::ParSplit);
         let mut sp = Splitter {
             base: self.inner.kernel_mut(),
             tasks: Vec::new(),
@@ -697,6 +699,7 @@ impl<M: NodeShape> Par<M> {
         };
         let plan = split(&mut sp, depth);
         let tasks = sp.tasks;
+        drop(span);
         self.execute(&plan, &tasks, quant, budget)
     }
 

@@ -175,8 +175,10 @@ impl BucketTable {
     #[inline]
     fn bucket_of<K: TableKey>(&self, key: &K) -> usize {
         // First modulo with the big prime happens inside the hasher; the
-        // final modulo resizes the result to the current table size.
-        (key.table_hash(&self.hasher) % self.buckets.len() as u64) as usize
+        // final modulo resizes the result to the current table size, a
+        // power of two, so it is a mask.
+        debug_assert!(self.buckets.len().is_power_of_two());
+        key.table_hash(&self.hasher) as usize & (self.buckets.len() - 1)
     }
 
     /// Look up `key`, returning the stored id whose key it is.
