@@ -1,7 +1,8 @@
 //! The unified Boolean-function API over every decision-diagram backend.
 //!
-//! This workspace ships four managers — `bbdd::Bbdd`, `robdd::Robdd` and
-//! their fork-join front-ends `bbdd::ParBbdd` / `robdd::ParRobdd` — and
+//! This workspace ships four managers — `ddcore::bbdd::Bbdd`,
+//! `ddcore::robdd::Robdd` and their fork-join front-ends
+//! `ddcore::bbdd::ParBbdd` / `ddcore::robdd::ParRobdd` — and
 //! before this module existed each of them re-declared the same owned-handle
 //! operation suite by hand, and every manager-agnostic consumer (the network
 //! builder, the equivalence checker, the synthesis flow, the CLI) was either
@@ -47,9 +48,9 @@
 //! }
 //! ```
 //!
-//! On a *concrete* handle type (`bbdd::BbddFn`, `robdd::RobddFn`, …) the
-//! `std::ops` sugar applies on references: `&a & &b`, `&a | &b`, `&a ^ &b`,
-//! `!&a`.
+//! On a *concrete* handle type (`ddcore::bbdd::BbddFn`,
+//! `ddcore::robdd::RobddFn`, …) the `std::ops` sugar applies on
+//! references: `&a & &b`, `&a | &b`, `&a ^ &b`, `!&a`.
 //!
 //! (See `tests/api_conformance.rs` at the workspace root for the suite that
 //! drives every operation below against shadow truth tables on all four
@@ -82,8 +83,8 @@ const UNLIMITED: &str = "unlimited budget never aborts";
 ///
 /// The edge type is the backend's raw, unprotected function currency
 /// (`Copy`, valid only until the next collection point unless covered by a
-/// registered handle) — exactly the role `bbdd::Edge` / `robdd::Edge`
-/// already play.
+/// registered handle) — exactly the role `ddcore::bbdd::Edge` /
+/// `ddcore::robdd::Edge` already play.
 pub trait RawManager: Sized {
     /// The backend's raw edge type.
     type Edge: Copy + Eq + std::fmt::Debug + std::ops::Not<Output = Self::Edge>;

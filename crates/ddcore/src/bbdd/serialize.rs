@@ -17,10 +17,10 @@
 //! ```
 //! Node id 0 is the 1-sink.
 
-use crate::{Bbdd, BbddShape};
-use ddcore::manager::ChainShape;
-use ddcore::walk;
-use ddcore::Edge;
+use super::{Bbdd, BbddFn, BbddManager};
+use crate::api::{Function, ManagerRef};
+use crate::walk;
+use crate::Edge;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -67,9 +67,39 @@ fn err(line: usize, message: &str) -> LoadError {
     }
 }
 
-impl ChainShape for BbddShape {
-    type SaveError = SaveError;
-    type LoadError = LoadError;
+impl Bbdd {
+    /// Serialize the forest rooted at `roots` to the text format.
+    ///
+    /// # Panics
+    /// Panics if a root is stale; [`Bbdd::try_save`] reports it.
+    #[must_use]
+    pub fn save(&self, roots: &[Edge], names: &[&str]) -> String {
+        match self.try_save(roots, names) {
+            Ok(text) => text,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// [`Bbdd::save`] over owned handles.
+    #[must_use]
+    pub fn save_fns(&self, roots: &[BbddFn], names: &[&str]) -> String {
+        let edges: Vec<Edge> = roots.iter().map(Function::edge).collect();
+        self.save(&edges, names)
+    }
+
+    /// [`Bbdd::load`] into a handle-level manager with owned roots.
+    ///
+    /// # Errors
+    /// The first malformed or inconsistent line.
+    pub fn load_fns(text: &str) -> Result<(BbddManager, Vec<(String, BbddFn)>), LoadError> {
+        let (mgr, roots) = Self::load(text)?;
+        let mgr = ManagerRef::new(mgr);
+        let handles = roots
+            .into_iter()
+            .map(|(name, e)| (name, mgr.lift(e)))
+            .collect();
+        Ok((mgr, handles))
+    }
 
     /// [`Bbdd::save`], rejecting stale roots instead of panicking.
     ///
@@ -80,10 +110,10 @@ impl ChainShape for BbddShape {
     ///
     /// # Errors
     /// [`SaveError`] naming the first root that is not stored.
-    fn try_save(m: &Bbdd, roots: &[Edge], names: &[&str]) -> Result<String, SaveError> {
+    pub fn try_save(&self, roots: &[Edge], names: &[&str]) -> Result<String, SaveError> {
         use std::fmt::Write as _;
         for (i, e) in roots.iter().enumerate() {
-            if !m.edge_is_stored(*e) {
+            if !self.edge_is_stored(*e) {
                 return Err(SaveError {
                     root: i,
                     message: format!(
@@ -96,24 +126,24 @@ impl ChainShape for BbddShape {
         }
         let mut out = String::new();
         let _ = writeln!(out, "bbdd 1");
-        let _ = writeln!(out, "vars {}", m.num_vars());
-        let order: Vec<String> = m.order().iter().map(ToString::to_string).collect();
+        let _ = writeln!(out, "vars {}", self.num_vars());
+        let order: Vec<String> = self.order().iter().map(ToString::to_string).collect();
         let _ = writeln!(out, "order {}", order.join(" "));
 
         // Collect reachable nodes, emitted bottom-up (children first).
         let mut nodes: Vec<u32> = Vec::new();
-        walk::visit(m, roots, usize::MAX, |id, _| nodes.push(id));
-        nodes.sort_by_key(|&id| m.node_info(Edge::new(id, false)).expect("node").level);
+        walk::visit(self, roots, usize::MAX, |id, _| nodes.push(id));
+        nodes.sort_by_key(|&id| self.node_info(Edge::new(id, false)).expect("node").level);
         let fmt_edge = |e: Edge| -> String {
             // `edge_id` is `None` exactly for constants, which the format
             // encodes as the sink id 0; every non-constant edge written
             // here hangs under a validated root, so its id is live.
-            debug_assert!(m.edge_is_stored(e));
-            let id = m.edge_id(e).unwrap_or(0);
+            debug_assert!(self.edge_is_stored(e));
+            let id = self.edge_id(e).unwrap_or(0);
             format!("{}:{}", id, u8::from(e.is_complemented()))
         };
         for &id in &nodes {
-            let info = m.node_info(Edge::new(id, false)).expect("node");
+            let info = self.node_info(Edge::new(id, false)).expect("node");
             let _ = writeln!(
                 out,
                 "node {} {} {} {} {}",
@@ -143,7 +173,7 @@ impl ChainShape for BbddShape {
     /// # Errors
     /// Returns a [`LoadError`] for malformed input, out-of-range levels or
     /// forward references.
-    fn load(text: &str) -> Result<(Bbdd, Vec<(String, Edge)>), LoadError> {
+    pub fn load(text: &str) -> Result<(Bbdd, Vec<(String, Edge)>), LoadError> {
         let mut mgr: Option<Bbdd> = None;
         let mut saw_magic = false;
         let mut vars: Option<usize> = None;
@@ -308,7 +338,7 @@ mod tests {
 
     #[test]
     fn handle_save_load_roundtrip() {
-        use ddcore::api::{BooleanFunction, FunctionManager};
+        use crate::api::{BooleanFunction, FunctionManager};
         let mut mgr = Bbdd::new(4);
         let roots = sample(&mut mgr);
         let text = {

@@ -1,4 +1,4 @@
-//! The biconditional node shape: what makes a [`ddcore::Manager`] a BBDD.
+//! The biconditional node shape: what makes a [`crate::Manager`] a BBDD.
 //!
 //! A stored node is uniquely labelled by `{CVO-level, ≠-child,
 //! ≠-attribute, =-child}` (paper §IV-A1) plus the Shannon meta bit that
@@ -15,15 +15,16 @@
 //! so it is Shannon-decomposed on the unquantified PV
 //! ([`Shape::chain_partner`]).
 
-use crate::swap::{swap_levels, SwapCtx};
-use crate::{Bbdd, NodeInfo};
-use ddcore::cantor::CantorHasher;
-use ddcore::fxhash::FxHashMap;
-use ddcore::govern::{OpAbort, OpBudget};
-use ddcore::manager::{Node, NodeStore, Shape, META_SHANNON};
-use ddcore::Edge;
+use super::swap::{swap_levels, SwapCtx};
+use super::{Bbdd, NodeInfo};
+use crate::cantor::CantorHasher;
+use crate::fxhash::FxHashMap;
+use crate::govern::{OpAbort, OpBudget};
+use crate::manager::ops::push_completions;
+use crate::manager::{Node, NodeStore, Shape, META_SHANNON};
+use crate::Edge;
 
-/// The BBDD node shape (`bbdd::Bbdd` is `ddcore::Manager<BbddShape>`).
+/// The BBDD node shape ([`Bbdd`] is `Manager<BbddShape>`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BbddShape;
 
@@ -230,9 +231,6 @@ impl Shape for BbddShape {
         Some(path.resolve(m, 0))
     }
 
-    /// A path with ≥ 127 free levels has more completions than `u128`
-    /// counts; the completion counter saturates there, far beyond any
-    /// `limit`.
     fn all_sat(m: &Bbdd, f: Edge, limit: usize) -> Vec<Vec<bool>> {
         let mut out = Vec::new();
         if limit > 0 {
@@ -431,17 +429,8 @@ fn all_sat_rec(m: &Bbdd, e: Edge, path: &mut Path, limit: usize, out: &mut Vec<V
             .iter()
             .zip(&path.rel)
             .filter(|(v, r)| v.is_none() && r.is_none())
-            .count() as u32;
-        let total: u128 = if free >= 127 {
-            u128::MAX
-        } else {
-            1u128 << free
-        };
-        let mut k: u128 = 0;
-        while k < total && out.len() < limit {
-            out.push(path.resolve(m, k));
-            k += 1;
-        }
+            .count();
+        push_completions(free, limit, out, |k| path.resolve(m, k));
         return;
     }
     let node = m.node(e.node());

@@ -40,11 +40,11 @@
 //!   rebuilt from that spine, so a claimed tuple always carries a regular
 //!   `=`-edge.
 
-use crate::shape::edge_level;
-use crate::Bbdd;
-use ddcore::fxhash::FxHashMap;
-use ddcore::manager::Node;
-use ddcore::Edge;
+use super::shape::edge_level;
+use super::Bbdd;
+use crate::fxhash::FxHashMap;
+use crate::manager::Node;
+use crate::Edge;
 
 /// Reference to either a committed arena node or a staged node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -633,7 +633,7 @@ fn free_slot(m: &mut Bbdd) -> Option<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddcore::boolop::BoolOp;
+    use crate::boolop::BoolOp;
 
     /// Build a moderately entangled function over `n` variables.
     fn build_mixed(mgr: &mut Bbdd, n: usize, seed: u64) -> Edge {

@@ -5,7 +5,7 @@
 
 mod manager {
 
-    use crate::*;
+    use crate::bbdd::*;
 
     #[test]
     fn fresh_manager_identity_order() {
@@ -102,8 +102,8 @@ mod manager {
 }
 
 mod apply {
-    use crate::*;
-    use ddcore::boolop::BoolOp;
+    use crate::bbdd::*;
+    use crate::boolop::BoolOp;
 
     /// Exhaustively compare a BBDD against a reference function over all
     /// assignments of `n` variables.
@@ -255,9 +255,9 @@ mod apply {
 
 mod ops {
 
-    use crate::*;
+    use crate::bbdd::*;
 
-    use ddcore::boolop::BoolOp;
+    use crate::boolop::BoolOp;
 
     fn majority3(mgr: &mut Bbdd) -> Edge {
         let (a, b, c) = (mgr.var(0), mgr.var(1), mgr.var(2));
@@ -418,7 +418,7 @@ mod ops {
 #[cfg(test)]
 mod edge_case_tests {
 
-    use crate::*;
+    use crate::bbdd::*;
 
     #[test]
     fn single_variable_manager_full_api() {
@@ -481,10 +481,10 @@ mod edge_case_tests {
 
 mod quant {
 
-    use crate::*;
-    use ddcore::boolop::BoolOp;
+    use crate::bbdd::*;
+    use crate::boolop::BoolOp;
 
-    use ddcore::nary::NaryOp;
+    use crate::nary::NaryOp;
 
     /// Brute-force reference: evaluate on every assignment.
     fn check(mgr: &Bbdd, f: Edge, n: usize, reference: impl Fn(&[bool]) -> bool) {
@@ -715,7 +715,7 @@ mod quant {
 
 mod analysis {
 
-    use crate::*;
+    use crate::bbdd::*;
 
     #[test]
     fn pick_sat_finds_witnesses() {
@@ -783,7 +783,7 @@ mod analysis {
         let a = mgr.var(0);
         let b = mgr.var(1);
         let f = mgr.xor(a, b);
-        let profile = ddcore::api::RawManager::level_profile_edges(&mgr, &[f]).unwrap();
+        let profile = crate::api::RawManager::level_profile_edges(&mgr, &[f]).unwrap();
         assert_eq!(profile.iter().sum::<usize>(), mgr.node_count(f));
         // The XNOR node sits at the top level (bottom-based index n-1).
         assert_eq!(profile[3], 1);
@@ -792,8 +792,8 @@ mod analysis {
 
 #[cfg(test)]
 mod auto_reorder_tests {
-    use crate::*;
-    use ddcore::dvo::{DvoPolicy, DvoStrategy, ReorderSchedule};
+    use crate::bbdd::*;
+    use crate::dvo::{DvoPolicy, DvoStrategy, ReorderSchedule};
 
     #[test]
     fn auto_reorder_fires_and_rearms() {
@@ -839,10 +839,10 @@ mod auto_reorder_tests {
 }
 
 mod reorder {
-    use crate::*;
-    use ddcore::dvo::FullSift;
-    use ddcore::dvo::{DvoStrategy, ReorderBackend, ReorderStrategy};
-    use ddcore::govern::{OpAbort, OpBudget};
+    use crate::bbdd::*;
+    use crate::dvo::FullSift;
+    use crate::dvo::{DvoStrategy, ReorderBackend, ReorderStrategy};
+    use crate::govern::{OpAbort, OpBudget};
 
     use std::collections::HashSet;
 
@@ -1004,7 +1004,7 @@ mod reorder {
 
     /// A random function of `n` variables.
     fn random_fn(mgr: &mut Bbdd, n: usize, seed: u64) -> Edge {
-        use ddcore::boolop::BoolOp;
+        use crate::boolop::BoolOp;
         let ops = [
             BoolOp::XOR,
             BoolOp::AND,
@@ -1027,7 +1027,7 @@ mod reorder {
 
     /// Four pinned random functions plus unpinned garbage for the opening
     /// collection to reclaim.
-    fn random_forest(n: usize, seed: u64) -> (Bbdd, Vec<(Edge, ddcore::roots::RootGuard)>) {
+    fn random_forest(n: usize, seed: u64) -> (Bbdd, Vec<(Edge, crate::roots::RootGuard)>) {
         let mut mgr = Bbdd::new(n);
         let roots = (0..4)
             .map(|i| {
@@ -1166,7 +1166,7 @@ mod reorder {
     fn closing_collection_reclaims_handles_dropped_mid_sift() {
         struct DropAt<'a> {
             mgr: &'a mut Bbdd,
-            doomed: Option<ddcore::roots::RootGuard>,
+            doomed: Option<crate::roots::RootGuard>,
         }
         impl ReorderBackend for DropAt<'_> {
             fn num_vars(&self) -> usize {
@@ -1214,9 +1214,9 @@ mod reorder {
     /// the parallel front-end must not serve entries keyed on them.
     #[test]
     fn par_reorder_then_parallel_apply_reads_no_stale_cache_entry() {
-        use crate::{ParBbdd, ParConfig};
-        use ddcore::api::RawManager;
-        use ddcore::boolop::BoolOp;
+        use crate::api::RawManager;
+        use crate::bbdd::{ParBbdd, ParConfig};
+        use crate::boolop::BoolOp;
         let n = 8;
         let cfg = ParConfig {
             threads: 2,
@@ -1292,7 +1292,7 @@ mod reorder {
 
 mod dot {
 
-    use crate::*;
+    use crate::bbdd::*;
 
     #[test]
     fn dot_output_mentions_all_nodes() {
@@ -1321,8 +1321,8 @@ mod dot {
 
 mod api {
 
-    use crate::*;
-    use ddcore::api::{BooleanFunction, FunctionManager};
+    use crate::api::{BooleanFunction, FunctionManager};
+    use crate::bbdd::*;
 
     #[test]
     fn handles_pin_nodes_across_gc() {
@@ -1412,7 +1412,7 @@ mod api {
         mgr.set_reorder_policy(Some("pair:growth2".parse().unwrap()));
         assert_eq!(
             mgr.reorder_policy().map(|p| p.strategy),
-            Some(ddcore::dvo::DvoStrategy::Pair)
+            Some(crate::dvo::DvoStrategy::Pair)
         );
     }
 }

@@ -15,8 +15,9 @@
 //!   may also report a *settled width*
 //!   ([`ReorderBackend::settled_width`]), a lower bound that ends a sift
 //!   direction once no further move in it can beat the best size.
-//!   Both `bbdd::Bbdd` and `robdd::Robdd` implement this; their crates'
-//!   public sift entry points are thin wrappers over the engine here.
+//!   Both `ddcore::bbdd::Bbdd` and `ddcore::robdd::Robdd` implement
+//!   this; their public sift entry points are thin wrappers over the
+//!   engine here.
 //! * [`ReorderStrategy`] — the pluggable algorithm: [`FullSift`] (classic
 //!   Rudell), [`WindowSift`] (exploration clamped to a radius around each
 //!   variable's start position — bounded work on large orders) and

@@ -10,8 +10,8 @@
 /// A directed edge to a node, carrying the complement attribute.
 ///
 /// Edges are plain 32-bit values and are only meaningful together with
-/// the manager that created them (`bbdd::Edge` and `robdd::Edge` are this
-/// type).
+/// the manager that created them (`ddcore::bbdd::Edge` and
+/// `ddcore::robdd::Edge` are this type).
 ///
 /// ```
 /// use ddcore::Edge;

@@ -1,4 +1,6 @@
-//! Shared infrastructure for the decision-diagram packages in this workspace.
+//! The decision-diagram package: the BBDD ([`bbdd`]), its ROBDD baseline
+//! ([`robdd`]) and the infrastructure they share. The `bbdd` and `robdd`
+//! crates re-export the two shape modules as their roots.
 //!
 //! The DATE 2014 BBDD paper (§IV-A3, *Memory Management*) describes three
 //! implementation ingredients that are independent of the diagram type:
@@ -17,8 +19,8 @@
 //! 3. an **overwrite-on-collision cache** used as the *computed table*,
 //!    2-way set-associative with an age-based victim bit ([`cache`]).
 //!
-//! Both the BBDD package (`bbdd` crate) and the ROBDD baseline (`robdd`
-//! crate) are built on these primitives, so the Table-I runtime comparison
+//! Both the BBDD package ([`bbdd`]) and the ROBDD baseline ([`robdd`])
+//! are built on these primitives, so the Table-I runtime comparison
 //! measures the *algorithms*, not incidental infrastructure differences.
 //!
 //! On top of the storage primitives, two pieces of shared *operation*
@@ -28,23 +30,23 @@
 //! backing the generic n-ary `apply`.
 //!
 //! The [`roots`] module holds the shared external-root registry behind the
-//! managers' owned function handles (`bbdd::BbddFn` / `robdd::RobddFn`):
+//! managers' owned function handles ([`bbdd::BbddFn`] / [`robdd::RobddFn`]):
 //! GC and reordering trace from the registry instead of caller-supplied
 //! `roots: &[Edge]` lists, making the forgotten-root bug class
 //! unrepresentable.
 //!
-//! The [`manager`] module is the sequential manager kernel,
-//! [`Manager<S>`](Manager): arena, unique tables, cache, GC, sifting
-//! scope, metrics and every recursive operation, written once over a
-//! [`Shape`] that supplies the node rules (`bbdd::Bbdd` and
-//! `robdd::Robdd` are its two instances). [`Edge`] is the one edge type.
+//! The sequential manager kernel, [`Manager<S>`](Manager), holds the
+//! arena, unique tables, cache, GC, sifting scope, metrics and every
+//! recursive operation, written once over a crate-private node shape that
+//! supplies the node rules: [`bbdd::Bbdd`] and [`robdd::Robdd`] are its
+//! two instances. [`Edge`] is the one edge type.
 //!
 //! The [`par`] module holds the one generic parallel pipeline, [`Par`]
-//! (`bbdd::ParBbdd` and `robdd::ParRobdd` are its instances over the two
-//! kernel managers), and the multi-core primitives it is
-//! built from: a sharded concurrent unique table, a lossy lock-free
-//! computed cache, an append-only overlay arena and a std-only fork-join
-//! helper — all safe Rust (this crate forbids `unsafe`).
+//! ([`bbdd::ParBbdd`] and [`robdd::ParRobdd`] are its instances over the
+//! two kernel managers), and the multi-core primitives it is built from:
+//! a sharded concurrent unique table, a lossy lock-free computed cache, an
+//! append-only overlay arena and a std-only fork-join helper — all safe
+//! Rust (this crate forbids `unsafe`).
 //!
 //! The [`dvo`] module is the dynamic-variable-ordering engine: pluggable
 //! reorder strategies (full/window/pair-aware sifting) over a small
@@ -68,11 +70,36 @@
 //! per-client overlay sessions with budget-based admission control
 //! ([`session::Session`]), and epoch-based reclamation
 //! ([`session::EpochTracker`]).
+//!
+//! ## The closed kernel
+//!
+//! The node shapes live in this crate, so nothing outside it reaches the
+//! kernel's internals: the node layout and the arena, the manager's
+//! fields and its node-level helpers are crate-private, and the shape
+//! trait can be neither named nor implemented elsewhere.
+//!
+//! ```compile_fail,E0603
+//! use ddcore::manager::Node;
+//! ```
+//!
+//! ```compile_fail,E0432
+//! use ddcore::ChainShape;
+//! ```
+//!
+//! ```compile_fail,E0616
+//! let _ = ddcore::bbdd::Bbdd::new(1).subtables;
+//! ```
+//!
+//! ```compile_fail,E0624
+//! use ddcore::bbdd::{Bbdd, Edge};
+//! let _ = Bbdd::new(2).make_node(1, Edge::ZERO, Edge::ONE);
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod api;
+pub mod bbdd;
 pub mod boolop;
 pub mod cache;
 pub mod cantor;
@@ -80,11 +107,12 @@ pub mod dvo;
 pub mod edge;
 pub mod fxhash;
 pub mod govern;
-pub mod manager;
+mod manager;
 pub mod nary;
 pub mod obs;
 pub mod optag;
 pub mod par;
+pub mod robdd;
 pub mod roots;
 pub mod session;
 pub mod stats;
@@ -108,7 +136,7 @@ pub use dvo::{
 pub use edge::Edge;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use govern::{Admission, CancelToken, OpAbort, OpBudget};
-pub use manager::{ChainShape, Manager, Shape, Stats};
+pub use manager::{Manager, Stats};
 pub use nary::NaryOp;
 pub use obs::{
     GovernCounters, MemBytes, Metric, MetricKind, MetricsSnapshot, ProfileSnapshot, TraceEvent,

@@ -12,13 +12,12 @@
 //! ([`ops`]; apply, ite and quantification recur in `rec`, shared with the
 //! parallel workers) and the `RawManager`, `ReorderBackend`, `NodeGraph`,
 //! `SessionBackend` and `NodeShape` impls. A [`Shape`] supplies the rest;
-//! `bbdd::Bbdd` and `robdd::Robdd` are `Manager<BbddShape>` and
-//! `Manager<RobddShape>`.
+//! [`crate::bbdd::Bbdd`] and [`crate::robdd::Robdd`] are
+//! `Manager<BbddShape>` and `Manager<RobddShape>`.
 //!
-//! Inherent methods on `Manager<S>` are written here because Rust admits
-//! no inherent `impl` of a foreign type: the shape crates reach the kernel
-//! through its (doc-hidden) fields and helpers, and the BBDD-only surface
-//! is a set of inherent methods bounded `S: ChainShape`.
+//! The module is private: the shapes live in this crate, so the arena,
+//! the node layout and the kernel helpers are crate-private, and
+//! [`Shape`] cannot be named, implemented or called outside it.
 
 use crate::api::RawManager;
 use crate::boolop::BoolOp;
@@ -39,14 +38,14 @@ pub mod ops;
 pub(crate) mod rec;
 
 /// Top value reserved for the 1 sink.
-pub const TERMINAL_TOP: u16 = u16::MAX;
+pub(crate) const TERMINAL_TOP: u16 = u16::MAX;
 
 // Every variable index below the limit is distinct from the sink marker.
 const _: () = assert!(crate::MAX_VARS < TERMINAL_TOP as usize);
 
 /// The meta bit the BBDD shape sets on its Shannon (reduction rule R4)
 /// nodes; it is part of the unique-table key.
-pub const META_SHANNON: u32 = 1 << 16;
+pub(crate) const META_SHANNON: u32 = 1 << 16;
 const META_MARK: u32 = 1 << 17;
 const META_FREE: u32 = 1 << 18;
 
@@ -162,7 +161,7 @@ impl Node {
     /// never Shannon.
     #[inline]
     #[must_use]
-    pub fn key<S>(&self) -> Key<S> {
+    pub(crate) fn key<S>(&self) -> Key<S> {
         Key::new(
             (u64::from(self.first) << 32) | u64::from(self.second) | u64::from(self.is_shannon()),
         )
@@ -172,7 +171,7 @@ impl Node {
 /// A unique-table key: the packed child words of [`Node::key`], hashed
 /// by the shape ([`Shape::key_hash`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Key<S>(u64, PhantomData<S>);
+pub(crate) struct Key<S>(u64, PhantomData<S>);
 
 impl<S> Key<S> {
     /// Wrap a packed key.
@@ -199,7 +198,7 @@ impl<S: Shape> TableKey for Key<S> {
 
 /// The node arena, typed by shape so it is the unique tables' key store.
 #[derive(Debug, Clone)]
-pub struct Arena<S> {
+pub(crate) struct Arena<S> {
     nodes: Vec<Node>,
     shape: PhantomData<S>,
 }
@@ -408,47 +407,33 @@ pub trait Shape: Copy + Eq + Send + Sync + std::fmt::Debug + 'static {
 
 /// A decision-diagram manager over a fixed set of variables `0..n`, whose
 /// node semantics are those of the shape `S`.
-///
-/// The fields are public for the shape implementations in the `bbdd` and
-/// `robdd` crates; they are hidden from the docs and not a stable API.
 #[derive(Debug)]
 pub struct Manager<S: Shape> {
     /// The node arena; slot 0 is the 1 sink.
-    #[doc(hidden)]
-    pub nodes: Arena<S>,
+    pub(crate) nodes: Arena<S>,
     /// Freed slots, reused last-freed first.
-    #[doc(hidden)]
-    pub free: Vec<u32>,
+    pub(crate) free: Vec<u32>,
     /// One unique subtable per top.
-    #[doc(hidden)]
-    pub subtables: Vec<UniqueTable>,
+    pub(crate) subtables: Vec<UniqueTable>,
     /// Stored nodes over all subtables, kept current by creation, GC,
     /// sift-time reclamation and swap commits.
-    #[doc(hidden)]
-    pub live: usize,
+    pub(crate) live: usize,
     /// `var_at_pos[p]` = variable at top-based order position `p`.
-    #[doc(hidden)]
-    pub var_at_pos: Vec<u32>,
+    pub(crate) var_at_pos: Vec<u32>,
     /// The inverse permutation.
-    #[doc(hidden)]
-    pub pos_of_var: Vec<u32>,
+    pub(crate) pos_of_var: Vec<u32>,
     /// The computed table.
-    #[doc(hidden)]
-    pub cache: ComputedCache,
+    pub(crate) cache: ComputedCache,
     /// Operation counters.
-    #[doc(hidden)]
-    pub stats: Stats,
+    pub(crate) stats: Stats,
     /// The shape's private reorder scratch.
-    #[doc(hidden)]
-    pub scratch: Option<S::Scratch>,
+    pub(crate) scratch: Option<S::Scratch>,
     /// Reference counts kept while a reorder runs (`None` outside one);
     /// swaps then reclaim their dead nodes locally.
-    #[doc(hidden)]
-    pub sift_refs: Option<SiftRefs>,
+    pub(crate) sift_refs: Option<SiftRefs>,
     /// Reusable snapshot buffer for the registry trace; after a collection
     /// it holds the snapshot that collection marked from.
-    #[doc(hidden)]
-    pub root_scratch: Vec<u64>,
+    pub(crate) root_scratch: Vec<u64>,
     /// Dynamic-reordering policy and schedule baselines.
     dvo: DvoState,
     /// External-root registry behind the owned function handles.
@@ -690,27 +675,24 @@ impl<S: Shape> Manager<S> {
     }
 
     /// The node in arena slot `id`.
-    #[doc(hidden)]
     #[inline]
     #[must_use]
-    pub fn node(&self, id: u32) -> Node {
+    pub(crate) fn node(&self, id: u32) -> Node {
         self.nodes[id as usize]
     }
 
     /// Is `e` a constant or an edge to a currently stored node? Fallible
     /// exporters reject stale edges with it.
-    #[doc(hidden)]
     #[must_use]
-    pub fn edge_is_stored(&self, e: Edge) -> bool {
+    pub(crate) fn edge_is_stored(&self, e: Edge) -> bool {
         let id = e.node() as usize;
         e.is_constant() || (id < self.nodes.len() && !self.nodes[id].is_free())
     }
 
     /// The top of `var`'s node level.
-    #[doc(hidden)]
     #[inline]
     #[must_use]
-    pub fn top_of_var(&self, var: usize) -> u16 {
+    pub(crate) fn top_of_var(&self, var: usize) -> u16 {
         if S::TOP_IS_VAR {
             assert!(var < self.num_vars(), "variable {var} out of range");
             var as u16
@@ -720,10 +702,9 @@ impl<S: Shape> Manager<S> {
     }
 
     /// The variable tested at `top`.
-    #[doc(hidden)]
     #[inline]
     #[must_use]
-    pub fn var_of_top(&self, top: u16) -> usize {
+    pub(crate) fn var_of_top(&self, top: u16) -> usize {
         if S::TOP_IS_VAR {
             usize::from(top)
         } else {
@@ -744,10 +725,9 @@ impl<S: Shape> Manager<S> {
     }
 
     /// The top of the node `e` points to (`e` non-constant).
-    #[doc(hidden)]
     #[inline]
     #[must_use]
-    pub fn top(&self, e: Edge) -> u16 {
+    pub(crate) fn top(&self, e: Edge) -> u16 {
         self.nodes[e.node() as usize].top()
     }
 
@@ -764,8 +744,7 @@ impl<S: Shape> Manager<S> {
 
     /// Trade the variables at positions `pos` and `pos + 1` in the order
     /// maps (the bookkeeping half of a swap).
-    #[doc(hidden)]
-    pub fn swap_order(&mut self, pos: usize) {
+    pub(crate) fn swap_order(&mut self, pos: usize) {
         self.var_at_pos.swap(pos, pos + 1);
         self.pos_of_var[self.var_at_pos[pos] as usize] = pos as u32;
         self.pos_of_var[self.var_at_pos[pos + 1] as usize] = (pos + 1) as u32;
@@ -774,23 +753,20 @@ impl<S: Shape> Manager<S> {
 
     /// Find-or-create `(top, first, second)` under the shape's reduction
     /// rules.
-    #[doc(hidden)]
     #[inline]
-    pub fn make_node(&mut self, top: u16, first: Edge, second: Edge) -> Edge {
+    pub(crate) fn make_node(&mut self, top: u16, first: Edge, second: Edge) -> Edge {
         rec::make_node(self, top, first, second)
     }
 
     /// The positive literal of the variable at `top`.
-    #[doc(hidden)]
     #[inline]
-    pub fn literal(&mut self, top: u16) -> Edge {
+    pub(crate) fn literal(&mut self, top: u16) -> Edge {
         S::literal(self, top)
     }
 
     /// The cofactor pair of `e` at `top`, in `make_node` order.
-    #[doc(hidden)]
     #[inline]
-    pub fn cofactors(&mut self, e: Edge, top: u16) -> (Edge, Edge) {
+    pub(crate) fn cofactors(&mut self, e: Edge, top: u16) -> (Edge, Edge) {
         S::cofactors(self, e, top)
     }
 
@@ -805,18 +781,10 @@ impl<S: Shape> Manager<S> {
     }
 
     /// Read-only lookup of a key in the unique subtable of `top`.
-    #[doc(hidden)]
     #[inline]
     #[must_use]
-    pub fn peek(&self, top: u16, key: Key<S>) -> Option<u32> {
+    pub(crate) fn peek(&self, top: u16, key: Key<S>) -> Option<u32> {
         self.subtables[usize::from(top)].peek(&key, &self.nodes)
-    }
-
-    /// The external-root registry behind every handle of this manager.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn root_set(&self) -> &RootSet {
-        &self.roots
     }
 
     /// Pin `e` in the root registry for as long as the guard lives.
@@ -901,9 +869,8 @@ impl<S: Shape> Manager<S> {
 
     /// Monotonic count of collections run through any entry point; node
     /// ids may have been recycled whenever it changes.
-    #[doc(hidden)]
     #[must_use]
-    pub fn gc_generation(&self) -> u64 {
+    pub(crate) fn gc_generation(&self) -> u64 {
         self.gc_latch.generation()
     }
 
@@ -1001,8 +968,7 @@ impl<S: Shape> Manager<S> {
     /// Free every node whose sift-scoped count has dropped to zero,
     /// cascading through their children. Called at the end of each swap
     /// inside a reorder scope; a no-op outside one.
-    #[doc(hidden)]
-    pub fn reclaim_dead(&mut self) {
+    pub(crate) fn reclaim_dead(&mut self) {
         let Some(refs) = self.sift_refs.as_mut() else {
             return;
         };
@@ -1128,36 +1094,6 @@ impl<S: Shape> NodeStore for Manager<S> {
         }
         id
     }
-}
-
-// ─────────────────────────── the BBDD-only surface ────────────────────────
-
-/// The operations only the BBDD shape has: its text format. The other
-/// BBDD-only methods ([`Manager::sift_pairs`], [`Manager::cube`],
-/// [`Manager::from_truth_table`], [`Manager::level_sizes`],
-/// [`Manager::sat_fraction`]) are generic code bounded by this trait.
-pub trait ChainShape: Shape {
-    /// Why a forest could not be saved.
-    type SaveError: std::fmt::Display;
-    /// Why a text could not be loaded.
-    type LoadError;
-
-    /// See [`Manager::try_save`].
-    ///
-    /// # Errors
-    /// A root edge is stale.
-    fn try_save(
-        m: &Manager<Self>,
-        roots: &[Edge],
-        names: &[&str],
-    ) -> Result<String, Self::SaveError>;
-
-    /// See [`Manager::load`].
-    ///
-    /// # Errors
-    /// The first malformed or inconsistent line.
-    #[allow(clippy::type_complexity)]
-    fn load(text: &str) -> Result<(Manager<Self>, Vec<(String, Edge)>), Self::LoadError>;
 }
 
 // ───────────────────────────── trait impls ────────────────────────────────
@@ -1471,6 +1407,14 @@ impl<S: Shape> SessionBackend for Manager<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<S: Shape> Manager<S> {
+        /// The external-root registry behind every handle of this
+        /// manager (the unit tests of both shapes read it).
+        pub(crate) fn root_set(&self) -> &RootSet {
+            &self.roots
+        }
+    }
 
     #[test]
     fn node_is_12_bytes() {

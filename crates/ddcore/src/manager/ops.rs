@@ -2,13 +2,13 @@
 //! and `ite`, cube quantification and the fused and-exists (whose
 //! recursions, shared with the parallel workers, are in `manager::rec`),
 //! simultaneous composition, the n-ary `apply`, evaluation, counting,
-//! support, DOT, reordering entry points and the BBDD-only surface.
+//! support, DOT and the reordering entry points.
 
 use super::rec;
-use super::{ChainShape, Manager, Shape};
-use crate::api::{Function, ManagerRef, RawManager};
+use super::{Manager, Shape};
+use crate::api::RawManager;
 use crate::boolop::BoolOp;
-use crate::dvo::{DvoStrategy, PairSift, ReorderStrategy};
+use crate::dvo::DvoStrategy;
 use crate::edge::Edge;
 use crate::fxhash::FxHashMap;
 use crate::govern::{OpAbort, OpBudget};
@@ -22,7 +22,7 @@ impl<S: Shape> Manager<S> {
     /// Compute `f ⊗ g` for an arbitrary two-operand Boolean operator.
     ///
     /// ```
-    /// use bbdd::{Bbdd, BoolOp};
+    /// use ddcore::bbdd::{Bbdd, BoolOp};
     /// let mut mgr = Bbdd::new(2);
     /// let (a, b) = (mgr.var(0), mgr.var(1));
     /// let f = mgr.apply(BoolOp::NAND, a, b);
@@ -90,7 +90,7 @@ impl<S: Shape> Manager<S> {
     /// recursion and computed-table entries.
     ///
     /// ```
-    /// use bbdd::Bbdd;
+    /// use ddcore::bbdd::Bbdd;
     /// let mut mgr = Bbdd::new(3);
     /// let (s, a, b) = (mgr.var(0), mgr.var(1), mgr.var(2));
     /// let mux = mgr.ite(s, a, b);
@@ -122,7 +122,7 @@ impl<S: Shape> Manager<S> {
     /// ignored.
     ///
     /// ```
-    /// use bbdd::Bbdd;
+    /// use ddcore::bbdd::Bbdd;
     /// let mut mgr = Bbdd::new(3);
     /// let (a, b, c) = (mgr.var(0), mgr.var(1), mgr.var(2));
     /// let ab = mgr.and(a, b);
@@ -133,7 +133,7 @@ impl<S: Shape> Manager<S> {
     /// On the ROBDD shape:
     ///
     /// ```
-    /// use robdd::Robdd;
+    /// use ddcore::robdd::Robdd;
     /// let mut mgr = Robdd::new(3);
     /// let (a, b, c) = (mgr.var(0), mgr.var(1), mgr.var(2));
     /// let ab = mgr.and(a, b);
@@ -170,7 +170,7 @@ impl<S: Shape> Manager<S> {
     /// Universal quantification `∀ vars . f`.
     ///
     /// ```
-    /// use bbdd::Bbdd;
+    /// use ddcore::bbdd::Bbdd;
     /// let mut mgr = Bbdd::new(2);
     /// let (a, b) = (mgr.var(0), mgr.var(1));
     /// let f = mgr.or(a, b);
@@ -180,7 +180,7 @@ impl<S: Shape> Manager<S> {
     /// On the ROBDD shape:
     ///
     /// ```
-    /// use robdd::Robdd;
+    /// use ddcore::robdd::Robdd;
     /// let mut mgr = Robdd::new(2);
     /// let (a, b) = (mgr.var(0), mgr.var(1));
     /// let f = mgr.or(a, b);
@@ -217,7 +217,7 @@ impl<S: Shape> Manager<S> {
     /// recursion without materializing `f ∧ g`.
     ///
     /// ```
-    /// use bbdd::Bbdd;
+    /// use ddcore::bbdd::Bbdd;
     /// let mut mgr = Bbdd::new(3);
     /// let (a, b, c) = (mgr.var(0), mgr.var(1), mgr.var(2));
     /// let f = mgr.xnor(a, b); // a = b
@@ -229,7 +229,7 @@ impl<S: Shape> Manager<S> {
     /// On the ROBDD shape:
     ///
     /// ```
-    /// use robdd::Robdd;
+    /// use ddcore::robdd::Robdd;
     /// let mut mgr = Robdd::new(3);
     /// let (a, b, c) = (mgr.var(0), mgr.var(1), mgr.var(2));
     /// let f = mgr.xnor(a, b);
@@ -297,7 +297,7 @@ impl<S: Shape> Manager<S> {
     /// simultaneous substitution see [`Manager::vector_compose`].
     ///
     /// ```
-    /// use robdd::Robdd;
+    /// use ddcore::robdd::Robdd;
     /// let mut mgr = Robdd::new(3);
     /// let (a, b, c) = (mgr.var(0), mgr.var(1), mgr.var(2));
     /// let f = mgr.and(a, b);
@@ -335,7 +335,7 @@ impl<S: Shape> Manager<S> {
     /// sees the original variables, so cyclic substitutions work:
     ///
     /// ```
-    /// use bbdd::Bbdd;
+    /// use ddcore::bbdd::Bbdd;
     /// let mut mgr = Bbdd::new(2);
     /// let (a, b) = (mgr.var(0), mgr.var(1));
     /// let f = mgr.and(a, !b); // a ∧ ¬b
@@ -346,7 +346,7 @@ impl<S: Shape> Manager<S> {
     /// On the ROBDD shape:
     ///
     /// ```
-    /// use robdd::Robdd;
+    /// use ddcore::robdd::Robdd;
     /// let mut mgr = Robdd::new(2);
     /// let (a, b) = (mgr.var(0), mgr.var(1));
     /// let f = mgr.and(a, !b);
@@ -408,7 +408,7 @@ impl<S: Shape> Manager<S> {
     /// table that degenerates to a constant ends the branch early.
     ///
     /// ```
-    /// use bbdd::Bbdd;
+    /// use ddcore::bbdd::Bbdd;
     /// use ddcore::NaryOp;
     /// let mut mgr = Bbdd::new(3);
     /// let vs = [mgr.var(0), mgr.var(1), mgr.var(2)];
@@ -418,7 +418,7 @@ impl<S: Shape> Manager<S> {
     /// On the ROBDD shape:
     ///
     /// ```
-    /// use robdd::Robdd;
+    /// use ddcore::robdd::Robdd;
     /// use ddcore::NaryOp;
     /// let mut mgr = Robdd::new(3);
     /// let vs = [mgr.var(0), mgr.var(1), mgr.var(2)];
@@ -572,7 +572,7 @@ impl<S: Shape> Manager<S> {
     /// variable, preferring `true`; `None` for the constant false.
     ///
     /// ```
-    /// use bbdd::Bbdd;
+    /// use ddcore::bbdd::Bbdd;
     /// let mut mgr = Bbdd::new(3);
     /// let (a, b) = (mgr.var(0), mgr.var(1));
     /// let f = mgr.and(a, !b);
@@ -604,7 +604,7 @@ impl<S: Shape> Manager<S> {
     /// constant false.
     ///
     /// ```
-    /// use bbdd::Bbdd;
+    /// use ddcore::bbdd::Bbdd;
     /// let mut mgr = Bbdd::new(3);
     /// let (a, b) = (mgr.var(0), mgr.var(1));
     /// let f = mgr.xor(a, b);
@@ -615,7 +615,7 @@ impl<S: Shape> Manager<S> {
     /// On the ROBDD shape:
     ///
     /// ```
-    /// use robdd::Robdd;
+    /// use ddcore::robdd::Robdd;
     /// let mut mgr = Robdd::new(3);
     /// let (a, b) = (mgr.var(0), mgr.var(1));
     /// let f = mgr.xor(a, b);
@@ -632,7 +632,7 @@ impl<S: Shape> Manager<S> {
     /// each complete and listed once, in unspecified order.
     ///
     /// ```
-    /// use bbdd::Bbdd;
+    /// use ddcore::bbdd::Bbdd;
     /// let mut mgr = Bbdd::new(3);
     /// let (a, b, c) = (mgr.var(0), mgr.var(1), mgr.var(2));
     /// let ab = mgr.and(a, b);
@@ -642,7 +642,7 @@ impl<S: Shape> Manager<S> {
     /// On the ROBDD shape:
     ///
     /// ```
-    /// use robdd::Robdd;
+    /// use ddcore::robdd::Robdd;
     /// let mut mgr = Robdd::new(3);
     /// let (a, b) = (mgr.var(0), mgr.var(1));
     /// let f = mgr.and(a, b);
@@ -730,7 +730,7 @@ impl<S: Shape> Manager<S> {
     /// count after the final collection.
     ///
     /// ```
-    /// use bbdd::prelude::*;
+    /// use ddcore::bbdd::prelude::*;
     /// let mgr = BbddManager::with_vars(6);
     /// // Equality of (v0,v1,v2) with (v3,v4,v5): terrible in this order,
     /// // linear once sifting interleaves the operand bits.
@@ -782,140 +782,24 @@ impl<S: Shape> Manager<S> {
     }
 }
 
-/// The BBDD-only surface: written once here, available on the shapes that
-/// implement [`ChainShape`].
-impl<S: ChainShape> Manager<S> {
-    /// Serialize the forest rooted at `roots` to the text format.
-    ///
-    /// # Panics
-    /// Panics if a root is stale; [`Manager::try_save`] reports it.
-    #[must_use]
-    pub fn save(&self, roots: &[Edge], names: &[&str]) -> String {
-        match self.try_save(roots, names) {
-            Ok(text) => text,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Serialize the forest rooted at `roots`, rejecting stale edges.
-    ///
-    /// # Errors
-    /// Names the first stale root.
-    pub fn try_save(&self, roots: &[Edge], names: &[&str]) -> Result<String, S::SaveError> {
-        S::try_save(self, roots, names)
-    }
-
-    /// [`Manager::save`] over owned handles.
-    #[must_use]
-    pub fn save_fns(&self, roots: &[Function<Self>], names: &[&str]) -> String {
-        let edges: Vec<Edge> = roots.iter().map(Function::edge).collect();
-        self.save(&edges, names)
-    }
-
-    /// Load a saved forest into a fresh manager.
-    ///
-    /// # Errors
-    /// The first malformed or inconsistent line.
-    #[allow(clippy::type_complexity)]
-    pub fn load(text: &str) -> Result<(Self, Vec<(String, Edge)>), S::LoadError> {
-        S::load(text)
-    }
-
-    /// [`Manager::load`] into a handle-level manager with owned roots.
-    ///
-    /// # Errors
-    /// The first malformed or inconsistent line.
-    #[allow(clippy::type_complexity)]
-    pub fn load_fns(
-        text: &str,
-    ) -> Result<(ManagerRef<Self>, Vec<(String, Function<Self>)>), S::LoadError> {
-        let (mgr, roots) = Self::load(text)?;
-        let mgr = ManagerRef::new(mgr);
-        let handles = roots
-            .into_iter()
-            .map(|(name, e)| (name, mgr.lift(e)))
-            .collect();
-        Ok((mgr, handles))
-    }
-
-    /// Pair-aware sifting: chained pairs whose affinity reaches
-    /// `min_affinity` move as rigid units.
-    ///
-    /// # Errors
-    /// The budget's abort reason.
-    pub fn sift_pairs(
-        &mut self,
-        min_affinity: f64,
-        budget: &mut OpBudget,
-    ) -> Result<usize, OpAbort> {
-        PairSift {
-            min_affinity,
-            ..PairSift::default()
-        }
-        .reorder(self, budget)
-    }
-
-    /// The conjunction of the literals in `cube` (`Some(true)` positive,
-    /// `Some(false)` negative, `None` absent).
-    ///
-    /// # Panics
-    /// Panics if `cube.len() != num_vars()`.
-    pub fn cube(&mut self, cube: &[Option<bool>]) -> Edge {
-        assert_eq!(cube.len(), self.num_vars(), "cube width");
-        let mut acc = Edge::ONE;
-        for (v, lit) in cube.iter().enumerate() {
-            if let Some(pol) = lit {
-                let l = self.var(v).complement_if(!pol);
-                acc = self.and(acc, l);
-            }
-        }
-        acc
-    }
-
-    /// Build the function whose truth table is `table` (bit `m` = value on
-    /// the assignment whose bit `i` gives variable `i`).
-    ///
-    /// # Panics
-    /// Panics if `num_vars() > 24` or the table is too short.
-    pub fn from_truth_table(&mut self, table: &[u64]) -> Edge {
-        let n = self.num_vars();
-        assert!(n <= 24, "truth tables limited to 24 variables");
-        let bits = 1usize << n;
-        assert!(
-            table.len() * 64 >= bits,
-            "table too short for {n} variables"
-        );
-        self.from_tt_rec(table, 0, bits)
-    }
-
-    #[allow(clippy::wrong_self_convention)]
-    fn from_tt_rec(&mut self, table: &[u64], lo: usize, len: usize) -> Edge {
-        if len == 1 {
-            return Edge::ONE.complement_if((table[lo / 64] >> (lo % 64)) & 1 == 0);
-        }
-        let half = len / 2;
-        let f0 = self.from_tt_rec(table, lo, half);
-        let f1 = self.from_tt_rec(table, lo + half, half);
-        if f0 == f1 {
-            return f0;
-        }
-        // The splitting variable: bit index log2(half).
-        let lit = self.var(half.trailing_zeros() as usize);
-        self.ite(lit, f1, f0)
-    }
-
-    /// Nodes stored at each top, bottom level first.
-    #[must_use]
-    pub fn level_sizes(&self) -> Vec<usize> {
-        self.subtables
-            .iter()
-            .map(crate::table::UniqueTable::len)
-            .collect()
-    }
-
-    /// `sat_count / 2^n` as a float (usable for any variable count).
-    #[must_use]
-    pub fn sat_fraction(&self, f: Edge) -> f64 {
-        walk::sat_fraction(self, f)
+/// Push the completions of one model path with `free` unconstrained
+/// slots — `model(k)` builds the `k`-th — until `out` holds `limit`
+/// models. `2^free` saturates at 127 free slots: more completions than a
+/// `u128` counts, far beyond any `limit`.
+pub(crate) fn push_completions(
+    free: usize,
+    limit: usize,
+    out: &mut Vec<Vec<bool>>,
+    mut model: impl FnMut(u128) -> Vec<bool>,
+) {
+    let total: u128 = if free >= 127 {
+        u128::MAX
+    } else {
+        1u128 << free
+    };
+    let mut k: u128 = 0;
+    while k < total && out.len() < limit {
+        out.push(model(k));
+        k += 1;
     }
 }

@@ -4,10 +4,10 @@
 //! fork-join helper.
 //!
 //! [`Par`] (module [`pipeline`]) is the one split → frozen-base parallel
-//! phase → deterministic commit pipeline; `bbdd::ParBbdd` and
-//! `robdd::ParRobdd` are its instances over the two sequential managers,
-//! kernel [`Manager`](crate::Manager)s whose node shapes supply the node
-//! rules ([`Shape`](crate::Shape)). The design
+//! phase → deterministic commit pipeline; [`crate::bbdd::ParBbdd`] and
+//! [`crate::robdd::ParRobdd`] are its instances over the two sequential
+//! managers, kernel [`Manager`](crate::Manager)s whose crate-private node
+//! shapes supply the node rules. The design
 //! follows HermesBDD's recipe — recursive `apply` parallelizes naturally
 //! once node *uniqueness* is protected by a concurrent table and the
 //! computed table is allowed to be *lossy* — with one twist that keeps
@@ -50,8 +50,8 @@ pub use pipeline::{NodeShape, Par};
 
 // ─────────────────────── shared manager-facing types ─────────────────────
 
-/// Tuning knobs of a parallel manager ([`Par`]; `bbdd` and `robdd`
-/// re-export this; the defaults are sound for every workload, only
+/// Tuning knobs of a parallel manager ([`Par`]; [`crate::bbdd`] and
+/// [`crate::robdd`] re-export this; the defaults are sound for every workload, only
 /// `threads` usually needs setting).
 #[derive(Debug, Clone, Copy)]
 pub struct ParConfig {

@@ -34,7 +34,7 @@
 //! The workers run the kernel's own recursions (apply, ite, quantification
 //! and and-exists, written once in the crate-private `manager::rec`) over
 //! a context whose node store is the frozen base plus overlay (a
-//! [`NodeStore`] on which the same [`Shape`] rules run), whose cache is the
+//! node store on which the same shape rules run), whose cache is the
 //! lossy [`AtomicCache`], whose checkpoint never stops (workers stop
 //! between tasks) and whose counters feed `par.recursions`. The split
 //! phase resolves the same terminal cases. What is left here is the
@@ -66,10 +66,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 // ───────────────────────────── node shape ─────────────────────────────────
 
 /// A sequential manager [`Par`] can wrap: a kernel [`Manager`] of some
-/// [`Shape`]. Implemented once, for every `Manager<S>`; everything that
-/// differs between the node shapes is a [`Shape`] hook. Apply and ite,
-/// their split and the combine-tree resolve follow
-/// [`Shape::APPLY_SECOND_FIRST`], the quantifying recursions take the
+/// node shape ([`crate::bbdd::Bbdd`] or [`crate::robdd::Robdd`]).
+/// Implemented once, for every `Manager<S>`; everything that differs
+/// between the node shapes is a hook of the crate-private shape trait.
+/// Apply and ite, their split and the combine-tree resolve follow the
+/// shape's `APPLY_SECOND_FIRST`, the quantifying recursions take the
 /// first cofactor first — each backend's sequential order. The pipeline
 /// still commits node ids of its own: it imports each leaf result first
 /// child first, and it computes quantified halves the sequential
@@ -491,8 +492,8 @@ fn import<S: Shape>(
 /// module docs). Against `M` itself a `Par<M>` gives the same functions
 /// and the same canonical sizes, but node ids, and so raw edge bits, may
 /// differ from the ones `M` would hand out. The operations are the
-/// [`RawManager`] ones; the backends name their instances `bbdd::ParBbdd`
-/// and `robdd::ParRobdd`.
+/// [`RawManager`] ones; the backends name their instances
+/// `ddcore::bbdd::ParBbdd` and `ddcore::robdd::ParRobdd`.
 #[derive(Debug)]
 pub struct Par<M: NodeShape> {
     inner: M,

@@ -1,4 +1,4 @@
-//! The Shannon node shape: what makes a [`ddcore::Manager`] a CUDD-style
+//! The Shannon node shape: what makes a [`crate::Manager`] a CUDD-style
 //! ROBDD with complement edges.
 //!
 //! A node is the triple `ite(var, then, else)`; its top is its variable
@@ -11,16 +11,17 @@
 //! bound: per-position level widths and the variable interaction matrix,
 //! built when a reorder opens.
 
-use crate::{Robdd, RobddNodeInfo};
-use ddcore::cantor::CantorHasher;
-use ddcore::fxhash::FxHashMap;
-use ddcore::govern::{OpAbort, OpBudget};
-use ddcore::manager::{Node, NodeStore, Shape};
-use ddcore::optag;
-use ddcore::Edge;
+use super::{Robdd, RobddNodeInfo};
+use crate::cantor::CantorHasher;
+use crate::fxhash::FxHashMap;
+use crate::govern::{OpAbort, OpBudget};
+use crate::manager::ops::push_completions;
+use crate::manager::{Node, NodeStore, Shape};
+use crate::optag;
+use crate::Edge;
 use std::ops::Range;
 
-/// The ROBDD node shape (`robdd::Robdd` is `ddcore::Manager<RobddShape>`).
+/// The ROBDD node shape ([`Robdd`] is `Manager<RobddShape>`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RobddShape;
 
@@ -362,20 +363,13 @@ fn all_sat_rec(
         let free: Vec<usize> = (0..partial.len())
             .filter(|&v| partial[v].is_none())
             .collect();
-        let total: u128 = if free.len() >= 127 {
-            u128::MAX
-        } else {
-            1u128 << free.len()
-        };
-        let mut k: u128 = 0;
-        while k < total && out.len() < limit {
+        push_completions(free.len(), limit, out, |k| {
             let mut a: Vec<bool> = partial.iter().map(|v| v.unwrap_or(false)).collect();
             for (i, &v) in free.iter().enumerate() {
                 a[v] = i < 128 && (k >> i) & 1 == 1;
             }
-            out.push(a);
-            k += 1;
-        }
+            a
+        });
         return;
     }
     let n = m.node(e.node());

@@ -2,7 +2,7 @@
 //! per-operation modules the kernel replaced.
 
 mod manager {
-    use crate::*;
+    use crate::robdd::*;
 
     #[test]
     fn literals_and_reduction() {
@@ -44,8 +44,8 @@ mod manager {
 }
 
 mod apply {
-    use crate::*;
-    use ddcore::boolop::BoolOp;
+    use crate::boolop::BoolOp;
+    use crate::robdd::*;
 
     fn check(mgr: &Robdd, f: Edge, n: usize, reference: impl Fn(&[bool]) -> bool) {
         for m in 0..(1u32 << n) {
@@ -115,7 +115,7 @@ mod apply {
 }
 
 mod ops {
-    use crate::*;
+    use crate::robdd::*;
 
     fn majority3(mgr: &mut Robdd) -> Edge {
         let (a, b, c) = (mgr.var(0), mgr.var(1), mgr.var(2));
@@ -181,10 +181,10 @@ mod ops {
 }
 
 mod quant {
-    use crate::*;
-    use ddcore::boolop::BoolOp;
+    use crate::boolop::BoolOp;
+    use crate::robdd::*;
 
-    use ddcore::nary::NaryOp;
+    use crate::nary::NaryOp;
 
     fn check(mgr: &Robdd, f: Edge, n: usize, reference: impl Fn(&[bool]) -> bool) {
         for m in 0..(1u32 << n) {
@@ -346,9 +346,9 @@ mod quant {
 }
 
 mod reorder {
-    use crate::*;
-    use ddcore::dvo::{DvoStrategy, ReorderBackend};
-    use ddcore::govern::{OpAbort, OpBudget};
+    use crate::dvo::{DvoStrategy, ReorderBackend};
+    use crate::govern::{OpAbort, OpBudget};
+    use crate::robdd::*;
 
     use std::collections::HashSet;
 
@@ -441,7 +441,7 @@ mod reorder {
 
     /// A random function of `n` variables.
     fn random_fn(mgr: &mut Robdd, n: usize, seed: u64) -> Edge {
-        use ddcore::boolop::BoolOp;
+        use crate::boolop::BoolOp;
         let ops = [
             BoolOp::XOR,
             BoolOp::AND,
@@ -464,7 +464,7 @@ mod reorder {
 
     /// Four pinned random functions plus unpinned garbage for the opening
     /// collection to reclaim.
-    fn random_forest(n: usize, seed: u64) -> (Robdd, Vec<(Edge, ddcore::roots::RootGuard)>) {
+    fn random_forest(n: usize, seed: u64) -> (Robdd, Vec<(Edge, crate::roots::RootGuard)>) {
         let mut mgr = Robdd::new(n);
         let roots = (0..4)
             .map(|i| {
@@ -630,7 +630,7 @@ mod reorder {
 }
 
 mod dot {
-    use crate::*;
+    use crate::robdd::*;
 
     #[test]
     fn dot_mentions_every_node() {
@@ -657,8 +657,8 @@ mod dot {
 }
 
 mod api {
-    use crate::*;
-    use ddcore::api::{BooleanFunction, FunctionManager};
+    use crate::api::{BooleanFunction, FunctionManager};
+    use crate::robdd::*;
 
     #[test]
     fn handles_pin_nodes_across_gc() {

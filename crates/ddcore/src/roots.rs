@@ -11,9 +11,9 @@
 //! [`RootSet`] is that registry: a slab of refcounted slots, each holding
 //! the packed bits of one externally-held edge. The managers own one
 //! `RootSet` each and clone it into every handle they hand out
-//! (`bbdd::BbddFn` / `robdd::RobddFn`); handle `Clone` bumps the slot's
-//! refcount, handle `Drop` releases it. `gc()`/`sift()` trace from a
-//! [`RootSet::snapshot`] instead of a caller-supplied list.
+//! (`ddcore::bbdd::BbddFn` / `ddcore::robdd::RobddFn`); handle `Clone`
+//! bumps the slot's refcount, handle `Drop` releases it. `gc()`/`sift()`
+//! trace from a [`RootSet::snapshot`] instead of a caller-supplied list.
 //!
 //! ## Locking & reentrancy rule
 //!

@@ -442,7 +442,8 @@ pub struct ServeOutcome {
     /// Requests stopped by their budget (partial verdicts).
     pub aborted: u64,
     /// TCP connections ended by a read error (a reset socket, a line
-    /// that is not UTF-8).
+    /// that is not UTF-8) or lost before serving (a failed `accept`, a
+    /// socket that could not be split into a reader and a writer).
     pub read_errors: u64,
     /// CNF front-door accounting for the `cnf.*` metrics section.
     pub cnf: CnfServeStats,
@@ -986,23 +987,41 @@ pub fn serve_stream<B: SessionBackend>(
 /// immediately — no batching across a socket). `max_conns` bounds the
 /// accept loop for tests; `None` serves until the process dies.
 ///
+/// A failed `accept` (say `ECONNABORTED` or `EMFILE`) skips that one
+/// connection and the server goes on; it is counted in
+/// [`ServeOutcome::read_errors`] with the per-connection read errors.
+///
 /// # Errors
-/// Propagates accept failures; per-connection I/O errors terminate that
-/// connection only, and read errors among them are counted in
-/// [`ServeOutcome::read_errors`].
+/// None: every failure ends one connection only.
 pub fn serve_tcp<B: SessionBackend>(
     base: &Arc<SharedBase<B>>,
     cfg: &ServeConfig,
     listener: &std::net::TcpListener,
     max_conns: Option<usize>,
 ) -> std::io::Result<ServeOutcome> {
+    Ok(serve_incoming(base, cfg, listener.incoming(), max_conns))
+}
+
+/// The accept loop of [`serve_tcp`] over any stream of accepted
+/// connections. A connection that fails to arrive or to split into a
+/// reader and a writer is counted in `read_errors`, skipped and not
+/// counted towards `max_conns`.
+fn serve_incoming<B: SessionBackend>(
+    base: &Arc<SharedBase<B>>,
+    cfg: &ServeConfig,
+    incoming: impl Iterator<Item = std::io::Result<std::net::TcpStream>>,
+    max_conns: Option<usize>,
+) -> ServeOutcome {
     let mut total = ServeOutcome::default();
     let mut served = 0;
-    for conn in listener.incoming() {
-        let stream = conn?;
+    for conn in incoming {
+        let Ok((reader, writer)) = conn.and_then(|s| Ok((s.try_clone()?, s))) else {
+            total.read_errors += 1;
+            continue;
+        };
         let mut session = base.session_with(cfg.admission());
-        let mut reader = std::io::BufReader::new(stream.try_clone()?);
-        let mut writer = std::io::BufWriter::new(stream);
+        let mut reader = std::io::BufReader::new(reader);
+        let mut writer = std::io::BufWriter::new(writer);
         serve_connection(&mut session, &mut reader, &mut writer, &mut total);
         served += 1;
         if let Some(max) = max_conns {
@@ -1011,7 +1030,7 @@ pub fn serve_tcp<B: SessionBackend>(
             }
         }
     }
-    Ok(total)
+    total
 }
 
 /// One connection's request/response loop on its session, tallied into
@@ -1389,6 +1408,32 @@ mod tests {
         drop(conn);
         let outcome = server.join().unwrap();
         assert_eq!(outcome.requests, 1);
+    }
+
+    #[test]
+    fn failed_accept_skips_one_connection() {
+        let base = base();
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn({
+            let base = Arc::clone(&base);
+            move || {
+                let aborted = std::io::Error::from(std::io::ErrorKind::ConnectionAborted);
+                let incoming = std::iter::once(Err(aborted)).chain(listener.incoming());
+                serve_incoming(&base, &ServeConfig::default(), incoming, Some(1))
+            }
+        });
+        let mut conn = std::net::TcpStream::connect(addr).unwrap();
+        conn.write_all(format!("{}\n", eval_line(7)).as_bytes())
+            .unwrap();
+        let mut reader = std::io::BufReader::new(conn.try_clone().unwrap());
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("\"id\":7") && line.contains("\"value\":true"));
+        drop(reader);
+        drop(conn);
+        let outcome = server.join().unwrap();
+        assert_eq!((outcome.requests, outcome.read_errors), (1, 1));
     }
 
     #[test]
