@@ -65,8 +65,10 @@ pub struct ParConfig {
     /// Recursion levels to split before going parallel; `None` derives
     /// `log2(threads) + 3` (about 8 tasks per worker).
     pub split_depth: Option<u16>,
-    /// Capacity (ways) of the lossy concurrent computed cache. Fixed for
-    /// the manager's lifetime — atomic caches cannot grow in place.
+    /// Upper bound (ways, rounded up to a power of two) of the lossy
+    /// concurrent computed cache. Each parallel operation sizes the cache
+    /// to one way per eight live base nodes within
+    /// `[min(2^12, cache_ways), cache_ways]`.
     pub cache_ways: usize,
     /// Shard count of the concurrent unique table (rounded to a power of
     /// two).
@@ -333,9 +335,11 @@ impl ShardedTable {
 
 // ─────────────────────── lossy lock-free computed cache ──────────────────
 
-/// Cumulative counters of an [`AtomicCache`] (all updated with relaxed
-/// atomics; exact under a single thread, a faithful tally under many).
-#[derive(Debug, Clone, Copy, Default)]
+/// Counters of an [`AtomicCache`]: the cache's cumulative totals, and the
+/// type of the caller-held tally that [`AtomicCache::get`] and
+/// [`AtomicCache::insert`] count into and [`AtomicCache::flush`] adds to
+/// those totals. The totals are exact under any number of threads.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AtomicCacheStats {
     /// Lookup operations performed.
     pub lookups: u64,
@@ -391,13 +395,26 @@ struct Way {
 /// Invalidation is O(1): an epoch counter participates in both
 /// fingerprints, so bumping it orphans every existing entry.
 ///
+/// Lookups and inserts count into a caller-held [`AtomicCacheStats`]
+/// tally, which [`AtomicCache::flush`] adds to the shared totals: a
+/// worker flushes once per task instead of updating a shared counter on
+/// every recursion step.
+///
+/// [`Par`] resizes the cache at the start of every parallel phase, to
+/// one way per eight live base nodes under the [`ParConfig::cache_ways`]
+/// cap. A resize takes `&mut self`, so no reader is in flight; it drops
+/// every entry and keeps the counters and the epoch.
+///
 /// ```
-/// use ddcore::par::AtomicCache;
+/// use ddcore::par::{AtomicCache, AtomicCacheStats};
 /// let c = AtomicCache::new(1 << 10);
-/// c.insert(1, 2, 3, 99);
-/// assert_eq!(c.get(1, 2, 3), Some(99));
+/// let mut tally = AtomicCacheStats::default();
+/// c.insert(1, 2, 3, 99, &mut tally);
+/// assert_eq!(c.get(1, 2, 3, &mut tally), Some(99));
 /// c.bump_epoch();
-/// assert_eq!(c.get(1, 2, 3), None);
+/// assert_eq!(c.get(1, 2, 3, &mut tally), None);
+/// c.flush(&tally);
+/// assert_eq!((c.stats().lookups, c.stats().hits), (2, 1));
 /// ```
 #[derive(Debug)]
 pub struct AtomicCache {
@@ -421,20 +438,42 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// Ways of a cache asked for `slots`: rounded up to a power of two,
+/// minimum 32.
+fn ways_for(slots: usize) -> usize {
+    slots.next_power_of_two().max(32)
+}
+
+/// Smallest span (ways) [`cache_span`] picks, unless the cap is smaller.
+const CACHE_FLOOR: usize = 1 << 12;
+
+/// The ways a parallel operation sizes its [`AtomicCache`] to over a base
+/// of `live_nodes` nodes: one way per eight live nodes, rounded up to a
+/// power of two, within `[min(2^12, cap), cap]`, where `cap` is
+/// [`ParConfig::cache_ways`] rounded as [`AtomicCache::new`] rounds.
+pub(crate) fn cache_span(live_nodes: usize, cap: usize) -> usize {
+    let cap = ways_for(cap);
+    ways_for(live_nodes / 8).clamp(CACHE_FLOOR.min(cap), cap)
+}
+
+/// `n` empty ways.
+fn empty_ways(n: usize) -> Box<[Way]> {
+    (0..n)
+        .map(|_| Way {
+            tag: AtomicU64::new(0),
+            val: AtomicU64::new(0),
+        })
+        .collect()
+}
+
 impl AtomicCache {
     /// Create a cache with `slots` ways (rounded up to a power of two,
-    /// minimum 32). The cache never grows: atomic caches cannot be resized
-    /// without a global barrier, so size it for the workload up front.
+    /// minimum 32).
     #[must_use]
     pub fn new(slots: usize) -> Self {
-        let n = slots.next_power_of_two().max(32);
+        let n = ways_for(slots);
         AtomicCache {
-            ways: (0..n)
-                .map(|_| Way {
-                    tag: AtomicU64::new(0),
-                    val: AtomicU64::new(0),
-                })
-                .collect(),
+            ways: empty_ways(n),
             mask: (n as u64 / 2) - 1,
             epoch: AtomicU64::new(0),
             lookups: AtomicU64::new(0),
@@ -449,6 +488,18 @@ impl AtomicCache {
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.ways.len()
+    }
+
+    /// Reallocate to `slots` ways (rounded as in [`AtomicCache::new`]) if
+    /// that differs from the allocation; both are powers of two, so a
+    /// reallocation at least halves or doubles the cache. Every entry is
+    /// dropped; the counters and the epoch are kept.
+    pub(crate) fn resize(&mut self, slots: usize) {
+        let n = ways_for(slots);
+        if n != self.ways.len() {
+            self.ways = empty_ways(n);
+            self.mask = (n as u64 / 2) - 1;
+        }
     }
 
     /// Heap bytes the cache holds.
@@ -474,35 +525,37 @@ impl AtomicCache {
         (a | 1, b)
     }
 
-    /// Look up a previously computed 32-bit result.
+    /// Look up a previously computed 32-bit result, counting the lookup
+    /// into `tally`.
     #[inline]
-    pub fn get(&self, k1: u64, k2: u64, tag: u32) -> Option<u32> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
+    pub fn get(&self, k1: u64, k2: u64, tag: u32, tally: &mut AtomicCacheStats) -> Option<u32> {
+        tally.lookups += 1;
         let (fp1, fp2) = self.fingerprints(k1, k2, tag);
         let base = ((fp1 >> 1) & self.mask) as usize * 2;
         for way in &self.ways[base..base + 2] {
             if way.tag.load(Ordering::Acquire) == fp1 {
                 let v = way.val.load(Ordering::Relaxed);
                 if (v >> 32) as u32 == (fp2 >> 32) as u32 {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    tally.hits += 1;
                     crate::obs::cache_access(tag, true);
                     return Some(v as u32);
                 }
                 // Tag matched but the value belongs to another write: a
                 // torn entry — by design, just a miss.
-                self.tear_misses.fetch_add(1, Ordering::Relaxed);
+                tally.tear_misses += 1;
             }
         }
         crate::obs::cache_access(tag, false);
         None
     }
 
-    /// Record a computed 32-bit result. Prefers an empty way; otherwise
-    /// overwrites the way picked by a fingerprint bit (lossy by contract —
-    /// racing writers may tear an entry, which readers detect).
+    /// Record a computed 32-bit result, counting the insert into `tally`.
+    /// Prefers an empty way; otherwise overwrites the way picked by a
+    /// fingerprint bit (lossy by contract — racing writers may tear an
+    /// entry, which readers detect).
     #[inline]
-    pub fn insert(&self, k1: u64, k2: u64, tag: u32, result: u32) {
-        self.inserts.fetch_add(1, Ordering::Relaxed);
+    pub fn insert(&self, k1: u64, k2: u64, tag: u32, result: u32, tally: &mut AtomicCacheStats) {
+        tally.inserts += 1;
         let (fp1, fp2) = self.fingerprints(k1, k2, tag);
         let base = ((fp1 >> 1) & self.mask) as usize * 2;
         let t0 = self.ways[base].tag.load(Ordering::Relaxed);
@@ -528,7 +581,18 @@ impl AtomicCache {
         self.invalidations.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Cumulative counters since creation.
+    /// Add a tally of lookups, hits, inserts and tear misses to the
+    /// cumulative counters.
+    pub fn flush(&self, tally: &AtomicCacheStats) {
+        self.lookups.fetch_add(tally.lookups, Ordering::Relaxed);
+        self.hits.fetch_add(tally.hits, Ordering::Relaxed);
+        self.inserts.fetch_add(tally.inserts, Ordering::Relaxed);
+        self.tear_misses
+            .fetch_add(tally.tear_misses, Ordering::Relaxed);
+    }
+
+    /// Cumulative counters since creation: the flushed tallies and the
+    /// epoch bumps.
     #[must_use]
     pub fn stats(&self) -> AtomicCacheStats {
         AtomicCacheStats {
@@ -947,12 +1011,13 @@ mod tests {
     #[test]
     fn atomic_cache_roundtrip_and_epoch() {
         let c = AtomicCache::new(1 << 8);
+        let t = &mut AtomicCacheStats::default();
         for i in 0..500u64 {
-            c.insert(i, i * 7, (i % 21) as u32, i as u32 + 13);
+            c.insert(i, i * 7, (i % 21) as u32, i as u32 + 13, t);
         }
         let mut survived = 0;
         for i in 0..500u64 {
-            if let Some(v) = c.get(i, i * 7, (i % 21) as u32) {
+            if let Some(v) = c.get(i, i * 7, (i % 21) as u32, t) {
                 assert_eq!(v, i as u32 + 13);
                 survived += 1;
             }
@@ -960,11 +1025,101 @@ mod tests {
         assert!(survived > 0, "some entries must survive");
         c.bump_epoch();
         for i in 0..500u64 {
-            assert_eq!(c.get(i, i * 7, (i % 21) as u32), None);
+            assert_eq!(c.get(i, i * 7, (i % 21) as u32, t), None);
         }
+        assert_eq!(c.stats().lookups, 0, "nothing counts before a flush");
+        c.flush(t);
         let s = c.stats();
-        assert_eq!(s.invalidations, 1);
-        assert!(s.hits >= survived);
+        assert_eq!((s.lookups, s.inserts, s.invalidations), (1000, 500, 1));
+        assert_eq!(s.hits, survived);
+    }
+
+    #[test]
+    fn resize_keeps_counters_and_epoch() {
+        let mut c = AtomicCache::new(1 << 12);
+        let t = &mut AtomicCacheStats::default();
+        c.insert(1, 2, 3, 4, t);
+        assert_eq!(c.get(1, 2, 3, t), Some(4));
+        c.bump_epoch();
+        c.flush(t);
+        let before = c.stats();
+        for ways in [1 << 14, 1 << 6, 1 << 6, 1 << 12] {
+            c.resize(ways);
+            assert_eq!(c.capacity(), ways);
+            assert_eq!(c.heap_bytes(), ways * 16);
+            assert_eq!(c.stats(), before);
+            assert_eq!(c.epoch.load(Ordering::Relaxed), 1);
+        }
+    }
+
+    #[test]
+    fn entries_never_survive_a_resize_or_an_epoch_bump() {
+        let t = &mut AtomicCacheStats::default();
+        let keys = |i: u64| (i, i.wrapping_mul(0x9E37_79B9), (i % 7) as u32);
+        let fill = |c: &AtomicCache, t: &mut AtomicCacheStats| {
+            for i in 0..2000u64 {
+                let (k1, k2, tag) = keys(i);
+                c.insert(k1, k2, tag, i as u32, t);
+            }
+        };
+        let none_hit = |c: &AtomicCache, t: &mut AtomicCacheStats| {
+            (0..2000u64).all(|i| {
+                let (k1, k2, tag) = keys(i);
+                c.get(k1, k2, tag, t).is_none()
+            })
+        };
+        for ways in [1 << 8, 1 << 12] {
+            // Shrink, grow, and a reallocation-free resize to the same size
+            // followed by the per-operation epoch bump.
+            for target in [ways / 4, ways * 4] {
+                let mut c = AtomicCache::new(ways);
+                fill(&c, t);
+                c.resize(target);
+                assert!(none_hit(&c, t), "{ways} -> {target}: an entry survived");
+            }
+            let mut c = AtomicCache::new(ways);
+            fill(&c, t);
+            c.resize(ways);
+            c.bump_epoch();
+            assert!(none_hit(&c, t), "{ways}: an entry survived the bump");
+        }
+    }
+
+    #[test]
+    fn span_follows_live_nodes_within_floor_and_cap() {
+        let default_cap = ParConfig::default().cache_ways;
+        assert_eq!(cache_span(0, default_cap), CACHE_FLOOR);
+        assert_eq!(cache_span(8 * CACHE_FLOOR, default_cap), CACHE_FLOOR);
+        assert_eq!(
+            cache_span(8 * CACHE_FLOOR + 8, default_cap),
+            2 * CACHE_FLOOR
+        );
+        assert_eq!(cache_span(794_000, default_cap), 1 << 17);
+        for cap in [1 << 5, 1 << 10, 1 << 12, 1 << 16, default_cap] {
+            for live in [0, 1, 1000, 1 << 15, 1 << 20, 1 << 26, usize::MAX / 2] {
+                let span = cache_span(live, cap);
+                assert!(span <= cap, "cap {cap} live {live}: span {span}");
+                assert!(span.is_power_of_two());
+                if cap <= CACHE_FLOOR {
+                    assert_eq!(span, cap, "a cap below the floor is the span");
+                } else {
+                    assert!(span >= CACHE_FLOOR);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fresh_par_manager_allocates_a_floor_sized_cache() {
+        use crate::api::RawManager;
+        let par = crate::bbdd::ParBbdd::new(26, 1);
+        let mem = |m: &crate::obs::MetricsSnapshot| m.get("mem.cache_bytes").unwrap();
+        let kernel = mem(&par.inner().observe());
+        assert_eq!(
+            mem(&par.observe()) - kernel,
+            (CACHE_FLOOR * std::mem::size_of::<Way>()) as u64,
+            "the lossy cache starts at the floor"
+        );
     }
 
     #[test]
@@ -974,13 +1129,14 @@ mod tests {
         // epoch 0), resurrecting stale entries as false hits. Interleave
         // inserts with epoch bumps and probe the whole small-tag space.
         let c = AtomicCache::new(1 << 8);
+        let t = &mut AtomicCacheStats::default();
         for round in 0..24u32 {
-            c.insert(7, 9, round, 1000 + round);
-            assert_eq!(c.get(7, 9, round), Some(1000 + round));
+            c.insert(7, 9, round, 1000 + round, t);
+            assert_eq!(c.get(7, 9, round, t), Some(1000 + round));
             c.bump_epoch();
             for tag in 0..64u32 {
                 assert_eq!(
-                    c.get(7, 9, tag),
+                    c.get(7, 9, tag, t),
                     None,
                     "round {round} tag {tag} resurrected"
                 );
@@ -991,12 +1147,13 @@ mod tests {
     #[test]
     fn atomic_cache_distinct_tags_do_not_alias() {
         let c = AtomicCache::new(1 << 8);
-        c.insert(5, 6, 1, 100);
-        c.insert(5, 6, 2, 200);
-        if let Some(v) = c.get(5, 6, 1) {
+        let t = &mut AtomicCacheStats::default();
+        c.insert(5, 6, 1, 100, t);
+        c.insert(5, 6, 2, 200, t);
+        if let Some(v) = c.get(5, 6, 1, t) {
             assert_eq!(v, 100);
         }
-        assert_eq!(c.get(5, 6, 2), Some(200));
+        assert_eq!(c.get(5, 6, 2, t), Some(200));
     }
 
     #[test]
@@ -1009,21 +1166,29 @@ mod tests {
             for t in 0..4u64 {
                 let c = &c;
                 s.spawn(move || {
+                    let tally = &mut AtomicCacheStats::default();
                     let mut state = t | 1;
                     for _ in 0..20_000 {
                         state = state
                             .wrapping_mul(6364136223846793005)
                             .wrapping_add(1442695040888963407);
                         let k = state >> 48;
-                        c.insert(k, k ^ 0xFFFF, 3, (k as u32).wrapping_mul(2654435761));
-                        if let Some(v) = c.get(k, k ^ 0xFFFF, 3) {
-                            assert_eq!(v, (k as u32).wrapping_mul(2654435761));
+                        let v = (k as u32).wrapping_mul(2654435761);
+                        c.insert(k, k ^ 0xFFFF, 3, v, tally);
+                        if let Some(got) = c.get(k, k ^ 0xFFFF, 3, tally) {
+                            assert_eq!(got, v);
                         }
                     }
+                    c.flush(tally);
                 });
             }
         });
-        assert!(c.stats().inserts >= 80_000);
+        let s = c.stats();
+        assert_eq!(
+            (s.inserts, s.lookups),
+            (80_000, 80_000),
+            "flushed tallies are exact"
+        );
     }
 
     #[test]

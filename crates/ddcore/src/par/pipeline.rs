@@ -36,14 +36,15 @@
 //! a context whose node store is the frozen base plus overlay (a
 //! node store on which the same shape rules run), whose cache is the
 //! lossy [`AtomicCache`], whose checkpoint never stops (workers stop
-//! between tasks) and whose counters feed `par.recursions`. The split
+//! between tasks) and whose counters feed `par.recursions` and the
+//! cache totals (tallied per task and flushed once). The split
 //! phase resolves the same terminal cases. What is left here is the
 //! phases and the budget handling. Every operation takes an
 //! [`OpBudget`]; the infallible forms pass [`OpBudget::unlimited`].
 
 use super::{
-    threads_from_env, try_fork_join_governed, AtomicCache, OverlayArena, ParConfig, ParStats,
-    ShardedTable,
+    cache_span, threads_from_env, try_fork_join_governed, AtomicCache, AtomicCacheStats,
+    OverlayArena, ParConfig, ParStats, ShardedTable,
 };
 use crate::api::RawManager;
 use crate::boolop::BoolOp;
@@ -128,9 +129,10 @@ impl<S: Shape> TableKey for OverlayKey<S> {
 /// One worker's recursion context in the parallel phase. Its node store
 /// is the frozen base manager plus the overlay storage, where the shape's
 /// node rules read and create nodes. Its cache is the lossy concurrent
-/// one. It has no checkpoint (workers consult the budget between tasks)
-/// and one tally of recursion entries (`par.recursions`). Every task runs
-/// on a fresh copy.
+/// one. It has no checkpoint (workers consult the budget between tasks).
+/// It tallies its recursion entries (`par.recursions`) and its cache
+/// traffic locally; every task runs on a fresh copy, whose cache tally
+/// [`Worker::run_task`] flushes once.
 #[derive(Clone, Copy)]
 struct Worker<'a, S: Shape> {
     base: &'a Manager<S>,
@@ -141,6 +143,7 @@ struct Worker<'a, S: Shape> {
     cache: &'a AtomicCache,
     quant: Option<&'a QuantCube>,
     calls: u64,
+    tally: AtomicCacheStats,
 }
 
 /// The overlay table's key store: an overlay id's key comes from its
@@ -197,12 +200,14 @@ impl<S: Shape> Rec for Worker<'_, S> {
 
     #[inline]
     fn cache_get(&mut self, k1: u64, k2: u64, tag: u32) -> Option<Edge> {
-        self.cache.get(k1, k2, tag).map(Edge::from_bits)
+        self.cache
+            .get(k1, k2, tag, &mut self.tally)
+            .map(Edge::from_bits)
     }
 
     #[inline]
     fn cache_insert(&mut self, k1: u64, k2: u64, tag: u32, r: Edge) {
-        self.cache.insert(k1, k2, tag, r.bits());
+        self.cache.insert(k1, k2, tag, r.bits(), &mut self.tally);
     }
 
     #[inline]
@@ -217,10 +222,14 @@ impl<S: Shape> Rec for Worker<'_, S> {
 }
 
 impl<S: Shape> Worker<'_, S> {
-    /// Run one leaf task on a fresh copy; returns its result and recursion
-    /// count.
+    /// Run one leaf task on a fresh copy and flush its cache tally;
+    /// returns its result and recursion count.
     fn run_task(&self, t: &Task) -> (Edge, u64) {
-        let w = &mut Worker { calls: 0, ..*self };
+        let w = &mut Worker {
+            calls: 0,
+            tally: AtomicCacheStats::default(),
+            ..*self
+        };
         let quant = || self.quant.expect("quantifying task without a cube");
         let Ok(r) = match *t {
             Task::Apply(op, f, g) => rec::apply(w, &mut (), op, f, g),
@@ -228,6 +237,7 @@ impl<S: Shape> Worker<'_, S> {
             Task::Quant(f) => rec::quant(w, &mut (), f, quant()),
             Task::AndExists(f, g) => rec::and_exists(w, &mut (), f, g, quant()),
         };
+        self.cache.flush(&w.tally);
         (r, w.calls)
     }
 }
@@ -237,13 +247,16 @@ impl<S: Shape> Worker<'_, S> {
 /// The overlay scratch of one parallel manager: the sharded unique table,
 /// the append-only node arena and the lossy atomic computed cache, plus
 /// the base GC generation the cache epoch was last synchronized to.
+/// The cache starts at its floor ([`cache_span`] of an empty base) and is
+/// resized at the start of each parallel phase.
 #[derive(Debug)]
 struct OverlayFrame {
     /// Overlay unique table (consulted after the frozen base's tables).
     table: ShardedTable,
     /// Append-only overlay node records.
     arena: OverlayArena,
-    /// Lossy concurrent computed cache, invalidated by epoch bump.
+    /// Lossy concurrent computed cache, invalidated by epoch bump and
+    /// sized to the base at every phase.
     cache: AtomicCache,
     /// Base GC generation at the last cache-epoch sync. A collection
     /// through *any* path is caught by comparing generations before
@@ -263,17 +276,22 @@ impl OverlayFrame {
         OverlayFrame {
             table: ShardedTable::new(cfg.shards, 64),
             arena: OverlayArena::new(),
-            cache: AtomicCache::new(cfg.cache_ways),
+            cache: AtomicCache::new(cache_span(0, cfg.cache_ways)),
             seen_generation: 0,
             memo: Vec::new(),
         }
     }
 
-    /// Recycle the per-operation scratch (table entries and arena records)
-    /// without invalidating the cross-operation computed cache.
-    fn recycle(&self) {
+    /// Start a parallel phase: recycle the per-operation scratch (table
+    /// entries and arena records) and invalidate the cache, whose entries
+    /// hold overlay ids that die with the arena reset. No entry survives
+    /// the epoch bump, so resizing the cache to `ways` here costs no
+    /// hits.
+    fn recycle(&mut self, ways: usize) {
         self.table.clear();
         self.arena.reset();
+        self.cache.resize(ways);
+        self.cache.bump_epoch();
     }
 
     /// Bump the cache epoch if a collection happened since the last sync;
@@ -735,10 +753,10 @@ impl<M: NodeShape> Par<M> {
         }
         self.stats.ops_parallel += 1;
         // Freeze the base: workers read `inner` only. Recycle the overlay
-        // workspace from the previous operation (cached overlay ids die
-        // with the arena reset, so the cache epoch must move too).
-        self.frame.recycle();
-        self.frame.cache.bump_epoch();
+        // workspace from the previous operation and size the cache to the
+        // base.
+        self.frame
+            .recycle(cache_span(self.inner.live_nodes(), self.cfg.cache_ways));
         let base_len = self.inner.node_slots();
         let results: Vec<AtomicU64> = tasks.iter().map(|_| AtomicU64::new(0)).collect();
         let recursions = AtomicU64::new(0);
@@ -754,6 +772,7 @@ impl<M: NodeShape> Par<M> {
                 cache: &self.frame.cache,
                 quant,
                 calls: 0,
+                tally: AtomicCacheStats::default(),
             };
             let arena = &self.frame.arena;
             match try_fork_join_governed(
@@ -1167,12 +1186,15 @@ mod tests {
         };
         let mut f = OverlayFrame::new(&cfg);
         assert_eq!(f.arena.len(), 0);
+        assert_eq!(f.cache.capacity(), 1 << 10, "a cap below the floor");
         let i = f.arena.alloc(1, 2, 3);
         f.table.get_or_insert_with(K(7), &vec![K(7)], || i);
         assert_eq!(f.arena.len(), 1);
-        f.recycle();
+        f.recycle(1 << 9);
         assert_eq!(f.arena.len(), 0);
         assert_eq!(f.table.len(), 0);
+        assert_eq!(f.cache.capacity(), 1 << 9);
+        assert_eq!(f.cache.stats().invalidations, 1);
         assert!(!f.sync_generation(0), "generation unchanged → no bump");
         assert!(f.sync_generation(3), "a collection happened → bump");
         assert!(!f.sync_generation(3));

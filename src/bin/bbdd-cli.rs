@@ -625,13 +625,7 @@ fn serve_run<B: SessionBackend>(backend: B, nets: &[&Network], o: &ServeOptions)
             Ok(a) => eprintln!("[serve] listening on {a} (one session per connection)"),
             Err(_) => eprintln!("[serve] listening on {addr}"),
         }
-        match serve_tcp(&base, &cfg, &listener, o.max_conns) {
-            Ok(out) => out,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        serve_tcp(&base, &cfg, &listener, o.max_conns)
     } else {
         let (stdin, stdout) = (std::io::stdin(), std::io::stdout());
         match serve_stream(&base, &cfg, &mut stdin.lock(), &mut stdout.lock()) {

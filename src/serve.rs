@@ -989,17 +989,16 @@ pub fn serve_stream<B: SessionBackend>(
 ///
 /// A failed `accept` (say `ECONNABORTED` or `EMFILE`) skips that one
 /// connection and the server goes on; it is counted in
-/// [`ServeOutcome::read_errors`] with the per-connection read errors.
-///
-/// # Errors
-/// None: every failure ends one connection only.
+/// [`ServeOutcome::read_errors`] with the per-connection read errors, so
+/// no failure ends the server.
+#[must_use]
 pub fn serve_tcp<B: SessionBackend>(
     base: &Arc<SharedBase<B>>,
     cfg: &ServeConfig,
     listener: &std::net::TcpListener,
     max_conns: Option<usize>,
-) -> std::io::Result<ServeOutcome> {
-    Ok(serve_incoming(base, cfg, listener.incoming(), max_conns))
+) -> ServeOutcome {
+    serve_incoming(base, cfg, listener.incoming(), max_conns)
 }
 
 /// The accept loop of [`serve_tcp`] over any stream of accepted
@@ -1393,7 +1392,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn({
             let base = Arc::clone(&base);
-            move || serve_tcp(&base, &ServeConfig::default(), &listener, Some(1)).unwrap()
+            move || serve_tcp(&base, &ServeConfig::default(), &listener, Some(1))
         });
         let mut conn = std::net::TcpStream::connect(addr).unwrap();
         conn.write_all(
@@ -1591,7 +1590,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn({
             let base = Arc::clone(&base);
-            move || serve_tcp(&base, &ServeConfig::default(), &listener, Some(2)).unwrap()
+            move || serve_tcp(&base, &ServeConfig::default(), &listener, Some(2))
         });
         // Connection 1: an over-long line is answered with an error and
         // the connection goes on.

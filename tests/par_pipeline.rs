@@ -48,6 +48,7 @@ for_both_backends!(
     inner_mut_collections_invalidate_the_concurrent_cache,
     par_stats_surface_the_machinery,
     budgeted_apply_through_the_parallel_phase_matches_unlimited,
+    cache_size_never_reaches_a_result,
 );
 
 fn forced() -> ParConfig {
@@ -300,6 +301,69 @@ fn budgeted_apply_through_the_parallel_phase_matches_unlimited<M: Backend>() {
         match reference {
             None => reference = Some(results[0]),
             Some(expect) => assert_eq!(results[0], expect, "threads {threads} changed the root"),
+        }
+    }
+}
+
+/// The lossy cache's size never reaches a result: with a 32-way cap, a
+/// 1 024-way cap and the default cap, the pipeline returns the same root
+/// edges (node ids included) for the apply, ite, exists and and-exists
+/// families and leaves the same live node count, at one and three
+/// threads. An XOR accumulation over 16 variables then grows the base past
+/// 2^16 live nodes, so under the default cap the cache is resized between
+/// its operations.
+fn cache_size_never_reaches_a_result<M: Backend>() {
+    let mut reference = None;
+    for threads in [1usize, 3] {
+        for cache_ways in [1 << 5, 1 << 10, ParConfig::default().cache_ways] {
+            let cfg = ParConfig {
+                threads,
+                cache_ways,
+                ..forced()
+            };
+            let mut roots = Vec::new();
+            let mut live = Vec::new();
+            for seed in 0..3u64 {
+                let n = 10;
+                let mut par = Par::<M>::with_config(n, cfg);
+                let vs = vars_of(&mut par, n);
+                let f = build_mixed(n, seed, &mut |op, a, b| par.apply_edge(op, a, b), &vs);
+                let g = build_mixed(n, seed + 31, &mut |op, a, b| par.apply_edge(op, a, b), &vs);
+                let apply = par.apply_edge(BoolOp::XOR, f, g);
+                let ite = par.ite_edge(f, g, apply);
+                let exists = par.exists_edge(ite, &[0, 4, 5]);
+                let and_exists = par.and_exists_edge(f, apply, &[1, 2, 8]);
+                roots.extend([f, g, apply, ite, exists, and_exists]);
+                live.push(par.live_nodes());
+                par.inner().validate_all().unwrap();
+            }
+            let n = 16;
+            let mut par = Par::<M>::with_config(n, cfg);
+            let vs = vars_of(&mut par, n);
+            let (mut acc, mut seed) = (vs[0], 0);
+            while par.live_nodes() <= 1 << 16 {
+                let f = build_mixed(n, seed, &mut |op, a, b| par.apply_edge(op, a, b), &vs);
+                let g = build_mixed(n, seed + 1, &mut |op, a, b| par.apply_edge(op, a, b), &vs);
+                let h = par.apply_edge(BoolOp::AND, f, g);
+                acc = par.apply_edge(BoolOp::XOR, acc, h);
+                roots.push(acc);
+                seed += 2;
+            }
+            live.push(par.live_nodes());
+            if cache_ways == ParConfig::default().cache_ways {
+                let cache_bytes =
+                    |m: ddcore::obs::MetricsSnapshot| m.get("mem.cache_bytes").unwrap();
+                let lossy = cache_bytes(par.observe()) - cache_bytes(par.inner().observe());
+                assert!(lossy > 16 << 12, "the cache grew past its floor: {lossy} B");
+            }
+            let got = (roots, live);
+            match &reference {
+                None => reference = Some(got),
+                Some(expect) => assert_eq!(
+                    &got, expect,
+                    "threads {threads}, cache_ways {cache_ways}: the cache size reached a result"
+                ),
+            }
         }
     }
 }
