@@ -241,7 +241,7 @@ fn count_one_slice<M: FunctionManager, S: ClauseSchedule>(
 /// [`splitting_set`]), each built and counted in a fresh manager from
 /// `make_mgr` under a fresh per-slice budget from `make_budget`, then
 /// recombined. Aborted slices degrade the verdict to `partial` instead
-/// of failing the instance.
+/// of failing the instance. This is [`count_sliced_par`] on one thread.
 pub fn count_sliced<M, S, FM, FB>(
     make_mgr: FM,
     make_budget: FB,
@@ -251,20 +251,11 @@ pub fn count_sliced<M, S, FM, FB>(
 ) -> SlicedCount
 where
     M: FunctionManager,
-    S: ClauseSchedule,
-    FM: Fn() -> M,
-    FB: Fn() -> OpBudget,
+    S: ClauseSchedule + Sync,
+    FM: Fn() -> M + Sync,
+    FB: Fn() -> OpBudget + Sync,
 {
-    let splitting = splitting_set(cnf, k);
-    let n_slices = 1usize << splitting.len();
-    let slices = (0..n_slices)
-        .map(|i| {
-            let mgr = make_mgr();
-            let mut budget = make_budget();
-            count_one_slice(&mgr, cnf, &splitting, schedule, i, &mut budget)
-        })
-        .collect();
-    SlicedCount::from_outcomes(splitting, slices)
+    count_sliced_par(1, make_mgr, make_budget, cnf, schedule, k)
 }
 
 /// [`count_sliced`] fanned out on the `ddcore::par` fork-join pool:

@@ -8,7 +8,9 @@
 //! paper feeds one benchmark network to both packages. (The ad-hoc
 //! `BoolAlgebra` trait this replaces declared the same handful of
 //! operations a third time; the word-level simulation that also used it
-//! lives in [`crate::sim::simulate_words`] now.)
+//! lives in [`crate::sim::simulate_words`] now.) It is also written once
+//! for both operation forms: [`build_network`] and [`try_build_network`]
+//! run the same gate loop, ungoverned or under a budget.
 //!
 //! Every wire the builder holds is an owned handle and therefore a
 //! registered GC root, so the backend's collection opportunities
@@ -18,9 +20,11 @@
 //! unequal to *itself* when the CEC driver forgot a root); with handles
 //! the bug class is unrepresentable.
 
+use crate::form::{OpForm, Unbudgeted};
 use crate::ir::{GateOp, Network};
 use ddcore::api::{BooleanFunction, FunctionManager};
 use ddcore::govern::{OpAbort, OpBudget};
+use ddcore::BoolOp;
 
 /// Gate-count interval between garbage-collection / dynamic-reordering
 /// opportunities while building large networks.
@@ -58,109 +62,7 @@ pub fn build_network_with_inputs<M: FunctionManager>(
     net: &Network,
     inputs: &[M::Function],
 ) -> Vec<M::Function> {
-    net.check().expect("network must be structurally valid");
-    assert!(
-        inputs.len() >= net.num_inputs(),
-        "one pre-bound handle per network input required"
-    );
-    let mut obs_span = ddcore::obs::span(ddcore::obs::Op::BuildNetwork);
-    obs_span.set_arg("gates", net.gates().len() as u64);
-    let mut wire: Vec<Option<M::Function>> = vec![None; net.num_signals()];
-    for (i, s) in net.inputs().iter().enumerate() {
-        wire[s.index()] = Some(inputs[i].clone());
-    }
-    // Last-use positions so intermediate handles can be dropped (releasing
-    // their root-registry slots) as soon as they are dead.
-    let mut last_use = vec![usize::MAX; net.num_signals()];
-    for (gi, g) in net.gates().iter().enumerate() {
-        for inp in &g.inputs {
-            last_use[inp.index()] = gi;
-        }
-    }
-    for (_, s) in net.outputs() {
-        last_use[s.index()] = usize::MAX;
-    }
-    for s in net.inputs() {
-        last_use[s.index()] = usize::MAX; // keep manager variables alive
-    }
-
-    for (gi, g) in net.gates().iter().enumerate() {
-        // Borrow the fan-in handles straight out of the wire table —
-        // cloning them would cost a registry refcount round-trip per pin,
-        // which adds up on micro builds.
-        let ins: Vec<&M::Function> = g
-            .inputs
-            .iter()
-            .map(|s| wire[s.index()].as_ref().expect("topological order"))
-            .collect();
-        /// Left-fold `op` over a fan-in list without cloning the head for
-        /// the ≥2-input case (the 1-input degenerate form clones once).
-        macro_rules! fold {
-            ($op:ident, $ins:expr) => {
-                if $ins.len() == 1 {
-                    $ins[0].clone()
-                } else {
-                    let mut acc = $ins[0].$op($ins[1]);
-                    for x in &$ins[2..] {
-                        acc = acc.$op(x);
-                    }
-                    acc
-                }
-            };
-        }
-        let out = match g.op {
-            GateOp::Const0 => mgr.constant(false),
-            GateOp::Const1 => mgr.constant(true),
-            GateOp::Buf => ins[0].clone(),
-            GateOp::Not => ins[0].not(),
-            GateOp::And | GateOp::Nand => {
-                let acc = fold!(and, ins);
-                if g.op == GateOp::Nand {
-                    acc.not()
-                } else {
-                    acc
-                }
-            }
-            GateOp::Or | GateOp::Nor => {
-                let acc = fold!(or, ins);
-                if g.op == GateOp::Nor {
-                    acc.not()
-                } else {
-                    acc
-                }
-            }
-            GateOp::Xor | GateOp::Xnor => {
-                let acc = fold!(xor, ins);
-                if g.op == GateOp::Xnor {
-                    acc.not()
-                } else {
-                    acc
-                }
-            }
-            GateOp::Maj => {
-                let ab = ins[0].and(ins[1]);
-                let bc = ins[1].and(ins[2]);
-                let ac = ins[0].and(ins[2]);
-                ab.or(&bc).or(&ac)
-            }
-            GateOp::Mux => ins[0].ite(ins[1], ins[2]),
-        };
-        wire[g.output.index()] = Some(out);
-        // Drop dead intermediates (their handles release the registry
-        // slots) and give the backend a GC opportunity.
-        if (gi + 1) % GC_STRIDE == 0 {
-            for (idx, slot) in wire.iter_mut().enumerate() {
-                if last_use[idx] <= gi {
-                    *slot = None;
-                }
-            }
-            mgr.collect();
-        }
-    }
-    net.outputs()
-        .iter()
-        .map(|(_, s)| wire[s.index()].clone().expect("outputs are driven"))
-        .collect()
+    build_gates(mgr, net, inputs, &mut Unbudgeted).unwrap_or_else(|(never, _)| match never {})
 }
 
 /// A network build stopped by its [`OpBudget`].
@@ -206,14 +108,37 @@ pub fn try_build_network<M: FunctionManager>(
     net: &Network,
     budget: &mut OpBudget,
 ) -> Result<Vec<M::Function>, BuildAborted> {
+    let inputs: Vec<M::Function> = (0..net.num_inputs()).map(|i| mgr.var(i)).collect();
+    build_gates(mgr, net, &inputs, budget).map_err(|(reason, gates_built)| BuildAborted {
+        reason,
+        gates_built,
+    })
+}
+
+/// The gate loop behind every build entry: interpret `net` over the
+/// pre-bound `inputs` in operation form `form`. On abort, returns the
+/// reason and the number of gates interpreted, after dropping every wire
+/// handle and offering the manager an ungoverned collection, so the
+/// registry balances and the partial build is reclaimed.
+fn build_gates<M: FunctionManager, O: OpForm>(
+    mgr: &M,
+    net: &Network,
+    inputs: &[M::Function],
+    form: &mut O,
+) -> Result<Vec<M::Function>, (O::Abort, usize)> {
     net.check().expect("network must be structurally valid");
+    assert!(
+        inputs.len() >= net.num_inputs(),
+        "one pre-bound handle per network input required"
+    );
     let mut obs_span = ddcore::obs::span(ddcore::obs::Op::BuildNetwork);
     obs_span.set_arg("gates", net.gates().len() as u64);
-    let inputs: Vec<M::Function> = (0..net.num_inputs()).map(|i| mgr.var(i)).collect();
     let mut wire: Vec<Option<M::Function>> = vec![None; net.num_signals()];
     for (i, s) in net.inputs().iter().enumerate() {
         wire[s.index()] = Some(inputs[i].clone());
     }
+    // Last-use positions so intermediate handles can be dropped (releasing
+    // their root-registry slots) as soon as they are dead.
     let mut last_use = vec![usize::MAX; net.num_signals()];
     for (gi, g) in net.gates().iter().enumerate() {
         for inp in &g.inputs {
@@ -224,101 +149,40 @@ pub fn try_build_network<M: FunctionManager>(
         last_use[s.index()] = usize::MAX;
     }
     for s in net.inputs() {
-        last_use[s.index()] = usize::MAX;
+        last_use[s.index()] = usize::MAX; // keep manager variables alive
     }
+    let abort = |wire: &mut Vec<Option<M::Function>>, reason, gates_built| {
+        wire.clear();
+        mgr.collect();
+        Err((reason, gates_built))
+    };
 
     for (gi, g) in net.gates().iter().enumerate() {
+        // Borrow the fan-in handles straight out of the wire table —
+        // cloning them would cost a registry refcount round-trip per pin,
+        // which adds up on micro builds.
         let ins: Vec<&M::Function> = g
             .inputs
             .iter()
             .map(|s| wire[s.index()].as_ref().expect("topological order"))
             .collect();
-        /// Budgeted left-fold of `op` over a fan-in list.
-        macro_rules! try_fold {
-            ($op:ident, $ins:expr, $budget:expr) => {
-                if $ins.len() == 1 {
-                    $ins[0].clone()
-                } else {
-                    let mut acc = $ins[0].$op($ins[1], $budget)?;
-                    for x in &$ins[2..] {
-                        acc = acc.$op(x, $budget)?;
-                    }
-                    acc
-                }
-            };
-        }
-        let out = (|| -> Result<M::Function, OpAbort> {
-            Ok(match g.op {
-                GateOp::Const0 => mgr.constant(false),
-                GateOp::Const1 => mgr.constant(true),
-                GateOp::Buf => ins[0].clone(),
-                GateOp::Not => ins[0].not(),
-                GateOp::And | GateOp::Nand => {
-                    let acc = try_fold!(try_and, ins, budget);
-                    if g.op == GateOp::Nand {
-                        acc.not()
-                    } else {
-                        acc
-                    }
-                }
-                GateOp::Or | GateOp::Nor => {
-                    let acc = try_fold!(try_or, ins, budget);
-                    if g.op == GateOp::Nor {
-                        acc.not()
-                    } else {
-                        acc
-                    }
-                }
-                GateOp::Xor | GateOp::Xnor => {
-                    let acc = try_fold!(try_xor, ins, budget);
-                    if g.op == GateOp::Xnor {
-                        acc.not()
-                    } else {
-                        acc
-                    }
-                }
-                GateOp::Maj => {
-                    let ab = ins[0].try_and(ins[1], budget)?;
-                    let bc = ins[1].try_and(ins[2], budget)?;
-                    let ac = ins[0].try_and(ins[2], budget)?;
-                    ab.try_or(&bc, budget)?.try_or(&ac, budget)?
-                }
-                GateOp::Mux => ins[0].try_ite(ins[1], ins[2], budget)?,
-            })
-        })();
-        let out = match out {
-            Ok(o) => o,
-            Err(reason) => {
-                // Drop every held handle before reporting: the registry
-                // must balance so the next GC can reclaim the partial
-                // build.
-                drop(ins);
-                wire.clear();
-                mgr.collect();
-                return Err(BuildAborted {
-                    reason,
-                    gates_built: gi,
-                });
-            }
+        let out = match gate(mgr, form, g.op, &ins) {
+            Ok(out) => out,
+            Err(reason) => return abort(&mut wire, reason, gi),
         };
         wire[g.output.index()] = Some(out);
+        // Drop dead intermediates (their handles release the registry
+        // slots) and give the backend a GC opportunity. Under a budget a
+        // scheduled reorder due here runs governed, so even a mid-build
+        // sift is abort-safe.
         if (gi + 1) % GC_STRIDE == 0 {
             for (idx, slot) in wire.iter_mut().enumerate() {
                 if last_use[idx] <= gi {
                     *slot = None;
                 }
             }
-            // The budgeted collection gate: a scheduled reorder due here
-            // runs under the caller's budget, so even a mid-build sift is
-            // abort-safe — on abort the order is consistent and the same
-            // cleanup as an aborted operation applies.
-            if let Err(reason) = mgr.try_collect(budget) {
-                wire.clear();
-                mgr.collect();
-                return Err(BuildAborted {
-                    reason,
-                    gates_built: gi + 1,
-                });
+            if let Err(reason) = form.collect(mgr) {
+                return abort(&mut wire, reason, gi + 1);
             }
         }
     }
@@ -327,6 +191,47 @@ pub fn try_build_network<M: FunctionManager>(
         .iter()
         .map(|(_, s)| wire[s.index()].clone().expect("outputs are driven"))
         .collect())
+}
+
+/// One gate's function over its fan-in handles `ins`.
+fn gate<M: FunctionManager, O: OpForm>(
+    mgr: &M,
+    form: &mut O,
+    op: GateOp,
+    ins: &[&M::Function],
+) -> Result<M::Function, O::Abort> {
+    // Left-fold `op` over the fan-in without cloning the head for the
+    // ≥2-input case (the 1-input degenerate form clones once).
+    let mut fold = |op: BoolOp| {
+        if ins.len() == 1 {
+            return Ok(ins[0].clone());
+        }
+        let mut acc = form.apply(op, ins[0], ins[1])?;
+        for x in &ins[2..] {
+            acc = form.apply(op, &acc, x)?;
+        }
+        Ok(acc)
+    };
+    Ok(match op {
+        GateOp::Const0 => mgr.constant(false),
+        GateOp::Const1 => mgr.constant(true),
+        GateOp::Buf => ins[0].clone(),
+        GateOp::Not => ins[0].not(),
+        GateOp::And => fold(BoolOp::AND)?,
+        GateOp::Nand => fold(BoolOp::AND)?.not(),
+        GateOp::Or => fold(BoolOp::OR)?,
+        GateOp::Nor => fold(BoolOp::OR)?.not(),
+        GateOp::Xor => fold(BoolOp::XOR)?,
+        GateOp::Xnor => fold(BoolOp::XOR)?.not(),
+        GateOp::Maj => {
+            let ab = form.apply(BoolOp::AND, ins[0], ins[1])?;
+            let bc = form.apply(BoolOp::AND, ins[1], ins[2])?;
+            let ac = form.apply(BoolOp::AND, ins[0], ins[2])?;
+            let ab_bc = form.apply(BoolOp::OR, &ab, &bc)?;
+            form.apply(BoolOp::OR, &ab_bc, &ac)?
+        }
+        GateOp::Mux => form.ite(ins[0], ins[1], ins[2])?,
+    })
 }
 
 #[cfg(test)]

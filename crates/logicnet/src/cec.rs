@@ -40,19 +40,15 @@
 //! ```
 
 use crate::build::build_network_with_inputs;
+use crate::form::{OpForm, Unbudgeted};
 use crate::ir::Network;
 use ddcore::api::{BooleanFunction, FunctionManager};
 use ddcore::govern::{OpAbort, OpBudget};
+use ddcore::BoolOp;
 use std::collections::HashMap;
-
-/// Number of distinguishing assignments over the networks' `n_inputs`
-/// input universe, or `None` when the count is unrepresentable in 128
-/// bits. Routed through [`BooleanFunction::sat_count_over`] so the count
-/// is normalized to the *interface* — a manager sized larger than the
-/// input union no longer inflates the count by its spare variables.
-fn model_count<M: FunctionManager>(f: &M::Function, n_inputs: usize) -> Option<u128> {
-    f.sat_count_over(n_inputs)
-}
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// A concrete refutation of one output pair.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -144,20 +140,25 @@ pub fn match_interfaces(a: &Network, b: &Network) -> (Vec<usize>, Vec<usize>, Po
     }
 }
 
-/// Check two combinational networks for equivalence in `mgr`.
+/// Build `a` and `b` into `mgr` over one variable space (variable `i` is
+/// `a`'s input `i`, `b`'s inputs aligned by the [`match_interfaces`]
+/// result `maps`) and prove `a`'s outputs in `outputs` against their
+/// partners in port order, in operation form `form`, stopping at the
+/// first refutation.
 ///
-/// Inputs and outputs are matched by name when both networks carry the
-/// same port-name sets, positionally otherwise. The manager must have at
-/// least `a.num_inputs()` variables; variable `i` is bound to `a`'s input
-/// `i` (so counterexamples read in `a`'s input order).
-///
-/// # Panics
-/// Panics if the interfaces have different arities or the manager has too
-/// few variables.
-pub fn check_equivalence<M: FunctionManager>(mgr: &M, a: &Network, b: &Network) -> CecVerdict {
-    let _cec = ddcore::obs::span(ddcore::obs::Op::Cec);
+/// Each proof forms the miter `m_k = f_k ⊕ g_k` and quantifies every
+/// input; `∃X. m_k` is false exactly when the outputs agree. On abort,
+/// returns the reason and the number of outputs decided. The builds are
+/// never governed: they are cheap next to the quantifications.
+fn prove<M: FunctionManager, O: OpForm>(
+    mgr: &M,
+    a: &Network,
+    b: &Network,
+    (input_map, output_map, _): &(Vec<usize>, Vec<usize>, PortMatching),
+    outputs: Range<usize>,
+    form: &mut O,
+) -> Result<Option<Counterexample>, (O::Abort, usize)> {
     let n = a.num_inputs();
-    let (input_map, output_map, _) = match_interfaces(a, b);
     let vars: Vec<M::Function> = (0..n).map(|i| mgr.var(i)).collect();
     let a_outs = build_network_with_inputs(mgr, a, &vars);
     let b_inputs: Vec<M::Function> = input_map.iter().map(|&i| vars[i].clone()).collect();
@@ -169,25 +170,58 @@ pub fn check_equivalence<M: FunctionManager>(mgr: &M, a: &Network, b: &Network) 
     let b_outs = build_network_with_inputs(mgr, b, &b_inputs);
 
     let all_inputs: Vec<usize> = (0..n).collect();
-    for (k, (name, _)) in a.outputs().iter().enumerate() {
+    for k in outputs.clone() {
         let mut out_span = ddcore::obs::span(ddcore::obs::Op::CecOutput);
         out_span.set_arg("output", k as u64);
-        let miter = a_outs[k].xor(&b_outs[output_map[k]]);
-        let quantified = miter.exists(&all_inputs);
+        let decided = |reason| (reason, k - outputs.start);
+        let miter = form
+            .apply(BoolOp::XOR, &a_outs[k], &b_outs[output_map[k]])
+            .map_err(decided)?;
+        let quantified = form.exists(&miter, &all_inputs).map_err(decided)?;
         if !quantified.is_false() {
             let inputs = miter
                 .any_sat()
                 .map(|m| m[..n].to_vec())
                 .expect("a non-false miter has a model");
-            return CecVerdict::Inequivalent(Counterexample {
+            return Ok(Some(Counterexample {
                 output: k,
-                output_name: name.clone(),
+                output_name: a.outputs()[k].0.clone(),
                 inputs,
-                distinguishing: model_count::<M>(&miter, n),
-            });
+                // Counted over the networks' input universe, so spare
+                // manager variables do not inflate it.
+                distinguishing: miter.sat_count_over(n),
+            }));
         }
     }
-    CecVerdict::Equivalent
+    Ok(None)
+}
+
+/// The sequential driver behind [`check_equivalence`] and
+/// [`try_check_equivalence`].
+fn check<M: FunctionManager, O: OpForm>(
+    mgr: &M,
+    a: &Network,
+    b: &Network,
+    form: &mut O,
+) -> Result<CecVerdict, (O::Abort, usize)> {
+    let _cec = ddcore::obs::span(ddcore::obs::Op::Cec);
+    let maps = match_interfaces(a, b);
+    let cex = prove(mgr, a, b, &maps, 0..a.num_outputs(), form)?;
+    Ok(cex.map_or(CecVerdict::Equivalent, CecVerdict::Inequivalent))
+}
+
+/// Check two combinational networks for equivalence in `mgr`.
+///
+/// Inputs and outputs are matched by name when both networks carry the
+/// same port-name sets, positionally otherwise. The manager must have at
+/// least `a.num_inputs()` variables; variable `i` is bound to `a`'s input
+/// `i` (so counterexamples read in `a`'s input order).
+///
+/// # Panics
+/// Panics if the interfaces have different arities or the manager has too
+/// few variables.
+pub fn check_equivalence<M: FunctionManager>(mgr: &M, a: &Network, b: &Network) -> CecVerdict {
+    check(mgr, a, b, &mut Unbudgeted).unwrap_or_else(|(never, _)| match never {})
 }
 
 /// A CEC run cut short by its [`OpBudget`]: the partial verdict.
@@ -218,6 +252,13 @@ impl std::fmt::Display for CecAborted {
 
 impl std::error::Error for CecAborted {}
 
+fn aborted((reason, outputs_checked): (OpAbort, usize)) -> CecAborted {
+    CecAborted {
+        reason,
+        outputs_checked,
+    }
+}
+
 /// [`check_equivalence`] under a resource budget: each per-output miter
 /// and quantification runs through the fallible `try_*` operations, and
 /// the first abort surfaces as [`CecAborted`] with the number of outputs
@@ -240,42 +281,7 @@ pub fn try_check_equivalence<M: FunctionManager>(
     b: &Network,
     budget: &mut OpBudget,
 ) -> Result<CecVerdict, CecAborted> {
-    let _cec = ddcore::obs::span(ddcore::obs::Op::Cec);
-    let n = a.num_inputs();
-    let (input_map, output_map, _) = match_interfaces(a, b);
-    let vars: Vec<M::Function> = (0..n).map(|i| mgr.var(i)).collect();
-    let a_outs = build_network_with_inputs(mgr, a, &vars);
-    let b_inputs: Vec<M::Function> = input_map.iter().map(|&i| vars[i].clone()).collect();
-    let b_outs = build_network_with_inputs(mgr, b, &b_inputs);
-
-    let all_inputs: Vec<usize> = (0..n).collect();
-    for (k, (name, _)) in a.outputs().iter().enumerate() {
-        let mut out_span = ddcore::obs::span(ddcore::obs::Op::CecOutput);
-        out_span.set_arg("output", k as u64);
-        let step = a_outs[k]
-            .try_xor(&b_outs[output_map[k]], budget)
-            .and_then(|miter| {
-                let q = miter.try_exists(&all_inputs, budget)?;
-                Ok((miter, q))
-            });
-        let (miter, quantified) = step.map_err(|reason| CecAborted {
-            reason,
-            outputs_checked: k,
-        })?;
-        if !quantified.is_false() {
-            let inputs = miter
-                .any_sat()
-                .map(|m| m[..n].to_vec())
-                .expect("a non-false miter has a model");
-            return Ok(CecVerdict::Inequivalent(Counterexample {
-                output: k,
-                output_name: name.clone(),
-                inputs,
-                distinguishing: model_count::<M>(&miter, n),
-            }));
-        }
-    }
-    Ok(CecVerdict::Equivalent)
+    check(mgr, a, b, budget).map_err(aborted)
 }
 
 /// Execution statistics of one [`check_equivalence_parallel`] run.
@@ -291,16 +297,96 @@ pub struct CecParStats {
     pub chunks_by_worker: Vec<u64>,
 }
 
+/// The fork-join driver behind [`check_equivalence_parallel`] and
+/// [`try_check_equivalence_parallel`]: each chunk proves its outputs in a
+/// fresh manager under its own clone of `form`, and `stop` is polled
+/// between chunks (`Some` stops the pool and names the reason).
+fn check_parallel<M, F, O>(
+    a: &Network,
+    b: &Network,
+    threads: usize,
+    make_mgr: F,
+    form: &O,
+    stop: impl Fn() -> Option<O::Abort> + Sync,
+) -> Result<(CecVerdict, CecParStats), (O::Abort, usize)>
+where
+    M: FunctionManager,
+    F: Fn() -> M + Sync,
+    O: OpForm + Clone + Sync,
+    O::Abort: Send,
+{
+    let _cec = ddcore::obs::span(ddcore::obs::Op::Cec);
+    let n_out = a.num_outputs();
+    if n_out == 0 {
+        return Ok((CecVerdict::Equivalent, CecParStats::default()));
+    }
+    let maps = match_interfaces(a, b);
+    // Chunk c owns the contiguous output range [c*per, (c+1)*per). The
+    // chunk count is recomputed from the rounded-up chunk size so no
+    // vacuous chunk exists — every spawned chunk pays for two network
+    // builds, so an empty one would be pure waste.
+    let per = n_out.div_ceil((threads.max(1) * 2).min(n_out));
+    let chunks = n_out.div_ceil(per);
+    // The lowest refuted output any chunk found, the first abort any
+    // chunk hit (stop conditions agree across chunks up to benign races,
+    // so "first" is as deterministic as the conditions themselves), and
+    // the outputs decided by unrefuted chunks.
+    let refuted: Mutex<Option<Counterexample>> = Mutex::new(None);
+    let first_abort: Mutex<Option<O::Abort>> = Mutex::new(None);
+    let decided = AtomicUsize::new(0);
+    let (fj, stopped) = ddcore::par::try_fork_join_governed(
+        threads,
+        chunks,
+        || stop().is_some(),
+        |c| {
+            let outputs = c * per..((c + 1) * per).min(n_out);
+            match prove(&make_mgr(), a, b, &maps, outputs.clone(), &mut form.clone()) {
+                Ok(None) => {
+                    decided.fetch_add(outputs.len(), Ordering::Relaxed);
+                }
+                Ok(Some(cex)) => {
+                    let mut lowest = refuted.lock().expect("cec result lock");
+                    if lowest.as_ref().is_none_or(|l| cex.output < l.output) {
+                        *lowest = Some(cex);
+                    }
+                }
+                Err((reason, done)) => {
+                    decided.fetch_add(done, Ordering::Relaxed);
+                    first_abort
+                        .lock()
+                        .expect("cec abort lock")
+                        .get_or_insert(reason);
+                }
+            }
+        },
+    )
+    .unwrap_or_else(|p| panic!("{p}"));
+    let stats = CecParStats {
+        outputs: n_out,
+        chunks,
+        workers: fj.workers,
+        chunks_by_worker: fj.executed,
+    };
+    if let Some(cex) = refuted.into_inner().expect("cec result lock") {
+        return Ok((CecVerdict::Inequivalent(cex), stats));
+    }
+    let abort = first_abort.into_inner().expect("cec abort lock");
+    match abort.or_else(|| if stopped { stop() } else { None }) {
+        Some(reason) => Err((reason, decided.into_inner())),
+        None => Ok((CecVerdict::Equivalent, stats)),
+    }
+}
+
 /// [`check_equivalence`] with the per-output miter loop fanned out across
 /// a fork-join pool.
 ///
 /// Outputs are partitioned into about `2 × threads` chunks; each chunk is
 /// proved in its **own** fresh manager (built by `make_mgr`), so chunks
 /// never contend and the whole check is embarrassingly parallel. The
-/// verdict is deterministic regardless of scheduling: every chunk records
-/// its refutations, and the first refuted output *in the first network's
-/// port order* wins — exactly the output [`check_equivalence`] would have
-/// reported.
+/// verdict is deterministic regardless of scheduling: every chunk stops
+/// at its first refutation, and the lowest refuted output *in the first
+/// network's port order* wins — exactly the output [`check_equivalence`]
+/// would have reported.
 ///
 /// Each chunk rebuilds both networks; for CEC-sized netlists the build is
 /// cheap next to the per-output miter quantifications the chunk then runs,
@@ -319,67 +405,14 @@ where
     M: FunctionManager,
     F: Fn() -> M + Sync,
 {
-    let _cec = ddcore::obs::span(ddcore::obs::Op::Cec);
-    let n = a.num_inputs();
-    let n_out = a.num_outputs();
-    if n_out == 0 {
-        return (CecVerdict::Equivalent, CecParStats::default());
-    }
-    let (input_map, output_map, _) = match_interfaces(a, b);
-    // Chunk c owns the contiguous output range [c*per, (c+1)*per). The
-    // chunk count is recomputed from the rounded-up chunk size so no
-    // vacuous chunk exists — every spawned chunk pays for two network
-    // builds, so an empty one would be pure waste.
-    let per = n_out.div_ceil((threads.max(1) * 2).min(n_out));
-    let chunks = n_out.div_ceil(per);
-    let refuted: Vec<std::sync::Mutex<Option<Counterexample>>> =
-        (0..n_out).map(|_| std::sync::Mutex::new(None)).collect();
-    let all_inputs: Vec<usize> = (0..n).collect();
-    let fj = ddcore::par::fork_join(threads, chunks, |c| {
-        let lo = c * per;
-        let hi = ((c + 1) * per).min(n_out);
-        let mgr = make_mgr();
-        let vars: Vec<M::Function> = (0..n).map(|i| mgr.var(i)).collect();
-        let a_outs = build_network_with_inputs(&mgr, a, &vars);
-        let b_inputs: Vec<M::Function> = input_map.iter().map(|&i| vars[i].clone()).collect();
-        let b_outs = build_network_with_inputs(&mgr, b, &b_inputs);
-        for (k, (name, _)) in a.outputs().iter().enumerate().take(hi).skip(lo) {
-            let mut out_span = ddcore::obs::span(ddcore::obs::Op::CecOutput);
-            out_span.set_arg("output", k as u64);
-            let miter = a_outs[k].xor(&b_outs[output_map[k]]);
-            let quantified = miter.exists(&all_inputs);
-            if !quantified.is_false() {
-                let inputs = miter
-                    .any_sat()
-                    .map(|m| m[..n].to_vec())
-                    .expect("a non-false miter has a model");
-                *refuted[k].lock().expect("cec result lock") = Some(Counterexample {
-                    output: k,
-                    output_name: name.clone(),
-                    inputs,
-                    distinguishing: model_count::<M>(&miter, n),
-                });
-            }
-        }
-    });
-    let stats = CecParStats {
-        outputs: n_out,
-        chunks,
-        workers: fj.workers,
-        chunks_by_worker: fj.executed,
-    };
-    for slot in &refuted {
-        if let Some(cex) = slot.lock().expect("cec result lock").take() {
-            return (CecVerdict::Inequivalent(cex), stats);
-        }
-    }
-    (CecVerdict::Equivalent, stats)
+    check_parallel(a, b, threads, make_mgr, &Unbudgeted, || None)
+        .unwrap_or_else(|(never, _)| match never {})
 }
 
 /// [`check_equivalence_parallel`] under a resource budget: chunks run
-/// through [`try_check_equivalence`]'s per-output fallible pipeline, and
-/// pool workers observe the budget's stop conditions **between chunk
-/// tasks** ([`ddcore::par::try_fork_join_governed`]), so a raised
+/// [`try_check_equivalence`]'s per-output fallible pipeline, and pool
+/// workers observe the budget's stop conditions **between chunk tasks**
+/// ([`ddcore::par::try_fork_join_governed`]), so a raised
 /// [`ddcore::govern::CancelToken`] or an expired deadline stops the whole
 /// fan-out after at most the chunks already in flight.
 ///
@@ -388,8 +421,7 @@ where
 /// **node ceiling applies per chunk** — each chunk clones the budget for
 /// its own manager, since per-chunk managers are what keep the fan-out
 /// contention-free and a shared depleting counter would reintroduce the
-/// contention. An unlimited budget routes to the ordinary un-governed
-/// driver, leaving that hot path untouched.
+/// contention.
 ///
 /// A refutation found by any chunk before the stop is returned as a full
 /// [`CecVerdict::Inequivalent`] (lowest output index wins, so the verdict
@@ -415,120 +447,8 @@ where
     M: FunctionManager,
     F: Fn() -> M + Sync,
 {
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-    let _cec = ddcore::obs::span(ddcore::obs::Op::Cec);
     let view = budget.stop_view();
-    if !view.is_limited() {
-        return Ok(check_equivalence_parallel(a, b, threads, make_mgr));
-    }
-    let n = a.num_inputs();
-    let n_out = a.num_outputs();
-    if n_out == 0 {
-        return Ok((CecVerdict::Equivalent, CecParStats::default()));
-    }
-    let (input_map, output_map, _) = match_interfaces(a, b);
-    let per = n_out.div_ceil((threads.max(1) * 2).min(n_out));
-    let chunks = n_out.div_ceil(per);
-    let refuted: Vec<std::sync::Mutex<Option<Counterexample>>> =
-        (0..n_out).map(|_| std::sync::Mutex::new(None)).collect();
-    let all_inputs: Vec<usize> = (0..n).collect();
-    let decided = AtomicUsize::new(0);
-    // First abort reason any chunk hit, encoded ordinally (0 = none);
-    // stop-condition reasons agree across chunks up to benign races
-    // (deadline vs token raised in the same stride), so "first recorded"
-    // is as deterministic as the conditions themselves.
-    let abort_code = AtomicU64::new(0);
-    let encode = |r: OpAbort| match r {
-        OpAbort::NodeBudget => 1u64,
-        OpAbort::Deadline => 2,
-        OpAbort::Cancelled => 3,
-    };
-    let decode = |c: u64| match c {
-        1 => OpAbort::NodeBudget,
-        2 => OpAbort::Deadline,
-        _ => OpAbort::Cancelled,
-    };
-    let chunk_proto = budget.clone();
-    let fj_result = ddcore::par::try_fork_join_governed(
-        threads,
-        chunks,
-        || view.should_stop(0).is_some(),
-        |c| {
-            let lo = c * per;
-            let hi = ((c + 1) * per).min(n_out);
-            let mut chunk_budget = chunk_proto.clone();
-            let mgr = make_mgr();
-            let vars: Vec<M::Function> = (0..n).map(|i| mgr.var(i)).collect();
-            let a_outs = build_network_with_inputs(&mgr, a, &vars);
-            let b_inputs: Vec<M::Function> = input_map.iter().map(|&i| vars[i].clone()).collect();
-            let b_outs = build_network_with_inputs(&mgr, b, &b_inputs);
-            for (k, (name, _)) in a.outputs().iter().enumerate().take(hi).skip(lo) {
-                let mut out_span = ddcore::obs::span(ddcore::obs::Op::CecOutput);
-                out_span.set_arg("output", k as u64);
-                let step = a_outs[k]
-                    .try_xor(&b_outs[output_map[k]], &mut chunk_budget)
-                    .and_then(|miter| {
-                        let q = miter.try_exists(&all_inputs, &mut chunk_budget)?;
-                        Ok((miter, q))
-                    });
-                let (miter, quantified) = match step {
-                    Ok(pair) => pair,
-                    Err(reason) => {
-                        let _ = abort_code.compare_exchange(
-                            0,
-                            encode(reason),
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        );
-                        return;
-                    }
-                };
-                if !quantified.is_false() {
-                    let inputs = miter
-                        .any_sat()
-                        .map(|m| m[..n].to_vec())
-                        .expect("a non-false miter has a model");
-                    *refuted[k].lock().expect("cec result lock") = Some(Counterexample {
-                        output: k,
-                        output_name: name.clone(),
-                        inputs,
-                        distinguishing: model_count::<M>(&miter, n),
-                    });
-                }
-                decided.fetch_add(1, Ordering::Relaxed);
-            }
-        },
-    );
-    let (fj, stopped) = match fj_result {
-        Ok(x) => x,
-        Err(p) => panic!("{p}"),
-    };
-    let stats = CecParStats {
-        outputs: n_out,
-        chunks,
-        workers: fj.workers,
-        chunks_by_worker: fj.executed,
-    };
-    for slot in &refuted {
-        if let Some(cex) = slot.lock().expect("cec result lock").take() {
-            return Ok((CecVerdict::Inequivalent(cex), stats));
-        }
-    }
-    let outputs_checked = decided.load(Ordering::Relaxed);
-    let code = abort_code.load(Ordering::Acquire);
-    if code != 0 || stopped || outputs_checked < n_out {
-        let reason = if code != 0 {
-            decode(code)
-        } else {
-            view.should_stop(0).unwrap_or(OpAbort::Cancelled)
-        };
-        return Err(CecAborted {
-            reason,
-            outputs_checked,
-        });
-    }
-    Ok((CecVerdict::Equivalent, stats))
+    check_parallel(a, b, threads, make_mgr, &*budget, || view.should_stop(0)).map_err(aborted)
 }
 
 /// [`check_equivalence_parallel`] over fresh sequential BBDD managers

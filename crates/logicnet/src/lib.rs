@@ -48,6 +48,7 @@
 pub mod blif;
 pub mod build;
 pub mod cec;
+mod form;
 mod ir;
 pub mod order;
 pub mod publish;

@@ -16,8 +16,9 @@
 //! See `DESIGN.md` for the system inventory and storage layout,
 //! `CHANGES.md` for the per-PR history with measured benchmark numbers,
 //! and `BENCH_ops.json` (regenerated by
-//! `cargo run --release -p bbdd-bench --bin baseline`) for the current
-//! machine-readable performance snapshot.
+//! `cargo run --release -p bbdd-bench --bin baseline`) for the last
+//! recorded machine-readable performance snapshot (taken at `e592727` on
+//! a one-thread container; perfbench measures the current code).
 //!
 //! All of it is driven through **one API**: the [`ddcore::api`] trait
 //! family (`FunctionManager` + `BooleanFunction`), implemented by all four

@@ -130,7 +130,11 @@ impl std::fmt::Display for Json {
             Json::Null => write!(f, "null"),
             Json::Bool(b) => write!(f, "{b}"),
             Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9e15 {
+                if !n.is_finite() {
+                    // JSON has no infinity: a number past f64's range (an
+                    // echoed `"id":1e999`) writes as `null`.
+                    write!(f, "null")
+                } else if n.fract() == 0.0 && n.abs() < 9e15 {
                     write!(f, "{}", *n as i64)
                 } else {
                     write!(f, "{n}")

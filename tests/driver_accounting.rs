@@ -59,7 +59,10 @@ fn build_contract<M: FunctionManager>(make: impl Fn(usize) -> M) {
     let governed_outs = try_build_network(&mgr, &net, &mut OpBudget::unlimited())
         .expect("an unlimited budget never aborts");
     assert_eq!(governed_outs, outs, "same canonical outputs");
-    assert!(governed(&mgr).0 > before.0, "try_build_network counts its ops");
+    assert!(
+        governed(&mgr).0 > before.0,
+        "try_build_network counts its ops"
+    );
 }
 
 fn cec_contract<M: FunctionManager>(make: impl Fn(usize) -> M) {
@@ -73,7 +76,10 @@ fn cec_contract<M: FunctionManager>(make: impl Fn(usize) -> M) {
         let again = try_check_equivalence(&mgr, &good, other, &mut OpBudget::unlimited())
             .expect("an unlimited budget never aborts");
         assert_eq!(again, verdict, "same verdict and counterexample");
-        assert!(governed(&mgr).0 > before.0, "try_check_equivalence counts its ops");
+        assert!(
+            governed(&mgr).0 > before.0,
+            "try_check_equivalence counts its ops"
+        );
     }
     // The mutant refutes s3, s4, s5 and cout; the lowest one is reported.
     let mgr = make(good.num_inputs());
@@ -118,7 +124,10 @@ where
             }
         }
         let (verdict, _) = check_equivalence_parallel(&good, &bad, threads, &make);
-        assert_eq!(verdict, sequential, "threads {threads}: lowest refuted output wins");
+        assert_eq!(
+            verdict, sequential,
+            "threads {threads}: lowest refuted output wins"
+        );
     }
 }
 
