@@ -18,13 +18,22 @@
 //!   (a, b, c) = (a' ⊕ b',  b',  b' ⊕ c')
 //! ```
 //!
-//! Every affected node is rebuilt and **overwritten in place** so that all
-//! edges from the BBDD above the swap window keep pointing at the same
-//! logical function (the paper's locality requirement). The rebuild runs in
-//! a *staging area*: new tuples are deduplicated there, surviving old nodes
-//! *adopt* their new tuple (keeping their pointer), fresh intermediate
-//! nodes receive new slots, and only then is everything re-inserted into
-//! the per-level unique tables.
+//! Every node referenced from outside the window is rebuilt and
+//! **overwritten in place** so that all edges from the BBDD above the swap
+//! window keep pointing at the same logical function (the paper's locality
+//! requirement). The rebuild runs in a *staging area*: new tuples are
+//! deduplicated there, surviving old nodes *adopt* their new tuple (keeping
+//! their pointer), fresh intermediate nodes receive new slots, and only
+//! then is everything re-inserted into the per-level unique tables.
+//!
+//! Inside a reorder scope an `L0` or `L1` node whose sift refcount is 0
+//! once the window's own outgoing references are dropped is *doomed*: it is
+//! neither rebuilt nor adopted, and the commit frees its slot before the
+//! fresh tuples take slots, so they reuse it. This is sound because a zero
+//! count means only window nodes pointed at it, and every one of those is
+//! rebuilt from staged tuples, which refer to committed nodes only below
+//! the window. Outside a reorder scope there are no counts, and every
+//! window node keeps its id.
 //!
 //! Two structural facts make in-place overwriting sound (asserted in
 //! debug builds and exercised by the property tests):
@@ -142,6 +151,8 @@ pub struct SwapCtx {
     l0: u16,
     /// The window's old node ids: level `L0`'s, then `L1`'s, then `L2`'s.
     window: Vec<u32>,
+    /// The doomed `L0`/`L1` nodes: not rebuilt, freed by the commit.
+    doomed: Vec<u32>,
     /// Commit scratch, indexed by staged id: reachability from the owned
     /// tuples, its DFS stack, and each tuple's arena slot.
     used: Vec<bool>,
@@ -154,6 +165,7 @@ impl SwapCtx {
         self.staged.clear();
         self.tab.clear();
         self.window.clear();
+        self.doomed.clear();
         self.l0 = l0;
     }
 
@@ -204,11 +216,15 @@ pub(crate) fn swap_levels(m: &mut Bbdd, lo: u16) {
         }
     }
 
-    for &id in &ids[..n0] {
-        rebuild_l0(m, &mut ctx, id, l0, l1);
-    }
-    for &id in &ids[n0..n01] {
-        rebuild_l1(m, &mut ctx, id, l0, l1);
+    for (k, &id) in ids[..n01].iter().enumerate() {
+        // Doomed: only window nodes reference it, and they are all rebuilt.
+        if m.sift_refs.as_ref().is_some_and(|r| r.count(id) == 0) {
+            ctx.doomed.push(id);
+        } else if k < n0 {
+            rebuild_l0(m, &mut ctx, id, l0, l1);
+        } else {
+            rebuild_l1(m, &mut ctx, id, l0, l1);
+        }
     }
     if let Some(l2) = l2 {
         for &id in &ids[n01..] {
@@ -217,12 +233,13 @@ pub(crate) fn swap_levels(m: &mut Bbdd, lo: u16) {
     }
     debug_assert_eq!(
         ctx.staged.iter().filter(|s| s.owner.is_some()).count(),
-        ids.len(),
+        ids.len() - ctx.doomed.len(),
         "every old node must adopt exactly one new tuple"
     );
     ctx.window = ids;
 
     commit(m, &mut ctx, l0, l1, l2);
+    let doomed = ctx.doomed.len();
     put_swap_scratch(m, ctx);
     if let Some(refs) = m.sift_refs.as_mut() {
         // Cofactoring through the window may have materialised the
@@ -233,7 +250,7 @@ pub(crate) fn swap_levels(m: &mut Bbdd, lo: u16) {
                 refs.queue_if_dead(id);
             }
         }
-        m.reclaim_dead();
+        m.reclaim_dead(doomed);
     }
     m.swap_order(m.num_vars() - 1 - usize::from(l1));
 }
@@ -541,6 +558,7 @@ fn put_swap_scratch(m: &mut Bbdd, ctx: SwapCtx) {
 fn commit(m: &mut Bbdd, ctx: &mut SwapCtx, l0: u16, l1: u16, l2: Option<u16>) {
     let SwapCtx {
         staged,
+        doomed,
         used,
         stack,
         final_id,
@@ -571,6 +589,14 @@ fn commit(m: &mut Bbdd, ctx: &mut SwapCtx, l0: u16, l1: u16, l2: Option<u16>) {
         m.live -= m.subtables[l2 as usize].len();
         m.subtables[l2 as usize].clear();
     }
+
+    // Doomed slots are freed first, so the fresh tuples below reuse them.
+    // Their window levels were just cleared, which took them out of `live`.
+    for &id in doomed.iter() {
+        m.nodes[id as usize].set_free(true);
+        m.free.push(id);
+    }
+    m.stats.nodes_freed += doomed.len() as u64;
 
     final_id.clear();
     final_id.resize(staged.len(), u32::MAX);
@@ -757,6 +783,77 @@ mod tests {
         assert_eq!(truth_of(&mgr, a, 3), ta);
         assert_eq!(truth_of(&mgr, b, 3), tb);
         assert_eq!(mgr.order(), vec![1, 0, 2]);
+        mgr.validate().unwrap();
+    }
+
+    /// Two functions of `x1, x2, x3` over four variables, both rooted at
+    /// level 2: for the swap of levels 1 and 0 every `L0`/`L1` node is
+    /// referenced from `L2` only.
+    fn rooted_at_l2(mgr: &mut Bbdd) -> [Edge; 2] {
+        let [x1, x2, x3] = [1, 2, 3].map(|v| mgr.var(v));
+        let x2_and_x3 = mgr.and(x2, x3);
+        let x2_or_x3 = mgr.or(x2, x3);
+        [mgr.xor(x1, x2_and_x3), mgr.and(x1, x2_or_x3)]
+    }
+
+    #[test]
+    fn doomed_window_slots_are_freed_and_reused_first() {
+        use crate::bbdd::tests::reorder::{full_mark, stored};
+        use crate::dvo::ReorderBackend;
+        use std::collections::HashSet;
+
+        let n = 4;
+        let mut mgr = Bbdd::new(n);
+        let roots = rooted_at_l2(&mut mgr);
+        let _pins = roots.map(|f| mgr.pin(f));
+        let truth = roots.map(|f| truth_of(&mgr, f, n));
+        mgr.begin_reorder();
+        assert!(mgr.subtables[3].is_empty());
+        assert!(roots.iter().all(|f| mgr.node(f.node()).top() == 2));
+        let doomed: HashSet<u32> = mgr.subtables[..2].iter().flat_map(|t| t.ids()).collect();
+        let kept: HashSet<u32> = &stored(&mgr) - &doomed;
+        let (arena, free_before) = (mgr.nodes.len(), mgr.free.len());
+        let created = mgr.stats.nodes_created;
+
+        mgr.swap_adjacent(2); // levels 1 and 0: the window's L2 is level 2
+        let fresh: HashSet<u32> = &stored(&mgr) - &kept;
+        let n_fresh = (mgr.stats.nodes_created - created) as usize;
+        assert!(!doomed.is_empty() && n_fresh > 0, "the swap must reuse");
+        assert_eq!(fresh.len(), n_fresh);
+        if n_fresh <= doomed.len() {
+            assert!(fresh.is_subset(&doomed), "fresh tuples take doomed slots");
+        } else {
+            assert!(doomed.is_subset(&fresh), "every doomed slot is reused");
+        }
+        for &id in doomed.difference(&fresh) {
+            assert!(mgr.nodes[id as usize].is_free(), "doomed slot {id} freed");
+        }
+        assert_eq!(
+            mgr.nodes.len(),
+            arena + n_fresh.saturating_sub(doomed.len() + free_before),
+            "the arena grows only once the free slots are used up"
+        );
+        let marked = full_mark(&mgr);
+        assert_eq!(mgr.live_nodes(), marked.len());
+        assert_eq!(stored(&mgr), marked);
+        for (f, t) in roots.iter().zip(&truth) {
+            assert!(kept.contains(&f.node()) && !mgr.node(f.node()).is_free());
+            assert_eq!(&truth_of(&mgr, *f, n), t);
+        }
+        mgr.end_reorder();
+        mgr.validate().unwrap();
+    }
+
+    #[test]
+    fn outside_a_reorder_an_unpinned_window_node_keeps_its_id() {
+        let n = 4;
+        let mut mgr = Bbdd::new(n);
+        let _ = rooted_at_l2(&mut mgr);
+        let p = Edge::new(mgr.subtables[0].ids()[0], false);
+        let tp = truth_of(&mgr, p, n);
+        mgr.swap_adjacent(2);
+        assert!(!mgr.node(p.node()).is_free());
+        assert_eq!(truth_of(&mgr, p, n), tp);
         mgr.validate().unwrap();
     }
 

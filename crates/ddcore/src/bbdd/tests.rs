@@ -838,7 +838,7 @@ mod auto_reorder_tests {
     }
 }
 
-mod reorder {
+pub(super) mod reorder {
     use crate::bbdd::*;
     use crate::dvo::FullSift;
     use crate::dvo::{DvoStrategy, ReorderBackend, ReorderStrategy};
@@ -1040,7 +1040,7 @@ mod reorder {
     }
 
     /// Nodes reachable from a fresh snapshot of the root registry.
-    fn full_mark(mgr: &Bbdd) -> HashSet<u32> {
+    pub(crate) fn full_mark(mgr: &Bbdd) -> HashSet<u32> {
         let mut seen = HashSet::new();
         let mut stack: Vec<Edge> = mgr
             .root_set()
@@ -1057,7 +1057,7 @@ mod reorder {
         seen
     }
 
-    fn stored(mgr: &Bbdd) -> HashSet<u32> {
+    pub(crate) fn stored(mgr: &Bbdd) -> HashSet<u32> {
         mgr.subtables.iter().flat_map(|t| t.ids()).collect()
     }
 

@@ -175,7 +175,7 @@ impl SiftRefs {
         }
     }
 
-    fn count(&self, id: u32) -> u32 {
+    pub(crate) fn count(&self, id: u32) -> u32 {
         self.counts.get(id as usize).copied().unwrap_or(0)
     }
 

@@ -967,8 +967,10 @@ impl<S: Shape> Manager<S> {
 
     /// Free every node whose sift-scoped count has dropped to zero,
     /// cascading through their children. Called at the end of each swap
-    /// inside a reorder scope; a no-op outside one.
-    pub(crate) fn reclaim_dead(&mut self) {
+    /// inside a reorder scope; a no-op outside one. `freed_by_swap` counts
+    /// the slots the swap itself already freed, so that either kind of
+    /// free invalidates the cache and notes the collection, once.
+    pub(crate) fn reclaim_dead(&mut self, freed_by_swap: usize) {
         let Some(refs) = self.sift_refs.as_mut() else {
             return;
         };
@@ -986,13 +988,13 @@ impl<S: Shape> Manager<S> {
             refs.dec(n.first());
             refs.dec(n.second());
         }
-        if freed > 0 {
+        self.live -= freed;
+        self.stats.nodes_freed += freed as u64;
+        if freed + freed_by_swap > 0 {
             // Freed ids get reused: cached results and the parallel
             // front-end's id-keyed cache must not outlive them.
             self.cache.invalidate();
             self.gc_latch.note_collection();
-            self.live -= freed;
-            self.stats.nodes_freed += freed as u64;
         }
     }
 

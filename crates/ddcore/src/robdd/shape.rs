@@ -425,7 +425,7 @@ fn rewrite_pair(m: &mut Robdd, x: u16, y: u16) {
             refs.dec(e);
         }
     }
-    m.reclaim_dead();
+    m.reclaim_dead(0);
 }
 
 /// `make_node` for the swap: inside a reorder, a node it creates

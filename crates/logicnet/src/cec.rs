@@ -771,7 +771,7 @@ mod tests {
     fn governed_parallel_cec_stops_between_chunks() {
         let x = half_adder("x", false);
         let y = half_adder("y", true);
-        // Unlimited budget routes to the ordinary driver.
+        // An unlimited budget runs the governed chunk loop to the end.
         let (verdict, stats) = try_check_equivalence_parallel(
             &x,
             &y,
