@@ -616,6 +616,90 @@ mod reorder {
         assert_eq!(stored(&mgr), full_mark(&mgr));
     }
 
+    /// Swaps positions `pos` and `pos + 1` once, inside a reorder scope or
+    /// outside one, on a collected forest whose `roots` are pinned. Checks
+    /// that the forest validates, that the swap created exactly `created`
+    /// nodes, that what is stored is what the roots reach (outside a scope,
+    /// once the next collection has taken what the swap left dead) and
+    /// that every root keeps its id and its function.
+    fn checked_swap(mgr: &mut Robdd, roots: &[Edge], pos: usize, in_scope: bool, created: u64) {
+        let n = mgr.num_vars();
+        let truth: Vec<_> = roots.iter().map(|&f| truth_of(mgr, f, n)).collect();
+        if in_scope {
+            mgr.begin_reorder();
+        } else {
+            mgr.gc();
+        }
+        let before = mgr.stats().nodes_created;
+        mgr.swap_adjacent(pos);
+        mgr.validate().unwrap();
+        assert_eq!(
+            mgr.stats().nodes_created - before,
+            created,
+            "in scope: {in_scope}"
+        );
+        if in_scope {
+            assert_eq!(stored(mgr), full_mark(mgr), "in scope");
+            mgr.end_reorder();
+        } else {
+            mgr.gc();
+        }
+        assert_eq!(stored(mgr), full_mark(mgr), "in scope: {in_scope}");
+        for (&f, t) in roots.iter().zip(&truth) {
+            assert!(!mgr.node(f.node()).is_free(), "in scope: {in_scope}");
+            assert_eq!(&truth_of(mgr, f, n), t, "in scope: {in_scope}");
+        }
+        mgr.validate().unwrap();
+    }
+
+    #[test]
+    fn swap_reuses_a_staying_node_as_a_new_cofactor() {
+        for in_scope in [false, true] {
+            let mut mgr = Robdd::new(2);
+            let (a, b) = (mgr.var(0), mgr.var(1));
+            let f = mgr.and(a, b);
+            let _pins = (mgr.pin(a), mgr.pin(f));
+            // f moves below x1; its cofactor f_{x1=1} is the literal x0,
+            // an x0 node without an x1 child that stays where it is.
+            checked_swap(&mut mgr, &[a, f], 0, in_scope, 0);
+            assert_eq!(mgr.node(f.node()).top(), 1);
+            assert_eq!(mgr.node(a.node()).top(), 0);
+            assert_eq!(mgr.subtables[0].ids(), vec![a.node()]);
+        }
+    }
+
+    #[test]
+    fn swap_moves_every_upper_node() {
+        for in_scope in [false, true] {
+            let mut mgr = Robdd::new(2);
+            let (a, b) = (mgr.var(0), mgr.var(1));
+            let f = mgr.and(a, b);
+            let g = mgr.or(a, b);
+            let _pins = (mgr.pin(f), mgr.pin(g));
+            // Both x0 nodes test x1 below them; between them they need
+            // one new x0 node, the literal.
+            checked_swap(&mut mgr, &[f, g], 0, in_scope, 1);
+            assert_eq!(mgr.node(f.node()).top(), 1);
+            assert_eq!(mgr.node(g.node()).top(), 1);
+            assert_eq!(mgr.subtables[0].len(), 1);
+        }
+    }
+
+    #[test]
+    fn swap_of_interacting_pair_without_a_moving_node() {
+        for in_scope in [false, true] {
+            let mut mgr = Robdd::new(3);
+            let (a, b, c) = (mgr.var(0), mgr.var(1), mgr.var(2));
+            let f = mgr.ite(a, b, c);
+            let _pin = mgr.pin(f);
+            // x1 and x2 share f's support, but no x1 node has an x2 child.
+            let upper = mgr.subtables[1].ids();
+            checked_swap(&mut mgr, &[f], 1, in_scope, 0);
+            assert_eq!(mgr.subtables[1].ids(), upper);
+            assert_eq!(mgr.order(), vec![0, 2, 1]);
+        }
+    }
+
     #[test]
     fn reorder_to_target() {
         let n = 5;
