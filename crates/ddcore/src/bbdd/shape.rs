@@ -295,11 +295,8 @@ impl Shape for BbddShape {
         if total == 0 {
             return 0.0;
         }
-        let chained = table
-            .ids()
-            .into_iter()
-            .filter(|&id| !m.node(id).is_shannon())
-            .count();
+        let mut chained = 0usize;
+        table.for_each(|id| chained += usize::from(!m.node(id).is_shannon()));
         chained as f64 / total as f64
     }
 

@@ -242,11 +242,11 @@ impl Shape for RobddShape {
             return 0.0;
         }
         let tests_y = |e: Edge| !e.is_constant() && m.top(e) == y;
-        let coupled = table
-            .ids()
-            .into_iter()
-            .filter(|&id| tests_y(m.node(id).first()) || tests_y(m.node(id).second()))
-            .count();
+        let mut coupled = 0usize;
+        table.for_each(|id| {
+            let nd = m.node(id);
+            coupled += usize::from(tests_y(nd.first()) || tests_y(nd.second()));
+        });
         coupled as f64 / total as f64
     }
 
@@ -384,16 +384,37 @@ fn all_sat_rec(
 
 /// Rewrite the `x`-nodes with a `y`-child to test `y` first (`x` sits
 /// directly above `y`), then reclaim what the rewrite left dead.
+///
+/// The swap commits the `x` level as a whole: it takes the `x` ids and
+/// clears the subtable instead of removing each rewritten node from it.
+/// Nearly every `x` node of a sift swap moves, and on the small tables a
+/// sift walks through each removal left a tombstone that lengthened the
+/// probes of the next cofactor lookups and tripped the adaptive rehash.
+/// The `x` nodes without a `y` child stay valid `x` nodes (now below `y`)
+/// and go back into the table before the first new cofactor is made, so
+/// `make_node` finds them instead of making a duplicate; a new cofactor
+/// never equals a moving node, whose children include a `y` node. The
+/// rewritten nodes join the `y` subtable only after `reclaim_dead` has
+/// taken out the old `y` nodes the rewrite left dead, so the table is not
+/// grown for them and then filled with their tombstones. A rewritten node
+/// cannot die in between: the counts of its parents do not change.
 fn rewrite_pair(m: &mut Robdd, x: u16, y: u16) {
     let tests_y = |m: &Robdd, e: Edge| !e.is_constant() && m.top(e) == y;
-    for id in m.subtables[usize::from(x)].ids() {
+    let mut moving = m.subtables[usize::from(x)].ids();
+    m.subtables[usize::from(x)].clear();
+    moving.retain(|&id| {
+        let nd = m.nodes[id as usize];
+        let moves = tests_y(m, nd.first()) || tests_y(m, nd.second());
+        if !moves {
+            // Does not involve y: stays a valid x-node (now below y).
+            m.subtables[usize::from(x)].insert(id, &m.nodes);
+        }
+        moves
+    });
+    for &id in &moving {
         let nd = m.node(id);
         let (t, e) = (nd.first(), nd.second());
         let (t_dep, e_dep) = (tests_y(m, t), tests_y(m, e));
-        if !t_dep && !e_dep {
-            // Does not involve y: stays a valid x-node (now below y).
-            continue;
-        }
         // Grand-cofactors with respect to y. The then-edge is regular, so
         // t1 is regular and the rebuilt node keeps its polarity.
         let split = |m: &Robdd, e: Edge, dep: bool| {
@@ -411,11 +432,7 @@ fn rewrite_pair(m: &mut Robdd, x: u16, y: u16) {
         let new_e = make_swap_node(m, x, t0, e0); // f_{y=0}
         debug_assert_ne!(new_t, new_e, "swap produced a redundant node");
         debug_assert!(!new_t.is_complemented(), "polarity flip in swap");
-        let removed = m.subtables[usize::from(x)].remove(id, &m.nodes);
-        debug_assert!(removed);
         m.nodes[id as usize] = Node::new(y, false, new_t, new_e);
-        debug_assert!(m.peek(y, m.node(id).key()).is_none());
-        m.subtables[usize::from(y)].insert(id, &m.nodes);
         // Inside a reorder, the rewritten node trades its references to
         // the old children for the new ones.
         if let Some(refs) = m.sift_refs.as_mut() {
@@ -426,6 +443,10 @@ fn rewrite_pair(m: &mut Robdd, x: u16, y: u16) {
         }
     }
     m.reclaim_dead(0);
+    for id in moving {
+        debug_assert!(m.peek(y, m.node(id).key()).is_none());
+        m.subtables[usize::from(y)].insert(id, &m.nodes);
+    }
 }
 
 /// `make_node` for the swap: inside a reorder, a node it creates
