@@ -388,22 +388,23 @@ fn all_sat_rec(
 /// The swap commits the `x` level as a whole: it takes the `x` ids and
 /// clears the subtable instead of removing each rewritten node from it.
 /// Nearly every `x` node of a sift swap moves, and on the small tables a
-/// sift walks through each removal left a tombstone that lengthened the
+/// sift walks through, each removal left a tombstone that lengthened the
 /// probes of the next cofactor lookups and tripped the adaptive rehash.
 /// The `x` nodes without a `y` child stay valid `x` nodes (now below `y`)
 /// and go back into the table before the first new cofactor is made, so
 /// `make_node` finds them instead of making a duplicate; a new cofactor
 /// never equals a moving node, whose children include a `y` node. The
 /// rewritten nodes join the `y` subtable only after `reclaim_dead` has
-/// taken out the old `y` nodes the rewrite left dead, so the table is not
-/// grown for them and then filled with their tombstones. A rewritten node
-/// cannot die in between: the counts of its parents do not change.
+/// taken out the old `y` nodes the rewrite left dead, so they reuse the
+/// slots of the dead instead of growing the table while the dead still
+/// hold them. A rewritten node cannot die in between: the counts of its
+/// parents do not change.
 fn rewrite_pair(m: &mut Robdd, x: u16, y: u16) {
     let tests_y = |m: &Robdd, e: Edge| !e.is_constant() && m.top(e) == y;
     let mut moving = m.subtables[usize::from(x)].ids();
     m.subtables[usize::from(x)].clear();
     moving.retain(|&id| {
-        let nd = m.nodes[id as usize];
+        let nd = m.node(id);
         let moves = tests_y(m, nd.first()) || tests_y(m, nd.second());
         if !moves {
             // Does not involve y: stays a valid x-node (now below y).
