@@ -2,9 +2,12 @@
 //!
 //! The format stores the manager's variable count and current order plus a
 //! bottom-up node list and the root edges. Loading replays the nodes
-//! through `make_node`, so a reloaded forest is re-canonicalized — loading
-//! can only shrink a diagram, never corrupt it, and edge identities are
-//! remapped safely.
+//! through `make_node`, so a reloaded forest is re-canonicalized and edge
+//! identities are remapped safely. Loading is total over untrusted text:
+//! a variable count past [`crate::MAX_VARS`], an order that is not a
+//! permutation, a child at or above its node's level or a forward
+//! reference is a [`LoadError`] naming the line, never a panic, and every
+//! forest it does return passes `validate()`.
 //!
 //! ```text
 //! bbdd 1              # magic + format version
@@ -171,8 +174,10 @@ impl Bbdd {
     /// Returns the manager plus the named root edges in file order.
     ///
     /// # Errors
-    /// Returns a [`LoadError`] for malformed input, out-of-range levels or
-    /// forward references.
+    /// Returns a [`LoadError`] for malformed input, a variable count past
+    /// [`crate::MAX_VARS`], a second `vars` line, an order that is not a
+    /// permutation, out-of-range levels, children at or above their node's
+    /// level, or forward references.
     pub fn load(text: &str) -> Result<(Bbdd, Vec<(String, Edge)>), LoadError> {
         let mut mgr: Option<Bbdd> = None;
         let mut saw_magic = false;
@@ -226,6 +231,18 @@ impl Bbdd {
                     if n == 0 {
                         return Err(err(line, "vars must be positive"));
                     }
+                    if n > crate::MAX_VARS {
+                        return Err(err(
+                            line,
+                            &format!(
+                                "vars {n} exceeds the {} a manager supports",
+                                crate::MAX_VARS
+                            ),
+                        ));
+                    }
+                    if vars.is_some() {
+                        return Err(err(line, "duplicate vars line"));
+                    }
                     vars = Some(n);
                     mgr = Some(Bbdd::new(n));
                 }
@@ -238,6 +255,12 @@ impl Bbdd {
                         .map_err(|_| err(line, "bad order line"))?;
                     if order.len() != n {
                         return Err(err(line, "order length does not match vars"));
+                    }
+                    let mut seen = vec![false; n];
+                    for &v in &order {
+                        if v >= n || std::mem::replace(&mut seen[v], true) {
+                            return Err(err(line, "order must be a permutation of the vars"));
+                        }
                     }
                     mgr.as_mut()
                         .ok_or_else(|| err(line, "order before vars"))?
@@ -262,6 +285,12 @@ impl Bbdd {
                         "B" => {
                             let neq = parse_edge(toks[4], &remap, line)?;
                             let eq = parse_edge(toks[5], &remap, line)?;
+                            if [neq, eq]
+                                .iter()
+                                .any(|c| !c.is_constant() && m.top(*c) >= level)
+                            {
+                                return Err(err(line, "child at or above its node's level"));
+                            }
                             m.make_node(level, neq, eq)
                         }
                         _ => return Err(err(line, "mode must be B or S")),
@@ -428,5 +457,27 @@ mod tests {
         assert!(Bbdd::load("bbdd 1\nvars 1\norder 0\n").is_err());
         // Unknown directive.
         assert!(Bbdd::load("bbdd 1\nvars 1\norder 0\nbogus\nend\n").is_err());
+    }
+
+    /// Inputs that once panicked (or, for the same-level child, loaded a
+    /// manager that failed `validate()` in release builds) are errors
+    /// naming their line.
+    #[test]
+    fn load_rejects_inputs_that_once_panicked() {
+        let line_of = |text: &str| Bbdd::load(text).map(|_| ()).unwrap_err().line;
+        assert_eq!(line_of("bbdd 1\nvars 3\norder 0 0 0\nend\n"), 3);
+        assert_eq!(line_of("bbdd 1\nvars 3\norder 0 1 7\nend\n"), 3);
+        assert_eq!(line_of("bbdd 1\nvars 70000\nend\n"), 2);
+        let same_level = "bbdd 1\nvars 2\norder 0 1\n\
+                          node 2 0 S 0:0 0:0\nnode 3 0 B 2:0 0:0\nend\n";
+        assert_eq!(line_of(same_level), 5);
+        let above = "bbdd 1\nvars 2\norder 0 1\n\
+                     node 2 1 S 0:0 0:0\nnode 3 0 B 2:1 0:0\nend\n";
+        assert_eq!(line_of(above), 5);
+        // A second `vars` line would orphan the nodes already loaded.
+        let revars = "bbdd 1\nvars 2\nnode 2 0 S 0:0 0:0\nvars 2\nend\n";
+        assert_eq!(line_of(revars), 4);
+        let past_max = format!("bbdd 1\nvars {}\nend\n", crate::MAX_VARS + 1);
+        assert_eq!(line_of(&past_max), 2);
     }
 }

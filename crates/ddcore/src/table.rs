@@ -6,10 +6,11 @@
 //! =-child} — lives once, in the owner's node arena. Every operation that
 //! needs a key reads it through a [`KeyStore`] the caller passes in.
 //!
-//! Two implementations share one API and the paper's adaptive behaviour
-//! (resize on load; rotate the Cantor-pairing nesting order and reduction
-//! prime, then rehash through the key store, when collision statistics
-//! stay poor after a resize):
+//! Two implementations share one API and the paper's adaptive behaviour:
+//! resize on load, and when a window of lookups averages more probes than
+//! the load alone explains — the mark of a hash that clusters keys —
+//! rotate the Cantor-pairing nesting order and reduction prime, then
+//! rehash through the key store:
 //!
 //! * [`OpenTable`] — the default: an open-addressed linear-probing table
 //!   of 8-byte `(cached hash, id)` slots, so a probe sequence is one
@@ -554,10 +555,22 @@ impl Default for OpenTable {
 }
 
 impl OpenTable {
-    /// Probe length (per lookup) above which the table adapts. Probes scan
-    /// only the dense slot array, so the threshold tolerates the longer
-    /// runs a 75% load implies and triggers only on genuine clustering.
-    const ADAPT_PROBE_THRESHOLD: f64 = 6.0;
+    /// The load factor past which an insert doubles the slot array:
+    /// `GROW_LOAD_NUM / GROW_LOAD_DEN`, 3/4.
+    const GROW_LOAD_NUM: usize = 3;
+    const GROW_LOAD_DEN: usize = 4;
+    /// Probe length (per lookup, averaged over a window) above which the
+    /// table rotates its hash. With a uniform hash, linear probing already
+    /// costs ½(1 + 1/(1 − α)²) probes per miss at load α (Knuth): 6.05 at
+    /// α = 0.70 and 8.5 at the 3/4 grow load, so a miss-heavy window just
+    /// below the grow point reads that much with nothing wrong with the
+    /// hash. The threshold is twice that miss cost at the grow load,
+    /// 1 + 1/(1 − 3/4)² = 17: a window only averages more when the hash
+    /// clusters keys into runs far longer than the load explains.
+    const ADAPT_PROBE_THRESHOLD: f64 = {
+        let free = 1.0 - Self::GROW_LOAD_NUM as f64 / Self::GROW_LOAD_DEN as f64;
+        1.0 + 1.0 / (free * free)
+    };
     /// Minimum lookups in a window before adaptation decisions are made.
     const ADAPT_WINDOW: u64 = 4096;
     /// Slot-array capacity at or below which deletions are *deferred*: the
@@ -580,7 +593,9 @@ impl OpenTable {
     /// before the first resize.
     #[must_use]
     pub fn new(initial_capacity: usize) -> Self {
-        let n = (initial_capacity.max(4) * 4 / 3).next_power_of_two().max(8);
+        let n = (initial_capacity.max(4) * Self::GROW_LOAD_DEN / Self::GROW_LOAD_NUM)
+            .next_power_of_two()
+            .max(8);
         Self {
             slots: vec![EMPTY; n],
             mask: n - 1,
@@ -887,13 +902,15 @@ impl OpenTable {
     /// churn whose *live* population is stable.
     #[inline]
     fn maybe_grow(&mut self) {
-        if (self.len + self.tombstones + 1) * 4 <= self.slots.len() * 3 {
+        if (self.len + self.tombstones + 1) * Self::GROW_LOAD_DEN
+            <= self.slots.len() * Self::GROW_LOAD_NUM
+        {
             return;
         }
         if self.tombstones > 0 {
             self.sweep_tombstones_now();
         }
-        if (self.len + 1) * 4 > self.slots.len() * 3 {
+        if (self.len + 1) * Self::GROW_LOAD_DEN > self.slots.len() * Self::GROW_LOAD_NUM {
             self.rebuild(self.slots.len() * 2);
             self.stats.resizes += 1;
         }
@@ -1136,6 +1153,7 @@ impl OpenTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cantor::HashArrangement;
 
     #[derive(Clone, Copy, PartialEq, Eq, Debug)]
     struct K3(u32, u32, u32);
@@ -1145,9 +1163,57 @@ mod tests {
         }
     }
 
+    /// A key whose hash collapses to four values under the default
+    /// nesting arrangement, so chains and probe runs grow long until the
+    /// table rotates its hasher.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    struct Clumped(u32, u32);
+    impl TableKey for Clumped {
+        fn table_hash(&self, h: &CantorHasher) -> u64 {
+            if h.arrangement() == HashArrangement::LeftNested {
+                u64::from((self.0 ^ self.1) % 4)
+            } else {
+                h.hash2(self.0 as u64, self.1 as u64)
+            }
+        }
+    }
+
     /// A key arena of `n` keys, id `i` holding `key(i)`.
     fn arena(n: u32, key: impl Fn(u32) -> K3) -> Vec<K3> {
         (0..n).map(key).collect()
+    }
+
+    #[test]
+    fn open_high_load_miss_windows_do_not_rearrange() {
+        // Just under the 3/4 grow load a uniform hash costs
+        // ½(1 + 1/(1 − α)²) ≈ 8 probes per miss. Windows of misses there
+        // measure the load, not a clustered hash, and must not rotate the
+        // hasher.
+        let spread = |i: u32| K3(i, i.wrapping_mul(2_654_435_761), i ^ 0xABCD);
+        let stored = 12_200u32;
+        let keys = arena(stored + 3, spread);
+        let mut t = OpenTable::new(stored as usize);
+        for i in 0..stored {
+            t.insert(i, &keys);
+        }
+        assert_eq!(t.slots.len(), 1 << 14);
+        let before = *t.stats();
+        for round in 0..3u32 {
+            for j in 0..OpenTable::ADAPT_WINDOW as u32 {
+                let missing = spread(1_000_000 + round * 10_000 + j);
+                assert_eq!(t.get(&missing, &keys), None);
+            }
+            t.insert(stored + round, &keys);
+        }
+        assert_eq!(
+            t.slots.len(),
+            1 << 14,
+            "the inserts stayed below the grow point"
+        );
+        let stats = t.stats();
+        let avg = (stats.probes - before.probes) as f64 / (stats.lookups - before.lookups) as f64;
+        assert!(avg > 6.0, "the windows are miss-heavy ({avg:.2} probes)");
+        assert_eq!(stats.rearrangements, 0, "{avg:.2} probes per miss");
     }
 
     #[test]
@@ -1379,27 +1445,23 @@ mod tests {
 
     #[test]
     fn rearrangement_preserves_contents() {
-        let keys = arena(514, |i| {
-            if i < 512 {
-                K3(i, 1, 2)
-            } else {
-                K3(1_000_000 + i, 3, 4)
-            }
-        });
+        // A clustering hash forces the rotation through the public path:
+        // a window of missing-key lookups walks chains of ~128 entries,
+        // and the next insert rotates the hasher.
+        let keys: Vec<Clumped> = (0..513u32).map(|i| Clumped(i, 1)).collect();
         let mut t = BucketTable::new(4);
         for i in 0..512u32 {
             t.insert(i, &keys);
         }
-        // Force a rearrangement manually through the public path: hammer
-        // lookups of missing keys to inflate the probe window, then insert.
-        for round in 0..2u32 {
-            for i in 0..5000u32 {
-                let _ = t.get(&K3(i + 100_000, 9, 9), &keys);
-            }
-            t.insert(512 + round, &keys);
+        let before = t.hasher().arrangement();
+        for i in 0..5000u32 {
+            assert_eq!(t.get(&Clumped(i + 100_000, 9), &keys), None);
         }
-        for i in 0..512u32 {
-            assert_eq!(t.get(&K3(i, 1, 2), &keys), Some(i), "key {i} lost");
+        t.insert(512, &keys);
+        assert!(t.stats().rearrangements > 0, "clustered chains must rotate");
+        assert_ne!(t.hasher().arrangement(), before, "the arrangement rotated");
+        for (i, k) in (0u32..).zip(&keys) {
+            assert_eq!(t.get(k, &keys), Some(i), "key {i} lost");
         }
     }
 

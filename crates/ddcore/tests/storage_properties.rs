@@ -480,42 +480,34 @@ fn open_table_resize_preserves_entries() {
     }
 }
 
-/// Force a hasher rearrangement through the public adaptive path (a miss
-/// storm inflates the probe window) and check every entry survives the
-/// rotation to the next Cantor arrangement.
+/// Force a hasher rearrangement through the public adaptive path: under
+/// the default arrangement every `Clumped` key hashes to one of four
+/// values, so a window of missing-key lookups walks the whole cluster and
+/// the next insert rotates the hasher. Every entry survives the rotation.
 #[test]
 fn open_table_rearrangement_preserves_entries() {
-    let mut keys: Vec<K2> = (0..512u32).map(|i| K2(i, 1)).collect();
+    let mut keys: Vec<Clumped> = (0..512u32).map(|i| Clumped(i, 1)).collect();
     let mut t = OpenTable::new(4);
     for i in 0..512u32 {
         t.insert(i, &keys);
     }
     let arrangement_before = t.hasher().arrangement();
-    // Hammer lookups of colliding missing keys until a window closes with
-    // a poor average, then insert to trigger the adaptation check.
-    let mut attempts = 0;
-    while t.stats().rearrangements == 0 && attempts < 64 {
-        for i in 0..5000u32 {
-            let _ = t.get(&K2(i.wrapping_mul(4096), 9), &keys);
-        }
-        let fresh = 1_000_000 + t.len() as u32;
-        keys.push(K2(fresh, 3));
-        t.insert(keys.len() as u32 - 1, &keys);
-        attempts += 1;
+    for i in 0..5000u32 {
+        assert_eq!(t.get(&Clumped(i + 100_000, 9), &keys), None);
     }
-    if t.stats().rearrangements > 0 {
-        assert_ne!(
-            t.hasher().arrangement(),
-            arrangement_before,
-            "rearrangement must rotate the hash arrangement"
-        );
-    }
-    for i in 0..512u32 {
-        assert_eq!(
-            t.get(&K2(i, 1), &keys),
-            Some(i),
-            "key {i} lost in rearrangement"
-        );
+    keys.push(Clumped(1_000_000, 3));
+    t.insert(512, &keys);
+    assert!(
+        t.stats().rearrangements > 0,
+        "a clustered window must rotate the hasher"
+    );
+    assert_ne!(
+        t.hasher().arrangement(),
+        arrangement_before,
+        "rearrangement must rotate the hash arrangement"
+    );
+    for (i, k) in (0u32..).zip(&keys) {
+        assert_eq!(t.get(k, &keys), Some(i), "key {i} lost in rearrangement");
     }
 }
 

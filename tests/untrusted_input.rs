@@ -1,8 +1,10 @@
 //! Untrusted input never panics: random bytes and byte-mutations of valid
 //! inputs go through every reader the CLI and `serve` expose — the JSON
 //! request parser, `run_batch` on all four backends, the DIMACS, BLIF and
-//! structural-Verilog readers — and each either parses or returns an
-//! error. Every panic is caught with `catch_unwind` and fails the case.
+//! structural-Verilog readers, and `Bbdd::load` — and each either parses
+//! or returns an error. Every panic is caught with `catch_unwind` and
+//! fails the case. A forest `Bbdd::load` accepts must also pass
+//! `validate()`.
 //!
 //! `run_batch` must also answer every request line with exactly one
 //! response line whose status is `ok` or `error` (or `aborted`, when a
@@ -138,10 +140,54 @@ const TOKENS: &[&str] = &[
     "\u{1f600}",
 ];
 
-/// One input: raw random bytes, or a seed mutated `1..8` times. Each step
-/// overwrites, inserts or deletes a byte, splices in a token, duplicates
-/// a slice or truncates. Bytes that are not UTF-8 are replaced, since
-/// every reader takes `&str`.
+/// Tokens a mutation of a saved forest may splice in: the format's
+/// directives, node modes, edges and counts at the edges of their limits.
+const FOREST_TOKENS: &[&str] = &[
+    "bbdd 1",
+    "vars",
+    "order",
+    "node",
+    "root",
+    "end",
+    "#",
+    " B ",
+    " S ",
+    ":0",
+    ":1",
+    "\n",
+    " ",
+    "0",
+    "1",
+    "2",
+    "3",
+    "4",
+    "9",
+    "-1",
+    "65535",
+    "70000",
+    "4294967296",
+];
+
+/// A saved forest that the `load` mutations start from: a sum, a carry
+/// and a masked sum over four variables, under a non-identity order.
+fn forest() -> String {
+    let mut m = Bbdd::new(4);
+    let (a, b, c, d) = (m.var(0), m.var(1), m.var(2), m.var(3));
+    let p = m.xor(a, b);
+    let sum = m.xor(p, c);
+    let g = m.and(a, b);
+    let t = m.and(p, c);
+    let carry = m.or(g, t);
+    let masked = m.and(sum, !d);
+    let roots = [sum, carry, masked];
+    let pins: Vec<_> = roots.iter().map(|&e| m.pin(e)).collect();
+    m.reorder_to(&[2, 0, 3, 1]);
+    let text = m.save(&roots, &["s", "cout", "m"]);
+    drop(pins);
+    text
+}
+
+/// One input: raw random bytes, or a seed mutated by [`mutate_text`].
 fn mutate(rng: &mut TestRng, raw: bool) -> String {
     if raw {
         let len = rng.below(160) as usize;
@@ -149,9 +195,15 @@ fn mutate(rng: &mut TestRng, raw: bool) -> String {
         return String::from_utf8_lossy(&bytes).into_owned();
     }
     let seeds = seeds();
-    let mut b = seeds[rng.below(seeds.len() as u64) as usize]
-        .clone()
-        .into_bytes();
+    let seed = seeds[rng.below(seeds.len() as u64) as usize].clone();
+    mutate_text(rng, seed, TOKENS)
+}
+
+/// `seed` mutated `1..8` times. Each step overwrites, inserts or deletes
+/// a byte, splices in one of `tokens`, duplicates a slice or truncates.
+/// Bytes that are not UTF-8 are replaced, since every reader takes `&str`.
+fn mutate_text(rng: &mut TestRng, seed: String, tokens: &[&str]) -> String {
+    let mut b = seed.into_bytes();
     for _ in 0..1 + rng.below(8) {
         let at = rng.below(b.len() as u64 + 1) as usize;
         match rng.below(6) {
@@ -161,7 +213,7 @@ fn mutate(rng: &mut TestRng, raw: bool) -> String {
                 b.remove(at);
             }
             3 => {
-                let t = TOKENS[rng.below(TOKENS.len() as u64) as usize];
+                let t = tokens[rng.below(tokens.len() as u64) as usize];
                 b.splice(at..at, t.bytes());
             }
             4 => {
@@ -184,6 +236,21 @@ impl Strategy for InputStrategy {
     fn generate(&self, rng: &mut TestRng) -> String {
         let raw = rng.below(4) == 0;
         mutate(rng, raw)
+    }
+}
+
+/// Raw random bytes one time in four, a mutated saved forest otherwise.
+struct ForestStrategy;
+
+impl Strategy for ForestStrategy {
+    type Value = String;
+
+    fn generate(&self, rng: &mut TestRng) -> String {
+        if rng.below(4) == 0 {
+            mutate(rng, true)
+        } else {
+            mutate_text(rng, forest(), FOREST_TOKENS)
+        }
     }
 }
 
@@ -231,12 +298,33 @@ fn check_readers(text: &str) {
     no_panic("parse_verilog", text, || drop(parse_verilog(text)));
 }
 
+/// `Bbdd::load` on one input: an error, or a forest that passes
+/// `validate()` and whose roots save again.
+fn check_load(text: &str) {
+    if let Ok((m, roots)) = no_panic("Bbdd::load", text, || Bbdd::load(text)) {
+        if let Err(e) = m.validate() {
+            panic!("Bbdd::load accepted an invalid forest ({e}) from {text:?}");
+        }
+        let edges: Vec<_> = roots.iter().map(|&(_, e)| e).collect();
+        assert!(m.try_save(&edges, &[]).is_ok(), "stale root from {text:?}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn readers_never_panic(input in InputStrategy) {
         check_readers(&input);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn load_never_panics_and_returns_valid_forests(input in ForestStrategy) {
+        check_load(&input);
     }
 }
 
@@ -259,6 +347,9 @@ fn seeds_are_valid() {
     assert!(parse_dimacs(DIMACS).is_ok());
     assert!(parse_blif(&write_blif(&adder())).is_ok());
     assert!(parse_verilog(&write_verilog(&adder())).is_ok());
+    let (m, roots) = Bbdd::load(&forest()).expect("the saved forest loads");
+    assert!(m.validate().is_ok());
+    assert_eq!(roots.len(), 3);
     let lines: Vec<String> = REQUESTS.lines().map(str::to_string).collect();
     let out = run_batch(&base(Bbdd::new(3)), &ServeConfig::default(), &lines);
     assert_eq!(out.responses.len(), lines.len());
